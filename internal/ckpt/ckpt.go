@@ -3,7 +3,7 @@
 // format-version magic, and a SHA-256 integrity trailer.
 //
 // The format deliberately captures *quiesced* systems only (see DESIGN.md
-// §13): a checkpoint is taken at a barrier where every core is parked at an
+// §12): a checkpoint is taken at a barrier where every core is parked at an
 // instruction boundary, the memory controller has drained its queues and
 // banks, all power tokens are free, and the event heap is empty. At such a
 // barrier the calendar queue, in-flight requests, and token grants are all

@@ -48,14 +48,6 @@ type bankState struct {
 	busy     bool     // array occupied (read, or write programming)
 	wr       *writeOp // non-nil while a write owns the bank
 	readBusy bool     // a read is using the array during a write pause
-	// busyUntil is the latest cycle the bank is known to stay occupied —
-	// array reads book their full latency, writes book each power phase as
-	// it is scheduled. It only feeds the parallel engine's adaptive
-	// speculation horizon (a write queued behind this bank cannot issue
-	// before busyUntil, so its profile build can be batched that far out);
-	// an underestimate is harmless — the profile is simply ready early and
-	// stays cached — so the write path never has to keep it exact.
-	busyUntil sim.Cycle
 }
 
 // writeOp is an in-flight line write at the bridge.
@@ -105,16 +97,6 @@ type Controller struct {
 	scheduling bool
 	rerun      bool
 
-	// Parallel-engine speculation state (nil when the engine is
-	// sequential). Each lane owns a Builder, mapping Table and store
-	// Reader so prepare workers never share mutable scratch; laneRR is a
-	// per-bank round-robin over the bank's chip lanes, advanced serially
-	// at enqueue time so lane assignment is schedule-order deterministic.
-	laneBuilders []*pcm.Builder
-	laneTables   []*mapping.Table
-	laneReaders  []*pcm.Reader
-	laneRR       []uint32
-
 	// Telemetry. Counters live in the hub's metrics registry; the
 	// summaries/histogram stay local and are exported as gauges.
 	hub          *obs.Hub
@@ -124,21 +106,13 @@ type Controller struct {
 	writesDone   *obs.Counter
 	wcCancels    *obs.Counter
 	wpPauses     *obs.Counter
-	// Speculation-cache counters (exec scope: they describe how the
-	// parallel engine executed, not what the memory model computed, so
-	// they are excluded from Result.Metrics). nil — and so no-ops — on
-	// the sequential engine.
-	specPublished *obs.Counter
-	specDropped   *obs.Counter
-	specHits      *obs.Counter
-	specStale     *obs.Counter
-	readLatency   stats.Summary
-	writeLatency  stats.Summary
-	writeLatHist  *stats.Histogram // bucketed by latBucketCycles for percentiles
-	cellChanges   stats.Summary
-	writeEnergy   stats.Summary // pJ per line write
-	lineWrites    map[uint64]uint64
-	maxLineWr     uint64
+	readLatency  stats.Summary
+	writeLatency stats.Summary
+	writeLatHist *stats.Histogram // bucketed by latBucketCycles for percentiles
+	cellChanges  stats.Summary
+	writeEnergy  stats.Summary // pJ per line write
+	lineWrites   map[uint64]uint64
+	maxLineWr    uint64
 }
 
 // NewController wires the full memory subsystem for the configuration,
@@ -169,27 +143,6 @@ func NewController(eng *sim.Engine, cfg *sim.Config, baseline BaselineFunc) *Con
 	// leave the derivation sequence aligned for checkpoint restore. PWL
 	// gates the rotator's effect through ShiftEvery (0 disables rotation).
 	c.rot = mapping.NewRotator(cfg.CellsPerLine(), rotShiftEvery(cfg), rng.Derive(2))
-	if eng.Sharded() {
-		lanes := cfg.Lanes()
-		c.laneBuilders = make([]*pcm.Builder, lanes)
-		c.laneTables = make([]*mapping.Table, lanes)
-		c.laneReaders = make([]*pcm.Reader, lanes)
-		c.laneRR = make([]uint32, cfg.Banks)
-		// Per-lane RNG streams split from the seed via SplitMix64
-		// (RNG.Derive). Profile iteration draws are content-seeded inside
-		// Build, so lane builders produce bit-identical profiles to the
-		// serial builder no matter which lane builds a write.
-		laneRNG := rng.Derive(3)
-		for l := 0; l < lanes; l++ {
-			c.laneBuilders[l] = pcm.NewBuilder(cfg, laneRNG.Derive(uint64(l)))
-			c.laneTables[l] = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
-			c.laneReaders[l] = c.store.Reader()
-		}
-		c.specPublished = hub.ExecCounter("mem.spec.published")
-		c.specDropped = hub.ExecCounter("mem.spec.dropped")
-		c.specHits = hub.ExecCounter("mem.spec.hits")
-		c.specStale = hub.ExecCounter("mem.spec.stale")
-	}
 	if baseline == nil {
 		c.baseline = func(uint64, int) []byte { return nil } // all zeros
 	}
@@ -277,7 +230,6 @@ func (c *Controller) TryEnqueueWrite(addr uint64, data []byte) bool {
 		Addr: c.amap.LineAddr(addr), Data: data, enqueued: c.eng.Now(),
 	}
 	c.wrq = append(c.wrq, req)
-	c.scheduleSpec(req)
 	if len(c.wrq) >= c.cfg.WriteQueueEntries {
 		c.enterBurst()
 	}
@@ -552,7 +504,6 @@ func (c *Controller) startRead(bank int, req *ReadRequest, duringPause bool) {
 		c.fillsIssued.Inc()
 	}
 	arrayDone := c.cfg.MCToBank + c.cfg.ReadCycles()
-	c.holdBank(bank, c.eng.Now()+arrayDone)
 	c.eng.After(arrayDone, func() {
 		if duringPause {
 			b.readBusy = false
@@ -581,154 +532,21 @@ func (c *Controller) startRead(bank int, req *ReadRequest, duringPause bool) {
 
 // --- Writes ---
 
-// releaseProf returns a profile to the pool of the Builder that built it
-// (the serial builder or a lane builder). Releases only happen on the
-// serial path, so lane-builder pools are never touched concurrently with
-// their prepare-phase use.
-func (c *Controller) releaseProf(p *pcm.WriteProfile) {
-	if p == nil {
-		return
-	}
-	if o := p.Owner(); o != nil {
-		o.Release(p)
-		return
-	}
-	c.builder.Release(p)
-}
-
-// scheduleSpec speculatively builds the request's write profile on the
-// parallel engine. The prepare runs the same pure profile construction the
-// serial path would — against per-lane scratch — and the commit publishes
-// the result onto the request, tagged with the content version and rotation
-// offset it was built from. profileFor serves the cache only while both
-// tags still hold, and a rebuild under unchanged tags is bit-identical, so
-// speculation never changes results; it only moves build work off the
-// serial path. Lane choice (bank-major, round-robin over the bank's chips)
-// balances hot banks across lanes and is itself unobservable.
-func (c *Controller) scheduleSpec(req *WriteRequest) {
-	if c.laneBuilders == nil {
-		return
-	}
-	bank := c.amap.Bank(req.Addr)
-	lane := bank*c.cfg.Chips + int(c.laneRR[bank])%c.cfg.Chips
-	c.laneRR[bank]++
-	b, tab, rd := c.laneBuilders[lane], c.laneTables[lane], c.laneReaders[lane]
-	var prof *pcm.WriteProfile
-	var ver uint64
-	var rot int
-	req.specEv = c.eng.SpeculateAfter(lane, c.specDelay(bank), func() {
-		// Prepare: reads shared state the sweep barrier froze (store
-		// pages, lineWrites, rotation offsets), writes only lane scratch.
-		ver = c.lineWrites[req.Addr]
-		rot = c.rot.Offset(req.Addr)
-		old := rd.Get(req.Addr)
-		if old == nil {
-			old = c.baseline(req.Addr, c.cfg.L3LineB)
-		}
-		mapF := tab.Select(rot, c.cfg.Chips, c.cfg.HalfStripe,
-			c.amap.LineIndex(req.Addr)%2 == 1)
-		prof = b.Build(req.Addr, old, req.Data, mapF, c.cfg.WriteTruncation)
-	}, func() {
-		// Commit (serial): publish unless the write already issued —
-		// the in-flight op owns its profile and must not lose it. The
-		// handle is cleared first: after this commit the event is
-		// recycled, and a stale handle could cancel an innocent event.
-		req.specEv = nil
-		if prof == nil {
-			return
-		}
-		if req.inflight {
-			c.releaseProf(prof)
-			c.specDropped.Inc()
-			return
-		}
-		c.releaseProf(req.prof)
-		req.prof, req.profVer, req.profRot = prof, ver, rot
-		req.profSpec = true
-		c.specPublished.Inc()
-	})
-}
-
-// specTightUtil is the power-utilization threshold past which speculation
-// horizons stretch further: when admission is the bottleneck, queued writes
-// wait well beyond their bank's busy time, so their profile builds can be
-// batched deeper without risking a build-after-need miss.
-const specTightUtil = 0.85
-
-// holdBank records that a bank stays occupied at least until the given
-// cycle (monotone max; see bankState.busyUntil).
-func (c *Controller) holdBank(bank int, until sim.Cycle) {
-	if b := &c.banks[bank]; until > b.busyUntil {
-		b.busyUntil = until
-	}
-}
-
-// specDelay derives the speculation distance for a write entering bank's
-// queue: how far ahead of now its profile-build lane event is scheduled.
-// The floor is ShardHorizon lookaheads — the batching horizon one prepare
-// sweep amortizes over. Unless ShardStaticLookahead pins it there, the
-// distance adapts to when the write could actually issue: at least the
-// bank's known busy time, plus — when power admission is tight — a pulse
-// width per write already queued for the same bank. Any distance is
-// result-safe (profiles are tag-validated and rebuilt serially when stale,
-// and startWrite cancels the event if the write issues first), so an
-// overestimate only wastes one speculative build; the cap just bounds how
-// far lane heaps can grow.
-func (c *Controller) specDelay(bank int) sim.Cycle {
-	la := c.cfg.LookaheadCycles()
-	h := sim.Cycle(c.cfg.ShardHorizon)
-	if h == 0 {
-		h = sim.DefaultShardHorizon
-	}
-	d := la * h
-	if c.cfg.ShardStaticLookahead {
-		return d
-	}
-	now := c.eng.Now()
-	if bu := c.banks[bank].busyUntil; bu > now && bu-now > d {
-		d = bu - now
-	}
-	if c.sched.Manager().Utilization() > specTightUtil {
-		pulse := c.cfg.ResetCycles
-		if c.cfg.SetCycles < pulse {
-			pulse = c.cfg.SetCycles
-		}
-		for _, w := range c.wrq {
-			if c.amap.Bank(w.Addr) == bank {
-				d += pulse
-			}
-		}
-	}
-	if max := 16 * la * h; d > max {
-		d = max
-	}
-	return d
-}
-
 // profileFor returns the write's physical profile — the bridge's
 // read-before-write comparison against stored content — serving the
-// request's cached (possibly speculative) profile while its content-version
-// and rotation tags still match. The profile stays cached on the request
-// until the write issues, so denied issue attempts stop paying for
-// rebuilds: a rebuild under unchanged tags is bit-identical by construction
-// (Build seeds its draws from the content hash).
+// request's cached profile while its content-version and rotation tags
+// still match. The profile stays cached on the request until the write
+// issues, so denied issue attempts stop paying for rebuilds: a rebuild
+// under unchanged tags is bit-identical by construction (Build seeds its
+// draws from the content hash).
 func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 	ver := c.lineWrites[req.Addr]
 	rot := c.rot.Offset(req.Addr)
 	if req.prof != nil {
 		if req.profVer == ver && req.profRot == rot {
-			if req.profSpec {
-				// Count each speculatively built profile at most once.
-				req.profSpec = false
-				c.specHits.Inc()
-			}
 			return req.prof
 		}
-		if req.profSpec {
-			req.profSpec = false
-			c.specStale.Inc()
-		}
-		c.releaseProf(req.prof)
+		c.builder.Release(req.prof)
 		req.prof = nil
 	}
 	old := c.store.Get(req.Addr)
@@ -750,15 +568,6 @@ func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 func (c *Controller) startWrite(bank int, req *WriteRequest, prof *pcm.WriteProfile, ticket *core.Ticket) {
 	b := &c.banks[bank]
 	b.busy = true
-	req.inflight = true
-	if req.specEv != nil {
-		// The write beat its speculative build to the bank: the commit
-		// would only be dropped, so cancel the event and skip the prepare
-		// work too.
-		c.eng.Cancel(req.specEv)
-		req.specEv = nil
-		c.specDropped.Inc()
-	}
 	op := &writeOp{req: req, prof: prof, ticket: ticket, bank: bank, started: c.eng.Now()}
 	b.wr = op
 	if c.hub.Tracing() {
@@ -785,7 +594,6 @@ func (c *Controller) startWrite(bank int, req *WriteRequest, prof *pcm.WriteProf
 			begin = rbw
 		}
 	}
-	c.holdBank(bank, c.eng.Now()+begin)
 	// Tracked via phaseEv so a cancellation arriving during the
 	// pre-programming window (data transfer / read-before-write) kills
 	// the write before its first pulse.
@@ -797,7 +605,6 @@ func (c *Controller) startWrite(bank int, req *WriteRequest, prof *pcm.WriteProf
 
 // schedulePhaseEnd books the end-of-phase event for the op's current phase.
 func (c *Controller) schedulePhaseEnd(op *writeOp) {
-	c.holdBank(op.bank, c.eng.Now()+op.ticket.PhaseDuration())
 	op.phaseEv = c.eng.After(op.ticket.PhaseDuration(), func() { c.phaseEnd(op) })
 }
 
@@ -891,7 +698,6 @@ func (c *Controller) cancelWrite(op *writeOp) {
 	b := &c.banks[op.bank]
 	b.busy = false
 	b.wr = nil
-	b.busyUntil = c.eng.Now()
 	op.req.cancelled++
 	c.wcCancels.Inc()
 	if c.hub.Tracing() {
@@ -904,7 +710,6 @@ func (c *Controller) cancelWrite(op *writeOp) {
 	// rotation changed before the retry, the rebuild is skipped — a
 	// rebuild under unchanged tags would be bit-identical anyway.
 	op.prof = nil
-	op.req.inflight = false
 	c.wrq = append([]*WriteRequest{op.req}, c.wrq...)
 }
 
@@ -926,10 +731,9 @@ func (c *Controller) completeWrite(op *writeOp) {
 	}
 	c.cellChanges.Add(float64(op.prof.Changed))
 	c.writeEnergy.Add(op.prof.WriteEnergyPJ(c.cfg))
-	c.releaseProf(op.prof)
+	c.builder.Release(op.prof)
 	op.prof = nil
 	op.req.prof = nil // same object as op.prof; already released
-	op.req.inflight = false
 	c.lineWrites[op.req.Addr]++
 	if n := c.lineWrites[op.req.Addr]; n > c.maxLineWr {
 		c.maxLineWr = n

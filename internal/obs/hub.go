@@ -85,30 +85,12 @@ func (h *Hub) Counter(name string) *Counter {
 	return h.reg.Counter(name)
 }
 
-// ExecCounter registers the named execution-scope counter (excluded from
-// Values()/WriteJSON — see the package scope note), or returns a detached
-// one on a nil hub.
-func (h *Hub) ExecCounter(name string) *Counter {
-	if h == nil {
-		return &Counter{}
-	}
-	return h.reg.ExecCounter(name)
-}
-
 // Gauge registers the named gauge. No-op on a nil hub.
 func (h *Hub) Gauge(name string, read func() float64) {
 	if h == nil {
 		return
 	}
 	h.reg.Gauge(name, read)
-}
-
-// ExecGauge registers the named execution-scope gauge. No-op on a nil hub.
-func (h *Hub) ExecGauge(name string, read func() float64) {
-	if h == nil {
-		return
-	}
-	h.reg.ExecGauge(name, read)
 }
 
 // Histogram registers the named histogram, or returns a detached one on a

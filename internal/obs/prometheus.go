@@ -9,10 +9,10 @@ import (
 )
 
 // This file implements the Prometheus text exposition format (version
-// 0.0.4) for a Registry: every series — counters, gauges (both scopes) and
-// histograms — is emitted with sanitized names, # HELP/# TYPE headers, and
-// stable (sorted) ordering, so scrapes are diffable and the golden tests
-// can pin the layout.
+// 0.0.4) for a Registry: every series — counters, gauges and histograms —
+// is emitted with sanitized names, # HELP/# TYPE headers, and stable
+// (sorted) ordering, so scrapes are diffable and the golden tests can pin
+// the layout.
 
 // PrometheusContentType is the Content-Type HTTP header value for the text
 // exposition format.

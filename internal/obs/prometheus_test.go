@@ -42,7 +42,6 @@ func TestWritePrometheusValid(t *testing.T) {
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(5000)
-	r.ExecGauge("sim.shard.windows", func() float64 { return 7 })
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -94,7 +93,7 @@ func TestWritePrometheusValid(t *testing.T) {
 		`serve_job_sim_ms_bucket{le="+Inf"} 3`,
 		`serve_job_sim_ms_sum 5055`,
 		`serve_job_sim_ms_count 3`,
-		`sim_shard_windows 7`,
+		`serve_queue_depth 3`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -22,13 +22,6 @@
 // <subsystem>.<component>.<metric> — e.g. "power.gcp.tokens_in_use",
 // "mem.wrq.depth", "core.scheduler.multireset_splits". Per-instance series
 // insert the index after the component: "power.chip.3.tokens_in_use".
-//
-// Scopes: a series registered through the Exec variants (ExecCounter,
-// ExecGauge) is execution-side telemetry — it describes how the simulation
-// ran (shard windows, barrier waits, speculation hit rates), not what the
-// simulated machine did. Exec series appear in snapshots, probes and the
-// Prometheus exposition, but are excluded from Values()/WriteJSON so
-// system.Result stays bit-identical whichever engine executed the run.
 package obs
 
 import (
@@ -109,7 +102,6 @@ func (c *Counter) Reset() {
 // metric is one registered series.
 type metric struct {
 	kind Kind
-	exec bool // execution-side telemetry: excluded from Values()/WriteJSON
 	read func() float64
 }
 
@@ -140,17 +132,6 @@ func NewRegistry() *Registry {
 
 // Counter registers (or retrieves) the named counter.
 func (r *Registry) Counter(name string) *Counter {
-	return r.counter(name, false)
-}
-
-// ExecCounter registers (or retrieves) the named execution-scope counter:
-// it appears in snapshots and the Prometheus exposition but not in
-// Values()/WriteJSON (see the package scope note).
-func (r *Registry) ExecCounter(name string) *Counter {
-	return r.counter(name, true)
-}
-
-func (r *Registry) counter(name string, exec bool) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
@@ -158,25 +139,16 @@ func (r *Registry) counter(name string, exec bool) *Counter {
 	}
 	c := &Counter{}
 	r.counters[name] = c
-	r.metrics[name] = metric{kind: KindCounter, exec: exec, read: func() float64 { return float64(c.Value()) }}
+	r.metrics[name] = metric{kind: KindCounter, read: func() float64 { return float64(c.Value()) }}
 	return c
 }
 
 // Gauge registers the named gauge backed by read. Re-registering a name
 // replaces its source (components rebuilt between runs simply re-register).
 func (r *Registry) Gauge(name string, read func() float64) {
-	r.gauge(name, read, false)
-}
-
-// ExecGauge registers the named execution-scope gauge (see ExecCounter).
-func (r *Registry) ExecGauge(name string, read func() float64) {
-	r.gauge(name, read, true)
-}
-
-func (r *Registry) gauge(name string, read func() float64, exec bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics[name] = metric{kind: KindGauge, exec: exec, read: read}
+	r.metrics[name] = metric{kind: KindGauge, read: read}
 }
 
 // Histogram registers (or retrieves) the named fixed-bucket histogram.
@@ -219,7 +191,7 @@ func (r *Registry) Len() int {
 	return len(r.metrics)
 }
 
-// Names returns every registered series name in sorted order (all scopes).
+// Names returns every registered series name in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,8 +225,8 @@ type Sample struct {
 	Value float64
 }
 
-// Snapshot reads every series (all scopes; histograms sample their
-// observation count), sorted by name.
+// Snapshot reads every series (histograms sample their observation count),
+// sorted by name.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
 	names := r.namesLocked()
@@ -270,11 +242,10 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Values reads every model-scope counter and gauge into a plain map (the
-// form system.Result carries across the experiment harness). Exec-scope
-// series and histograms are excluded so the map — and therefore stored
-// results — is identical whichever engine variant executed the run and
-// whether or not execution telemetry was enabled.
+// Values reads every counter and gauge into a plain map (the form
+// system.Result carries across the experiment harness). Histograms are
+// excluded: the map's key set — and therefore stored results — predates
+// them.
 func (r *Registry) Values() map[string]float64 {
 	r.mu.Lock()
 	type nv struct {
@@ -283,7 +254,7 @@ func (r *Registry) Values() map[string]float64 {
 	}
 	reads := make([]nv, 0, len(r.metrics))
 	for n, m := range r.metrics {
-		if m.exec || m.kind == KindHistogram {
+		if m.kind == KindHistogram {
 			continue
 		}
 		reads = append(reads, nv{n, m.read})
@@ -317,8 +288,7 @@ func (r *Registry) HistogramSnapshots() []NamedHistogram {
 	return out
 }
 
-// ResetMeasurement zeroes every registered counter and histogram (all
-// scopes). Gauges read live component state and are untouched. Called by the
+// ResetMeasurement zeroes every registered counter and histogram. Gauges read live component state and are untouched. Called by the
 // warmup-barrier sequence so measurement statistics start from zero whether
 // the barrier was reached by simulation or by checkpoint restore.
 func (r *Registry) ResetMeasurement() {
@@ -346,7 +316,7 @@ type NamedHistogram struct {
 	Snapshot HistogramSnapshot
 }
 
-// WriteJSON dumps the registry's model-scope counters and gauges as one
+// WriteJSON dumps the registry's counters and gauges as one
 // flat JSON object, keys sorted, in a byte-deterministic encoding. This is
 // the legacy /metrics format and the encoding of stored sim results; its
 // byte format is frozen (see TestEncodeSeriesGolden).

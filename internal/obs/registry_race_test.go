@@ -83,43 +83,3 @@ func TestNilCounterSafe(t *testing.T) {
 		t.Fatal("nil counter leaked state")
 	}
 }
-
-// TestExecScopeExcludedFromValues: exec-scope series appear in Names,
-// Snapshot and the Prometheus exposition, but never in Values()/WriteJSON —
-// that is what keeps Result.Metrics identical whichever engine executed a
-// run.
-func TestExecScopeExcludedFromValues(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("model.count").Inc()
-	r.ExecCounter("exec.count").Add(5)
-	r.Gauge("model.gauge", func() float64 { return 1 })
-	r.ExecGauge("exec.gauge", func() float64 { return 2 })
-	r.Histogram("model.hist", []float64{1}).Observe(1)
-
-	vals := r.Values()
-	if _, ok := vals["exec.count"]; ok {
-		t.Error("exec counter leaked into Values()")
-	}
-	if _, ok := vals["exec.gauge"]; ok {
-		t.Error("exec gauge leaked into Values()")
-	}
-	if _, ok := vals["model.hist"]; ok {
-		t.Error("histogram leaked into Values()")
-	}
-	if vals["model.count"] != 1 || vals["model.gauge"] != 1 {
-		t.Errorf("model values wrong: %v", vals)
-	}
-
-	if got := len(r.Names()); got != 5 {
-		t.Errorf("Names() = %d series, want 5 (all scopes)", got)
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"exec_count 5", "exec_gauge 2", "model_count 1", "model_hist_count 1"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("prometheus exposition missing %q:\n%s", want, buf.String())
-		}
-	}
-}

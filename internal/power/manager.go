@@ -117,29 +117,6 @@ func (m *Manager) ChipAvailable(c int) float64 { return m.chips[c].Available() }
 // GCPInUse returns the GCP output tokens currently supplying segments.
 func (m *Manager) GCPInUse() float64 { return m.gcp.InUse() }
 
-// Utilization reports how power-constrained the system is right now: the
-// highest in-use fraction across the DIMM pool and every chip LCP, in
-// [0, 1]. A value near 1 means some budget is nearly exhausted and queued
-// writes are likely being power-denied (the parallel engine uses this to
-// stretch speculation horizons when admission — not bank occupancy — is the
-// bottleneck). Zero-capacity pools (e.g. the GCP under non-GCP schemes)
-// don't count.
-func (m *Manager) Utilization() float64 {
-	frac := func(p *Pool) float64 {
-		if p.Cap() <= 0 {
-			return 0
-		}
-		return p.InUse() / p.Cap()
-	}
-	u := frac(m.dimm)
-	for _, p := range m.chips {
-		if f := frac(p); f > u {
-			u = f
-		}
-	}
-	return u
-}
-
 // CanAcquire reports whether the demand could be granted right now without
 // mutating any state.
 func (m *Manager) CanAcquire(d Demand) bool {

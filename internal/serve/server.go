@@ -340,7 +340,8 @@ func (s *Server) worker() {
 		delete(s.inflight, j.key)
 		s.latency.Add(int(time.Since(start).Milliseconds()))
 		s.mu.Unlock()
-		close(j.done)
+		// Log before releasing waiters: a client that reads the log right
+		// after its response must find the job's final line there.
 		if err != nil {
 			s.log.Warn("job failed", "job", j.id, "key", j.key,
 				"sim_ms", durMs(simDur), "err", err)
@@ -349,6 +350,7 @@ func (s *Server) worker() {
 				"queue_wait_ms", durMs(queueWait), "sim_ms", durMs(simDur),
 				"store_write_ms", durMs(storeDur))
 		}
+		close(j.done)
 	}
 }
 

@@ -295,6 +295,24 @@ func waitJobDone(t *testing.T, url, id string) JobStatus {
 
 // --- Acceptance (d): shutdown drains in-flight jobs, no lost responses ---
 
+// waitServer polls cond under the server's lock until it holds.
+func waitServer(t *testing.T, s *Server, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond()
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never reached the awaited state")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDrainCompletesInFlightJobs(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
@@ -324,7 +342,10 @@ func TestDrainCompletesInFlightJobs(t *testing.T) {
 		}(uint64(100 + i))
 	}
 	<-started
-	<-started // both workers busy; third job is queued
+	<-started // both workers busy
+	// Drain only once the third job is queued: a POST still in flight
+	// when Drain begins is refused, not drained.
+	waitServer(t, s, func() bool { return len(s.queue) == 1 })
 
 	drained := make(chan struct{})
 	go func() {
@@ -332,23 +353,18 @@ func TestDrainCompletesInFlightJobs(t *testing.T) {
 		close(drained)
 	}()
 
-	// A draining server refuses new work with 503.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		body, _ := json.Marshal(spec(999))
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("draining server never refused new work")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A draining server refuses new work with 503. Probe only once Drain
+	// has begun: a probe accepted before that would block until release.
+	waitServer(t, s, func() bool { return s.draining })
+	body, _ := json.Marshal(spec(999))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining server answered new work with %d, want 503", resp.StatusCode)
 	}
 
 	close(release)

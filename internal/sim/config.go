@@ -244,35 +244,7 @@ type Config struct {
 
 	// --- Misc ---
 	Seed uint64
-
-	// Shards enables the parallel simulation engine: 0 (default) runs the
-	// sequential kernel; > 0 shards the event population into Banks*Chips
-	// lanes executed by up to Shards-wide parallel prepare sweeps inside
-	// conservative time windows (see sharded.go). Results are bit-identical
-	// for every value — Shards is a wall-clock knob, not a model parameter —
-	// so it is excluded from the simulation's content-address (system.Key).
-	Shards int
-	// ShardHorizon is the parallel engine's batching horizon, in lookahead
-	// multiples: speculative write profiles are scheduled
-	// ShardHorizon×LookaheadCycles ahead instead of one lookahead, so one
-	// prepare sweep amortizes over that many windows of simulated time.
-	// 0 (default) means DefaultShardHorizon. Like Shards it is a wall-clock
-	// knob — results are bit-identical for every value — and is excluded
-	// from system.Key.
-	ShardHorizon int
-	// ShardStaticLookahead pins the speculation distance to exactly
-	// ShardHorizon×LookaheadCycles, disabling the adaptive extension that
-	// stretches it over a bank's known busy time and queue backlog. Kept
-	// for A/B measurement and determinism cross-checks; also excluded from
-	// system.Key.
-	ShardStaticLookahead bool
 }
-
-// DefaultShardHorizon is the batching horizon used when Config.ShardHorizon
-// is 0: wide enough that sweeps are rare (one barrier per ~8 windows of
-// progress), small enough that speculative profiles rarely outlive their
-// request's first issue attempt.
-const DefaultShardHorizon = 8
 
 // DefaultConfig returns the paper's Table 1 baseline configuration.
 func DefaultConfig() Config {
@@ -361,38 +333,10 @@ func (c *Config) ReadCycles() Cycle {
 	return c.PCMReadCycles
 }
 
-// Lanes returns the event-lane count of the parallel engine: one lane per
-// (bank, chip) pair — 64 at the Table 1 scale — so per-bank write activity
-// spreads across the chips serving it.
-func (c *Config) Lanes() int { return c.Banks * c.Chips }
-
-// LookaheadCycles returns the parallel engine's conservative window width:
-// the minimum cross-lane interaction latency, i.e. the shortest of the RESET
-// pulse, the SET pulse and the MC-to-bank command latency (the scheduling
-// quantum). No lane event scheduled by an event at time t can matter to
-// another lane before t + LookaheadCycles.
-func (c *Config) LookaheadCycles() Cycle {
-	w := c.ResetCycles
-	if c.SetCycles < w {
-		w = c.SetCycles
-	}
-	if c.MCToBank < w {
-		w = c.MCToBank
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
-}
-
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
 	switch {
-	case c.Shards < 0:
-		return fmt.Errorf("config: Shards must be non-negative, got %d", c.Shards)
-	case c.ShardHorizon < 0:
-		return fmt.Errorf("config: ShardHorizon must be non-negative, got %d", c.ShardHorizon)
 	case c.Cores <= 0:
 		return fmt.Errorf("config: Cores must be positive, got %d", c.Cores)
 	case c.Chips <= 0 || c.Banks <= 0:

@@ -17,24 +17,27 @@ const keyFormatVersion = 1
 // a flat struct of scalars, so encoding/json renders it byte-deterministically
 // in declaration order.
 type canonicalJob struct {
-	Version  int        `json:"v"`
-	Workload string     `json:"workload"`
-	Config   sim.Config `json:"config"`
+	Version  int      `json:"v"`
+	Workload string   `json:"workload"`
+	Config   configV1 `json:"config"`
+}
+
+// configV1 freezes the key format's config shape: version-1 keys were first
+// computed when sim.Config ended in three execution-engine fields, always
+// zero in a key. encoding/json writes the embedded Config's fields first and
+// these after them, so the bytes — and every stored result and checkpoint
+// key — stay what they were.
+type configV1 struct {
+	sim.Config
+	Shards, ShardHorizon int
+	ShardStaticLookahead bool
 }
 
 // Canonical returns the canonical serialization of one (config, workload)
 // simulation: the byte string two jobs share exactly when they are the same
 // simulation. It is the preimage of Key.
 func Canonical(cfg sim.Config, workload string) []byte {
-	// Shards — and the ShardHorizon/ShardStaticLookahead batching knobs —
-	// select the execution engine, not the simulated machine: results are
-	// bit-identical for every value (enforced by the determinism matrix
-	// test), so they are zeroed here to keep result caches from
-	// fragmenting by how a simulation happened to be executed.
-	cfg.Shards = 0
-	cfg.ShardHorizon = 0
-	cfg.ShardStaticLookahead = false
-	b, err := json.Marshal(canonicalJob{Version: keyFormatVersion, Workload: workload, Config: cfg})
+	b, err := json.Marshal(canonicalJob{Version: keyFormatVersion, Workload: workload, Config: configV1{Config: cfg}})
 	if err != nil {
 		// sim.Config holds only scalars; Marshal cannot fail.
 		panic("system: canonical encoding: " + err.Error())
@@ -57,7 +60,7 @@ func Key(cfg sim.Config, workload string) string {
 // the key hashes the *warmup* config (measurement-only policy fields pinned
 // by Config.WarmupConfig), with InstrPerCore zeroed on top, since the
 // instruction budget only governs how far the measurement phase runs past
-// the barrier. Shards is zeroed by Canonical as usual.
+// the barrier.
 func CheckpointKey(cfg sim.Config, workload string) string {
 	w := cfg.WarmupConfig()
 	w.InstrPerCore = 0

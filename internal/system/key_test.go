@@ -1,6 +1,10 @@
 package system
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"fpb/internal/sim"
@@ -13,8 +17,16 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("same job hashed differently: %s vs %s", k1, k2)
 	}
-	if len(k1) != 64 {
-		t.Fatalf("key %q is not a hex sha256", k1)
+	// Stored results, checkpoints and perfbench/testdata/golden.json are
+	// keyed by these exact strings: a change to the canonical encoding
+	// must be deliberate (see keyFormatVersion).
+	if want := "97b3b7f7c0bba693b7a36e759034630e586473e0b769f9873e81eaec38c0c34b"; k1 != want {
+		t.Errorf("Key(DefaultConfig, mcf_m) = %s, want %s", k1, want)
+	}
+	wcfg := cfg
+	wcfg.WarmupCycles = 500_000
+	if got, want := CheckpointKey(wcfg, "mcf_m"), "5d69b6bd111bce6ac7a1c153d819cc0f81bd84776be6f0a3bfeb4bceed9429b8"; got != want {
+		t.Errorf("CheckpointKey(DefaultConfig+warmup, mcf_m) = %s, want %s", got, want)
 	}
 	if kw := Key(cfg, "lbm_m"); kw == k1 {
 		t.Error("different workloads share a key")
@@ -28,6 +40,31 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	mod.Scheme = sim.SchemeIdeal
 	if km := Key(mod, "mcf_m"); km == k1 {
 		t.Error("different schemes share a key")
+	}
+}
+
+// TestShardedKeyIgnoresShards checks that the frozen v1 key shape still ends
+// in the old execution-engine fields, pinned at zero, for a non-default
+// config: keys written when those fields existed (and were zeroed before
+// hashing) are the keys computed now.
+func TestShardedKeyIgnoresShards(t *testing.T) {
+	a := quickConfig(sim.SchemeGCP)
+	cfgJSON, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"v":1,"workload":"mcf_m","config":` +
+		strings.TrimSuffix(string(cfgJSON), "}") +
+		`,"Shards":0,"ShardHorizon":0,"ShardStaticLookahead":false}}`
+	if got := string(Canonical(a, "mcf_m")); got != want {
+		t.Errorf("Canonical does not encode the frozen v1 shape:\n got %s\nwant %s", got, want)
+	}
+	sum := sha256.Sum256([]byte(want))
+	if Key(a, "mcf_m") != hex.EncodeToString(sum[:]) {
+		t.Error("Key is not the SHA-256 of the v1 encoding with zeroed shard fields")
+	}
+	if Key(a, "mcf_m") == Key(a, "lbm_m") {
+		t.Error("distinct workloads share a key")
 	}
 }
 

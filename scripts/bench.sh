@@ -74,20 +74,11 @@ if [ "$QUICK" -eq 0 ]; then
     # is enough: the simulation itself is deterministic and long.
     go test -run '^$' -bench 'BenchmarkFig18Throughput' -benchtime 1x -benchmem . |
         tee -a "$RAW"
-    # GOMAXPROCS x shard-count scaling grid of the parallel engine. Results
-    # are bit-identical across the whole grid (fpbbench verifies that); only
-    # wall clock varies, so each point is the min of -reps runs.
-    go run ./cmd/fpbbench -cpus 1,2,4 -shards 0,8,16,64 -reps 3 -instr 20000 |
-        tee -a "$RAW"
     # Checkpointed warm-start vs cold warmup for the Fig. 18 sweep. The
     # run itself asserts the warm-started results are byte-identical to
     # the cold ones; the snapshot records the speedup.
     go run ./cmd/fpbbench -warm 4000000 -instr 5000 | tee -a "$RAW"
 else
-    # Quick scaling smoke for CI: two workloads, two cpu counts, sequential
-    # vs full sharding only.
-    go run ./cmd/fpbbench -cpus 1,2 -shards 0,64 -reps 2 -instr 8000 \
-        -workloads mcf_m,mix_1 | tee -a "$RAW"
     # Warm-start smoke: shorter warmup, same byte-identity assertion.
     go run ./cmd/fpbbench -warm 1000000 -instr 3000 | tee -a "$RAW"
 fi
