@@ -26,7 +26,9 @@
 //
 // Snapshots are deterministic: benchmark names are normalized (Benchmark
 // prefix and -GOMAXPROCS suffix stripped) and JSON object keys are sorted,
-// so identical measurements produce byte-identical files.
+// so identical measurements on the same host produce byte-identical files.
+// Each snapshot also records the host's core count, GOMAXPROCS and Go
+// version.
 package main
 
 import (
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,10 +47,23 @@ import (
 	"fpb/internal/exp"
 )
 
-// Snapshot is the on-disk format: benchmark name → metric name → value.
-// encoding/json sorts map keys, which makes the output deterministic.
+// Snapshot is the on-disk format: the host that took it, and benchmark
+// name → metric name → value. encoding/json sorts map keys, which makes the
+// output deterministic.
 type Snapshot struct {
+	Host       *Host                         `json:"host,omitempty"`
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+}
+
+// Host records what a snapshot's numbers depend on beyond the code: the
+// core count, the Go scheduler's parallelism and the toolchain. Ingest reads
+// them from its own process, which runs on the benchmarks' host right after
+// them. Compare ignores them; they tell a reader whether two snapshots are
+// comparable at all.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
 }
 
 func main() {
@@ -95,6 +111,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fpbbench: no benchmark lines found on stdin")
 		os.Exit(2)
 	}
+	snap.Host = &Host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpbbench:", err)

@@ -182,6 +182,53 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 	return false, victim, evicted
 }
 
+// AccessBatch has exactly the effect of the n calls Access(at(i)) for
+// i = 0, 1, ..., n-1 in that order, with the victims discarded, but it
+// replays them one set at a time. It counting-sorts the accesses by set
+// (stably, so each set keeps its own order) and then runs each set's
+// accesses back to back through Access, each at the tick it would have had
+// in sequence. Accesses to different sets touch disjoint ways and share only
+// the tick and the hit/miss counters, so the metadata comes out
+// byte-identical to the sequential calls — way positions and LRU ticks
+// included — while the probes walk the metadata in order instead of landing
+// in a random set each. at must be a pure function of i: it is called twice
+// per index.
+func (c *Cache) AccessBatch(n int, at func(i int) (addr uint64, write bool)) {
+	if int64(n) >= 1<<31 {
+		panic("cache: batch of 2^31 or more accesses")
+	}
+	// next[s+1] counts set s's accesses; the prefix sum turns next[s] into
+	// the first slot of set s's bucket, and the scatter advances it to the
+	// bucket's end.
+	next := make([]int32, c.sets+1)
+	for i := 0; i < n; i++ {
+		addr, _ := at(i)
+		next[c.set(c.lineIndex(addr))+1]++
+	}
+	for s := 1; s <= c.sets; s++ {
+		next[s] += next[s-1]
+	}
+	addrs := make([]uint64, n)
+	seqs := make([]uint32, n) // i<<1 | write
+	for i := 0; i < n; i++ {
+		addr, write := at(i)
+		s := c.set(c.lineIndex(addr))
+		j := next[s]
+		next[s]++
+		addrs[j] = addr
+		seqs[j] = uint32(i) << 1
+		if write {
+			seqs[j] |= 1
+		}
+	}
+	tick0 := c.tick
+	for j, q := range seqs {
+		c.tick = tick0 + uint64(q>>1) // Access advances it to tick0+i+1
+		c.Access(addrs[j], q&1 != 0)
+	}
+	c.tick = tick0 + uint64(n)
+}
+
 // Contains reports whether the line holding addr is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineIdx := c.lineIndex(addr)

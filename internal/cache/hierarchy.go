@@ -1,6 +1,10 @@
 package cache
 
-import "fpb/internal/sim"
+import (
+	"unsafe"
+
+	"fpb/internal/sim"
+)
 
 // Level identifies which level served a demand access.
 type Level int
@@ -71,6 +75,12 @@ func (h *Hierarchy) Release() {
 	h.l3.Release()
 }
 
+// MetaBytes reports the size of the hierarchy's metadata arrays: what a
+// Clone copies and a snapshot of it keeps resident.
+func (h *Hierarchy) MetaBytes() int {
+	return (len(h.l1.meta) + len(h.l2.meta) + len(h.l3.meta)) * int(unsafe.Sizeof(way{}))
+}
+
 // L1 returns the L1 cache (tests and telemetry).
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 
@@ -129,20 +139,6 @@ func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64, out *Outcome) 
 		out.FillReads = append(out.FillReads,
 			victimAddr/uint64(h.cfg.L3LineB)*uint64(h.cfg.L3LineB))
 	}
-}
-
-// Prefill warms the hierarchy with the address range [start, start+span):
-// every L3 line in the range is installed (dirty when dirty is true), so
-// steady-state capacity evictions begin immediately instead of after a
-// multi-million-instruction cold phase. Used by the workload harness; see
-// DESIGN.md §3 on warm-up substitution.
-func (h *Hierarchy) Prefill(start, span uint64, dirty bool) {
-	lineB := uint64(h.cfg.L3LineB)
-	for addr := start / lineB * lineB; addr < start+span; addr += lineB {
-		h.l3.Access(addr, dirty)
-	}
-	// Prefill distorts demand statistics; zero the counters.
-	h.l3.hits, h.l3.misses = 0, 0
 }
 
 // L3CapacityLines returns how many lines the L3 holds.

@@ -3,7 +3,9 @@ package system
 import (
 	"testing"
 
+	"fpb/internal/cache"
 	"fpb/internal/sim"
+	"fpb/internal/workload"
 )
 
 // BenchmarkSimulation measures end-to-end simulator throughput: one full
@@ -27,4 +29,23 @@ func BenchmarkSimulation(b *testing.B) {
 		instrs += res.Instrs
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+}
+
+// BenchmarkPrefill measures the cache warm-up of one mcf_m core at the
+// default geometry, on a fresh hierarchy per op (the snapshot cache is
+// bypassed).
+func BenchmarkPrefill(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	wl, err := workload.ByName("mcf_m", cfg.Cores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := wl.Cores[0]
+	gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := cache.NewHierarchy(&cfg)
+		prefill(h, gen, prof)
+		h.Release()
+	}
 }

@@ -193,16 +193,17 @@ type prefillKey struct {
 	l3MB, l3Line, l3Ways int
 }
 
-// maxPrefillSnapshots bounds the snapshot cache. Each snapshot holds deep
-// copies of one core's cache metadata (~4 MB at the default 32 MB L3), so
-// the bound caps the cache near half a gigabyte — sized to hold every
-// distinct (profile, core-slot) pair of a full figure sweep at the default
-// geometry without evicting.
-const maxPrefillSnapshots = 128
+// maxPrefillSnapshotBytes bounds the snapshot cache by the summed metadata
+// size of its snapshots. A snapshot is one core's three cache levels: 2.5
+// MiB at the default geometry, so ~200 fit, more than the distinct
+// (profile, core-slot) pairs of a full figure sweep (Fig. 18 has 86, 216
+// MiB); at Fig. 20's 128 MB L3 a snapshot is 8.5 MiB and ~60 fit.
+const maxPrefillSnapshotBytes = 512 << 20
 
 var prefillSnapshots struct {
 	sync.Mutex
 	m     map[prefillKey]*prefillSnapshot
+	bytes int // summed MetaBytes of the snapshots in m
 	stamp uint64
 }
 
@@ -245,10 +246,19 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 	prefill(h, gen, prof)
 
 	c.Lock()
+	defer c.Unlock()
+	c.stamp++
+	if e, ok := c.m[k]; ok {
+		// A concurrent build prefilled the same key first; its snapshot
+		// holds the identical content.
+		e.used = c.stamp
+		return h, e.hier
+	}
 	if c.m == nil {
 		c.m = make(map[prefillKey]*prefillSnapshot)
 	}
-	if len(c.m) >= maxPrefillSnapshots {
+	size := h.MetaBytes()
+	for len(c.m) > 0 && c.bytes+size > maxPrefillSnapshotBytes {
 		var oldest prefillKey
 		var oldestUsed uint64 = ^uint64(0)
 		for kk, e := range c.m {
@@ -257,12 +267,12 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 				oldest = kk
 			}
 		}
+		c.bytes -= c.m[oldest].hier.MetaBytes()
 		delete(c.m, oldest)
 	}
-	c.stamp++
 	snap := &prefillSnapshot{hier: h.Clone(cfg), used: c.stamp}
 	c.m[k] = snap
-	c.Unlock()
+	c.bytes += size
 	// The snapshot's copy doubles as the checkpoint delta baseline: map
 	// entries are cloned on every hit and never mutated, so the reference
 	// stays pristine even after eviction drops it from the map.
@@ -295,26 +305,22 @@ func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProf
 		// per-set LRU ages are independent of the cursors' relative
 		// phase: early-eviction victims are then dirty with the true
 		// steady-state probability (wFrac) for every seed, instead of
-		// whatever the arbitrary phase alignment would dictate.
-		type ins struct {
-			addr  uint64
-			dirty bool
-		}
-		inserts := make([]ins, 0, nR+nW)
-		for k := uint64(0); k < nR; k++ {
-			pos := (gen.ReadCursor() + span - 1 - k) % span
-			inserts = append(inserts, ins{addr: rStart + pos*lineB})
-		}
-		for k := uint64(0); k < nW; k++ {
-			pos := (gen.WriteCursor() + span - 1 - k) % span
-			inserts = append(inserts, ins{addr: wStart + pos*lineB, dirty: true})
-		}
-		rng := sim.NewRNG(gen.ReadCursor()*31 + gen.WriteCursor()*17 + 0xC0FFEE)
-		perm := make([]int, len(inserts))
+		// whatever the arbitrary phase alignment would dictate. Insert k
+		// of the first nR is the k-th load-region line behind the read
+		// cursor, insert nR+k the k-th store-region line behind the write
+		// cursor. The batch replays the shuffled sequence one L3 set at a
+		// time, which leaves exactly the state of inserting it one by one.
+		rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
+		rng := sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
+		perm := make([]int, nR+nW)
 		rng.Perm(perm)
-		for _, idx := range perm {
-			h.L3().Access(inserts[idx].addr, inserts[idx].dirty)
-		}
+		h.L3().AccessBatch(len(perm), func(i int) (uint64, bool) {
+			k := uint64(perm[i])
+			if k < nR {
+				return rStart + (rCur+span-1-k)%span*lineB, false
+			}
+			return wStart + (wCur+span-1-(k-nR))%span*lineB, true
+		})
 	}
 	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
 	hotStart, hotSpan := gen.HotRegion()

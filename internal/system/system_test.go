@@ -1,8 +1,11 @@
 package system
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"fpb/internal/cache"
 	"fpb/internal/sim"
 	"fpb/internal/workload"
 )
@@ -199,5 +202,60 @@ func TestWCWPIntegration(t *testing.T) {
 	}
 	if res.WCCancels+res.WPPauses == 0 {
 		t.Error("WC/WP never triggered on a write-heavy workload")
+	}
+}
+
+// TestPrefillSnapshotBound checks the snapshot cache's byte bound against
+// the default geometry: it must hold at least 128 snapshots, so a
+// default-geometry figure sweep (Fig. 18 prefills 86 distinct cores) never
+// evicts.
+func TestPrefillSnapshotBound(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	h := cache.NewHierarchy(&cfg)
+	defer h.Release()
+	if n := maxPrefillSnapshotBytes / h.MetaBytes(); n < 128 {
+		t.Errorf("the bound holds %d default-geometry snapshots, want at least 128", n)
+	}
+}
+
+// TestPrefilledHierarchyConcurrent has several goroutines miss the snapshot
+// cache on the same key at once. Each must get the identical baseline, and
+// the cache's byte count must still equal the sum over its entries.
+func TestPrefilledHierarchyConcurrent(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.L3SizeMB = 8
+	cfg.Seed = 0x5eed // a key no other test prefills
+	wl, err := workload.ByName("lbm_m", cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := wl.Cores[0]
+	bases := make([]*cache.Hierarchy, 4)
+	var wg sync.WaitGroup
+	for g := range bases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+			h, base := prefilledHierarchy(&cfg, gen, prof)
+			h.Release()
+			bases[g] = base
+		}()
+	}
+	wg.Wait()
+	for g, b := range bases[1:] {
+		if !reflect.DeepEqual(b.L3(), bases[0].L3()) {
+			t.Errorf("goroutine %d got a different L3 baseline", g+1)
+		}
+	}
+	c := &prefillSnapshots
+	c.Lock()
+	defer c.Unlock()
+	sum := 0
+	for _, e := range c.m {
+		sum += e.hier.MetaBytes()
+	}
+	if sum != c.bytes {
+		t.Errorf("snapshot cache counts %d bytes, its entries hold %d", c.bytes, sum)
 	}
 }

@@ -60,13 +60,14 @@ fi
 [ -n "$OUT" ] || OUT="BENCH_${REV}.json"
 
 # Hot-path microbenchmarks: sim kernel, profile build, power manager,
-# cache, dispatch guards.
-MICRO='BenchmarkEngineScheduleAndRun|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkDispatch'
+# cache, cache prefill (one core's warm-up, the bulk of building a system),
+# dispatch guards.
+MICRO='BenchmarkEngineScheduleAndRun|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench "$MICRO" -benchmem \
-    ./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/obs/ |
+    ./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/system/ ./internal/obs/ |
     tee "$RAW"
 
 if [ "$QUICK" -eq 0 ]; then
