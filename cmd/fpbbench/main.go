@@ -27,6 +27,9 @@
 // Snapshots are deterministic: benchmark names are normalized (Benchmark
 // prefix and -GOMAXPROCS suffix stripped) and JSON object keys are sorted,
 // so identical measurements on the same host produce byte-identical files.
+// A benchmark run several times (`-count N`) is recorded as the median of
+// its runs, with the ns/op minimum and maximum and the run count beside it;
+// -compare compares the medians.
 // Each snapshot also records the host's core count, GOMAXPROCS and Go
 // version.
 package main
@@ -214,9 +217,10 @@ func normalizeName(name string) string {
 //	BenchmarkName-8   123   456.7 ns/op   89 B/op   1 allocs/op
 //
 // Custom per-benchmark metrics (`-ReportMetric`) are kept under their unit
-// name. Repeated runs of the same benchmark keep the last measurement.
+// name. Repeated runs of the same benchmark (`-count N`) are summarized by
+// summarizeRuns.
 func parseBench(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Benchmarks: make(map[string]map[string]float64)}
+	runs := make(map[string][]map[string]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -236,10 +240,38 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 			metrics[metricKey(fields[i+1])] = v
 		}
 		if len(metrics) > 0 {
-			snap.Benchmarks[normalizeName(fields[0])] = metrics
+			name := normalizeName(fields[0])
+			runs[name] = append(runs[name], metrics)
 		}
 	}
+	snap := &Snapshot{Benchmarks: make(map[string]map[string]float64, len(runs))}
+	for name, rs := range runs {
+		snap.Benchmarks[name] = summarizeRuns(rs)
+	}
 	return snap, sc.Err()
+}
+
+// summarizeRuns reduces a benchmark's runs to the median of each metric,
+// plus the ns/op range (ns_op_min, ns_op_max) and the number of runs, so a
+// snapshot shows the spread behind its number rather than one sample.
+func summarizeRuns(runs []map[string]float64) map[string]float64 {
+	samples := make(map[string][]float64)
+	for _, m := range runs {
+		for k, v := range m {
+			samples[k] = append(samples[k], v)
+		}
+	}
+	out := make(map[string]float64, len(samples)+3)
+	for k, vs := range samples {
+		sort.Float64s(vs)
+		n := len(vs)
+		out[k] = (vs[(n-1)/2] + vs[n/2]) / 2
+		if k == "ns_op" {
+			out["ns_op_min"], out["ns_op_max"] = vs[0], vs[n-1]
+		}
+	}
+	out["runs"] = float64(len(runs))
+	return out
 }
 
 func loadSnapshot(path string) (*Snapshot, error) {

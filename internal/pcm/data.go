@@ -9,6 +9,11 @@
 // internal/core decide *when* it happens.
 package pcm
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // CellState is the 2-bit MLC state of a cell: 0b00, 0b01, 0b10 or 0b11.
 // '00' is fully RESET (amorphous) and '11' is fully SET (crystalline);
 // '01' and '10' are the hard intermediate states.
@@ -51,18 +56,19 @@ func NumCells(lineBytes, bitsPerCell int) int {
 }
 
 // DiffCells appends to dst the indices of cells whose stored value differs
-// between old and new, and returns the extended slice. old and new must be
-// the same length; old may be nil, meaning an all-zero line (the paper's
-// Fig. 3 convention for untouched memory).
+// between old and new, in ascending order, and returns the extended slice.
+// old and new must be the same length; old may be nil, meaning an all-zero
+// line (the paper's Fig. 3 convention for untouched memory).
+//
+// The lines are compared a 64-bit word at a time: only the cells of
+// nonzero XOR words are visited, one bit scan per changed cell.
 func DiffCells(dst []int, old, new []byte, bitsPerCell int) []int {
-	n := NumCells(len(new), bitsPerCell)
-	for i := 0; i < n; i++ {
-		var o CellState
-		if old != nil {
-			o = Cell(old, i, bitsPerCell)
-		}
-		if o != Cell(new, i, bitsPerCell) {
-			dst = append(dst, i)
+	shift := uint(bitsPerCell - 1) // bit offset -> cell index
+	for off := 0; off < len(new); off += 8 {
+		m := changedMask(loadWord(old, off)^loadWord(new, off), bitsPerCell)
+		for m != 0 {
+			dst = append(dst, (off*8+bits.TrailingZeros64(m))>>shift)
+			m &= m - 1
 		}
 	}
 	return dst
@@ -72,16 +78,34 @@ func DiffCells(dst []int, old, new []byte, bitsPerCell int) []int {
 // DiffCells without materializing the index list (used by Figure 2's
 // cell-change census, where only the count matters).
 func CountChangedCells(old, new []byte, bitsPerCell int) int {
-	n := NumCells(len(new), bitsPerCell)
 	count := 0
-	for i := 0; i < n; i++ {
-		var o CellState
-		if old != nil {
-			o = Cell(old, i, bitsPerCell)
-		}
-		if o != Cell(new, i, bitsPerCell) {
-			count++
-		}
+	for off := 0; off < len(new); off += 8 {
+		count += bits.OnesCount64(changedMask(loadWord(old, off)^loadWord(new, off), bitsPerCell))
 	}
 	return count
+}
+
+// changedMask maps a word of XORed line bits to one set bit, the cell's
+// lowest, per cell that differs.
+func changedMask(x uint64, bitsPerCell int) uint64 {
+	if bitsPerCell == 1 {
+		return x
+	}
+	return (x | x>>1) & 0x5555555555555555
+}
+
+// loadWord reads the little-endian word at byte offset off of line, zero
+// past its end; a nil line reads as zeros.
+func loadWord(line []byte, off int) uint64 {
+	if line == nil {
+		return 0
+	}
+	if off+8 <= len(line) {
+		return binary.LittleEndian.Uint64(line[off:])
+	}
+	var w uint64
+	for i := len(line) - 1; i >= off; i-- {
+		w = w<<8 | uint64(line[i])
+	}
+	return w
 }

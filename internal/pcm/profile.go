@@ -1,6 +1,8 @@
 package pcm
 
 import (
+	"slices"
+
 	"fpb/internal/mapping"
 	"fpb/internal/sim"
 )
@@ -76,8 +78,7 @@ type Builder struct {
 	seed     uint64
 	writeRNG *sim.RNG    // reseeded per Build from the write's content hash
 	targets  []CellState // scratch for Build's target states
-	iterOf   []int       // scratch: per-cell iteration counts
-	chipOf   []int       // scratch: per-cell chip indices
+	hist     []int       // scratch: per-(iteration, chip) cell counts
 	free     []*WriteProfile
 }
 
@@ -133,11 +134,16 @@ func resizeInts(s []int, n int) []int {
 // cross-scheme comparisons would carry draw-sequence noise and, e.g., IPM
 // could spuriously beat Ideal.
 func (b *Builder) Build(lineAddr uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
-	b.scratch = DiffCells(b.scratch[:0], old, new, b.cfg.BitsPerCell)
+	cells := DiffCells(b.scratch[:0], old, new, b.cfg.BitsPerCell)
+	targets := slices.Grow(b.targets[:0], len(cells))[:len(cells)]
+	for i, cell := range cells {
+		targets[i] = Cell(new, cell, b.cfg.BitsPerCell)
+	}
+	b.scratch, b.targets = cells, targets
 	b.writeRNG.Reseed(contentHash(lineAddr, old, new))
 	saved := b.iters.rng
 	b.iters.rng = b.writeRNG
-	p := b.buildFromCells(lineAddr, b.scratch, new, mapFn, truncate)
+	p := b.BuildFromCells(lineAddr, cells, targets, mapFn, truncate)
 	b.iters.rng = saved
 	return p
 }
@@ -165,17 +171,24 @@ func contentHash(lineAddr uint64, old, new []byte) uint64 {
 // known. targets supplies the new cell states (indexed by cell); it may be
 // nil, in which case states are drawn uniformly (used by synthetic
 // stress tests).
+//
+// One pass over the cells draws each cell's iterations in order and tallies
+// the per-chip counts, a per-(iteration, chip) histogram and the
+// Multi-RESET groups; the remaining counts are the histogram's suffix sums.
 func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+	chips := b.cfg.Chips
 	p := b.newProfile()
 	p.LineAddr = lineAddr
 	p.Changed = len(cells)
 	p.Truncated = 0
-	p.PerChip = resizeInts(p.PerChip, b.cfg.Chips)
-	maxIters := b.cfg.IterMax
-	b.iterOf = resizeInts(b.iterOf, len(cells))
-	b.chipOf = resizeInts(b.chipOf, len(cells))
-	iterOf, chipOf := b.iterOf, b.chipOf
-	total := 1
+	p.PerChip = resizeInts(p.PerChip, chips)
+	p.resetMRGroups(chips)
+	// The split factors 2..MaxMultiResetSplit are spelled out so each group
+	// index is a division by a constant.
+	mr2, mr3, mr4 := p.MRGroups[2], p.MRGroups[3], p.MRGroups[4]
+	// hist[(t-1)*chips+c] counts chip c's cells that need t iterations. It
+	// grows with the write's largest draw, never to IterMax.
+	hist := b.hist[:0]
 	for i, cell := range cells {
 		var target CellState
 		if targets != nil {
@@ -184,17 +197,24 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 			target = CellState(b.iters.rng.Intn(4))
 		}
 		t := b.iters.Draw(target)
-		iterOf[i] = t
 		chip := mapFn(cell)
-		chipOf[i] = chip
 		p.PerChip[chip]++
-		if t > total {
-			total = t
+		if n := t * chips; n > len(hist) {
+			hist = growInts(hist, n)
 		}
+		hist[(t-1)*chips+chip]++
+		g := uint(cell) / mrGroupGranularity
+		mr2[chip][g%2]++
+		mr3[chip][g%3]++
+		mr4[chip][g%4]++
 	}
-	if total > maxIters {
-		total = maxIters
+	b.hist = hist
+	// A cell needing t iterations is unfinished after iterations 0..t-1,
+	// so row k of the suffix sums counts the cells with t > k.
+	for i := len(hist) - chips - 1; i >= 0; i-- {
+		hist[i] += hist[i+chips]
 	}
+	total := min(max(len(hist)/chips, 1), b.cfg.IterMax)
 	p.TotalIters = total
 	p.RemainTotal = resizeInts(p.RemainTotal, total+1)
 	if cap(p.RemainPerChip) < total+1 {
@@ -205,39 +225,13 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 		p.RemainPerChip = p.RemainPerChip[:total+1]
 	}
 	for k := range p.RemainPerChip {
-		p.RemainPerChip[k] = resizeInts(p.RemainPerChip[k], b.cfg.Chips)
-	}
-	for i := range cells {
-		t := iterOf[i]
-		// The cell is unfinished after iterations 0..t-1.
-		for k := 0; k < t && k <= total; k++ {
-			p.RemainTotal[k]++
-			p.RemainPerChip[k][chipOf[i]]++
-		}
-	}
-
-	// Multi-RESET static groups (reuse the [m][chip][group] shape across
-	// pooled profiles: the chip count is fixed per Builder).
-	if p.MRGroups == nil {
-		p.MRGroups = make([][][]int, MaxMultiResetSplit+1)
-		for m := 2; m <= MaxMultiResetSplit; m++ {
-			g := make([][]int, b.cfg.Chips)
-			for c := range g {
-				g[c] = make([]int, m)
+		row := resizeInts(p.RemainPerChip[k], chips)
+		p.RemainPerChip[k] = row
+		if k*chips < len(hist) {
+			copy(row, hist[k*chips:])
+			for _, n := range row {
+				p.RemainTotal[k] += n
 			}
-			p.MRGroups[m] = g
-		}
-	} else {
-		for m := 2; m <= MaxMultiResetSplit; m++ {
-			for _, counts := range p.MRGroups[m] {
-				clear(counts)
-			}
-		}
-	}
-	for m := 2; m <= MaxMultiResetSplit; m++ {
-		g := p.MRGroups[m]
-		for i, cell := range cells {
-			g[chipOf[i]][(cell/mrGroupGranularity)%m]++
 		}
 	}
 
@@ -247,17 +241,34 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 	return p
 }
 
-// buildFromCells is Build's shared tail; cells index into the line, and new
-// supplies target states.
-func (b *Builder) buildFromCells(lineAddr uint64, cells []int, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
-	if cap(b.targets) < len(cells) {
-		b.targets = make([]CellState, len(cells))
+// resetMRGroups zeroes the Multi-RESET group tables, allocating the
+// [m][chip][group] shape on first use: the chip count is fixed per Builder,
+// so pooled profiles keep it.
+func (p *WriteProfile) resetMRGroups(chips int) {
+	if p.MRGroups == nil {
+		p.MRGroups = make([][][]int, MaxMultiResetSplit+1)
+		for m := 2; m <= MaxMultiResetSplit; m++ {
+			g := make([][]int, chips)
+			for c := range g {
+				g[c] = make([]int, m)
+			}
+			p.MRGroups[m] = g
+		}
+		return
 	}
-	b.targets = b.targets[:len(cells)]
-	for i, cell := range cells {
-		b.targets[i] = Cell(new, cell, b.cfg.BitsPerCell)
+	for m := 2; m <= MaxMultiResetSplit; m++ {
+		for _, counts := range p.MRGroups[m] {
+			clear(counts)
+		}
 	}
-	return b.BuildFromCells(lineAddr, cells, b.targets, mapFn, truncate)
+}
+
+// growInts extends s to n elements, zeroing the added ones.
+func growInts(s []int, n int) []int {
+	k := len(s)
+	s = slices.Grow(s, n-k)[:n]
+	clear(s[k:])
+	return s
 }
 
 // applyTruncation implements write truncation: the write ends at the first

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). Every stochastic component of the
 // simulator draws from its own RNG stream derived from the run seed, so
@@ -57,19 +59,14 @@ func (r *RNG) SetState(s [4]uint64) {
 	r.s = s
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. The xoshiro256**
+// step is written over locals to fit the inlining budget, so Intn, Float64,
+// Bernoulli, Normal and Perm draw without a call per output.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1 := r.s[0], r.s[1]
+	s2, s3 := r.s[2]^s0, r.s[3]^s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

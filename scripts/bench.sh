@@ -59,14 +59,15 @@ if ! git diff --quiet 2>/dev/null; then
 fi
 [ -n "$OUT" ] || OUT="BENCH_${REV}.json"
 
-# Hot-path microbenchmarks: sim kernel, profile build, power manager,
-# cache, cache prefill (one core's warm-up, the bulk of building a system),
-# dispatch guards.
-MICRO='BenchmarkEngineScheduleAndRun|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
+# Hot-path microbenchmarks: sim kernel, profile build and its parts (cell
+# diff, change count, iteration draw), power manager, cache, cache prefill
+# (one core's warm-up, the bulk of building a system), dispatch guards.
+# Five runs each: the snapshot records their median and range.
+MICRO='BenchmarkEngineScheduleAndRun|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench "$MICRO" -benchmem \
+go test -run '^$' -bench "$MICRO" -count 5 -benchmem \
     ./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/system/ ./internal/obs/ |
     tee "$RAW"
 
