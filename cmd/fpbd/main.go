@@ -12,8 +12,7 @@
 // API (see README "Serving" for a curl session):
 //
 //	GET  /healthz           liveness + queue snapshot
-//	GET  /metrics           serving metrics; legacy JSON by default,
-//	                        Prometheus text with ?format=prometheus
+//	GET  /metrics           serving metrics as Prometheus text
 //	POST /v1/jobs           run a job; blocks until the result is ready
 //	POST /v1/jobs?async=1   202 + job id immediately; poll GET /v1/jobs/{id}
 //	GET  /v1/checkpoints/{key}  raw warmup checkpoint image (with -ckpt-store)

@@ -149,25 +149,18 @@ func main() {
 	reg := obs.NewRegistry()
 	opt.Metrics = reg
 	if *remote != "" {
-		if addrs := strings.Split(*remote, ","); len(addrs) > 1 {
-			// Several daemons: route each job to its ring owner and fail
-			// over to replicas — the experiment neither knows nor cares
-			// how many nodes executed it.
-			fleet, err := client.NewFleet(addrs, client.FleetConfig{
-				ProbeInterval: 5 * time.Second,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpbexp:", err)
-				os.Exit(1)
-			}
-			defer fleet.Close()
-			fleet.Instrument(reg)
-			opt.Backend = fleet.Run
-		} else {
-			cl := client.New(*remote)
-			cl.Instrument(reg)
-			opt.Backend = cl.Run
+		// Route each job to its ring owner and fail over to replicas — the
+		// experiment neither knows nor cares how many nodes executed it.
+		fleet, err := client.NewFleet(strings.Split(*remote, ","), client.FleetConfig{
+			ProbeInterval: 5 * time.Second,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fpbexp:", err)
+			os.Exit(1)
 		}
+		defer fleet.Close()
+		fleet.Instrument(reg)
+		opt.Backend = fleet.Run
 	}
 	if *runStats {
 		defer func() {

@@ -145,8 +145,11 @@ func main() {
 		if *traceDir != "" || *traceOut != "" || *traceJSONL != "" || *probeInterval > 0 {
 			fail("-tracedir/-trace/-trace-jsonl/-probe-interval run locally and cannot combine with -remote")
 		}
-		cli := client.New(*remote)
-		st, err := cli.Do(context.Background(), serve.JobSpec{Workload: *wl, Config: &cfg})
+		fleet, err := client.NewFleet([]string{*remote}, client.FleetConfig{})
+		if err != nil {
+			fail("remote run: %v", err)
+		}
+		st, err := fleet.Do(context.Background(), serve.JobSpec{Workload: *wl, Config: &cfg})
 		if err != nil {
 			fail("remote run: %v", err)
 		}

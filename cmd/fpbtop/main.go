@@ -1,5 +1,5 @@
 // Command fpbtop is a terminal dashboard for running fpbd daemons: it
-// scrapes GET /metrics?format=prometheus on an interval and renders queue
+// scrapes the Prometheus text at GET /metrics on an interval and renders queue
 // depth, worker utilization, cache hit ratio, job throughput and lifecycle
 // latency percentiles, refreshing in place like top(1).
 //
@@ -28,15 +28,11 @@ import (
 	"time"
 
 	"fpb/internal/obs"
+	"fpb/internal/serve/client"
 )
 
 func scrape(hc *http.Client, url string) (map[string]float64, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "text/plain")
-	resp, err := hc.Do(req)
+	resp, err := hc.Get(url)
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +157,7 @@ func main() {
 	addrs := strings.Split(*addr, ",")
 	urls := make([]string, len(addrs))
 	for i, a := range addrs {
-		base := a
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		urls[i] = strings.TrimRight(base, "/") + "/metrics?format=prometheus"
+		urls[i] = client.Normalize(a) + "/metrics"
 	}
 	hc := &http.Client{Timeout: 10 * time.Second}
 

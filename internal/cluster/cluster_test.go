@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fpb/internal/obs"
 	"fpb/internal/serve"
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -565,16 +568,70 @@ func TestSweepWarmStartSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]float64
-	err = json.NewDecoder(resp.Body).Decode(&m)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["serve.jobs.warm_starts"] != 2 {
-		t.Errorf("warm_starts = %v, want 2", m["serve.jobs.warm_starts"])
+	m, _ := obs.ParsePrometheus(string(body))
+	if m["serve_jobs_warm_starts"] != 2 {
+		t.Errorf("warm_starts = %v, want 2", m["serve_jobs_warm_starts"])
 	}
-	if m["serve.ckpt.entries"] != 1 {
-		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve.ckpt.entries"])
+	if m["serve_ckpt_entries"] != 1 {
+		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve_ckpt_entries"])
+	}
+}
+
+// TestSweepRetriesLocalPushback: on a one-node fleet with one worker and
+// one queue slot, a 3-unit sweep overflows the node's own queue. The local
+// queue-full answer must be treated as 429 pushback — waited out and
+// retried, not failed — so every unit completes.
+func TestSweepRetriesLocalPushback(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	node, err := NewNode(NodeConfig{Serve: serve.Config{
+		Workers:    1,
+		QueueDepth: 1,
+		Simulate: func(cfg sim.Config, wl string) (system.Result, error) {
+			<-gate
+			return fakeResult(cfg, wl), nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Drain()
+	co := node.Coordinator()
+	st, err := co.Submit(SweepSpec{Schemes: []string{"fpb", "ideal", "gcp"}, Workloads: []string{"mcf_m"}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One unit runs and one waits in the queue; the third must be pushed
+	// back before the gate opens.
+	reg := node.Server().Registry()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v, _ := reg.Value("serve.jobs.rejected"); v >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the node never pushed back")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := co.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != SweepDone || final.Completed != 3 {
+		t.Fatalf("sweep: state %s completed %d/%d err %q", final.State, final.Completed, final.Total, final.Error)
+	}
+	if v, _ := reg.Value("cluster.jobs.retried"); v < 1 {
+		t.Errorf("cluster.jobs.retried = %v, want >= 1", v)
 	}
 }

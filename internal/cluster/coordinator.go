@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -39,12 +38,6 @@ type CoordinatorConfig struct {
 	// (default 4) so one sweep cannot bury a node's queue and starve
 	// interactive jobs into 429s.
 	PerNodeInflight int
-	// MaxSweeps bounds retained sweep records (default 64; oldest finished
-	// records evicted first).
-	MaxSweeps int
-	// RetryBudget bounds how long a unit cycles the replica set when every
-	// node is busy or down (default 2 minutes).
-	RetryBudget time.Duration
 	// Cooldown is the down-node skip window (default ring.DefaultCooldown).
 	Cooldown time.Duration
 	// ProbeInterval enables background health probing of down members.
@@ -65,17 +58,15 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.PerNodeInflight <= 0 {
 		c.PerNodeInflight = 4
 	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 64
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 2 * time.Minute
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return c
 }
+
+// maxSweeps bounds retained sweep records; the oldest finished records are
+// evicted first.
+const maxSweeps = 64
 
 // sweepRun is one live sweep. Mutable fields are guarded by mu.
 type sweepRun struct {
@@ -132,25 +123,22 @@ func (sr *sweepRun) status() SweepStatus {
 // Coordinator fans sweeps out across the ring. One lives in every Node, so
 // any fpbd can coordinate; sweeps are independent, and two coordinators
 // dispatching overlapping keys still simulate each key once per node thanks
-// to the servers' singleflight + store dedupe.
+// to the servers' singleflight + store dedupe. Placement, member health,
+// the down-node prober and the failover walk all come from its client.Fleet.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	ring    *ring.Ring
-	tracker *ring.Tracker
-	clients map[string]*client.Client
-	hc      *http.Client
-	log     *slog.Logger
+	cfg   CoordinatorConfig
+	fleet *client.Fleet
+	hc    *http.Client
+	log   *slog.Logger
+	sems  map[string]chan struct{} // per-member in-flight slots; read-only after construction
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweepRun
 	order   []string
 	nextID  uint64
-	sems    map[string]chan struct{}
 	running int
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg sync.WaitGroup
 
 	// Telemetry (nil-safe until Instrument).
 	cSweeps, cSweepsDone, cSweepsFailed, cSweepsCancelled *obs.Counter
@@ -165,44 +153,43 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	cfg.Self = client.Normalize(cfg.Self)
-	members := []string{cfg.Self}
-	for _, m := range cfg.Members {
-		members = append(members, client.Normalize(m))
+	// Not instrumented: the client.* series would describe this node's
+	// own dispatch as if it were a remote caller.
+	fleet, err := client.NewFleet(append([]string{cfg.Self}, cfg.Members...), client.FleetConfig{
+		VNodes:        cfg.VNodes,
+		Cooldown:      cfg.Cooldown,
+		ProbeInterval: cfg.ProbeInterval,
+	})
+	if err != nil {
+		return nil, err
 	}
 	co := &Coordinator{
-		cfg:     cfg,
-		ring:    ring.New(cfg.VNodes, members...),
-		tracker: ring.NewTracker(cfg.Cooldown),
-		clients: make(map[string]*client.Client),
-		hc:      &http.Client{},
-		log:     cfg.Logger,
-		sweeps:  make(map[string]*sweepRun),
-		sems:    make(map[string]chan struct{}),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		fleet:  fleet,
+		hc:     &http.Client{},
+		log:    cfg.Logger,
+		sems:   make(map[string]chan struct{}),
+		sweeps: make(map[string]*sweepRun),
 	}
-	for _, m := range co.ring.Members() {
-		co.clients[m] = client.New(m)
+	for _, m := range fleet.Ring().Members() {
 		co.sems[m] = make(chan struct{}, cfg.PerNodeInflight)
-	}
-	if cfg.ProbeInterval > 0 {
-		co.wg.Add(1)
-		go co.probeLoop()
 	}
 	return co, nil
 }
 
 // Ring exposes the coordinator's placement ring.
-func (co *Coordinator) Ring() *ring.Ring { return co.ring }
+func (co *Coordinator) Ring() *ring.Ring { return co.fleet.Ring() }
 
 // Members reports the configured member set, sorted.
 func (co *Coordinator) Members() MembersStatus {
+	r := co.fleet.Ring()
 	return MembersStatus{
 		Self:     co.cfg.Self,
-		Members:  co.ring.Members(),
-		Down:     co.tracker.Down(),
+		Members:  r.Members(),
+		Down:     co.fleet.Tracker().Down(),
 		Replicas: co.cfg.Replicas,
 		VNodes:   co.cfg.VNodes,
-		Shares:   co.ring.Shares(),
+		Shares:   r.Shares(),
 	}
 }
 
@@ -240,16 +227,17 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 	co.cReplicaErrors = reg.Counter("cluster.replicas.errors")
 	co.hJobMs = reg.Histogram("cluster.sweep.job_ms", obs.LatencyBucketsMs)
 	co.hSweepMs = reg.Histogram("cluster.sweep.duration_ms", obs.ExpBuckets(1, 10, 8))
-	reg.Gauge("cluster.ring.members", func() float64 { return float64(co.ring.Len()) })
-	reg.Gauge("cluster.ring.owned_share", func() float64 { return co.ring.Shares()[co.cfg.Self] })
-	reg.Gauge("cluster.members.down", func() float64 { return float64(len(co.tracker.Down())) })
+	r := co.fleet.Ring()
+	reg.Gauge("cluster.ring.members", func() float64 { return float64(r.Len()) })
+	reg.Gauge("cluster.ring.owned_share", func() float64 { return r.Shares()[co.cfg.Self] })
+	reg.Gauge("cluster.members.down", func() float64 { return float64(len(co.fleet.Tracker().Down())) })
 	reg.Gauge("cluster.sweeps.running", func() float64 {
 		co.mu.Lock()
 		defer co.mu.Unlock()
 		return float64(co.running)
 	})
-	co.perNodeDone = make(map[string]*obs.Counter, co.ring.Len())
-	for _, m := range co.ring.Members() {
+	co.perNodeDone = make(map[string]*obs.Counter, r.Len())
+	for _, m := range r.Members() {
 		name := "cluster.node." + nodeMetricName(m) + ".jobs_done"
 		co.perNodeDone[m] = reg.Counter(name)
 		reg.SetHelp(name, "sweep units completed by "+m)
@@ -277,29 +265,6 @@ func (co *Coordinator) Instrument(reg *obs.Registry) {
 	}
 }
 
-// probeLoop re-probes down members so recovered nodes rejoin routing early.
-func (co *Coordinator) probeLoop() {
-	defer co.wg.Done()
-	t := time.NewTicker(co.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), co.cfg.ProbeInterval)
-			for _, m := range co.tracker.Down() {
-				if err := co.clients[m].Health(ctx); err == nil {
-					co.tracker.MarkAlive(m)
-				} else {
-					co.tracker.MarkDown(m)
-				}
-			}
-			cancel()
-		}
-	}
-}
-
 // Shutdown cancels every running sweep and stops the prober. Completed
 // units keep their stored results; a restarted sweep re-runs only misses.
 func (co *Coordinator) Shutdown() {
@@ -308,8 +273,8 @@ func (co *Coordinator) Shutdown() {
 		sr.cancel()
 	}
 	co.mu.Unlock()
-	co.stopOnce.Do(func() { close(co.stop) })
 	co.wg.Wait()
+	co.fleet.Close()
 }
 
 // Submit accepts a sweep: expands it, registers the run, and starts the
@@ -354,9 +319,9 @@ func (co *Coordinator) Submit(spec SweepSpec) (SweepStatus, error) {
 	return sr.status(), nil
 }
 
-// evictLocked drops the oldest finished sweep records above MaxSweeps.
+// evictLocked drops the oldest finished sweep records above maxSweeps.
 func (co *Coordinator) evictLocked() {
-	for len(co.sweeps) > co.cfg.MaxSweeps && len(co.order) > 0 {
+	for len(co.sweeps) > maxSweeps && len(co.order) > 0 {
 		evicted := false
 		for i, id := range co.order {
 			sr := co.sweeps[id]
@@ -453,7 +418,9 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 	sr.mu.Lock()
 	sr.elapsed = time.Since(sr.start)
 	switch {
-	case ctx.Err() != nil && sr.completed+sr.failed < len(sr.units):
+	case ctx.Err() != nil && sr.completed < len(sr.units):
+		// Units the cancellation stopped are recorded as failed, so a
+		// cancelled sweep is one that did not complete every unit.
 		sr.state = SweepCancelled
 	case sr.failed > 0:
 		sr.state = SweepFailed
@@ -482,137 +449,58 @@ func (co *Coordinator) runSweep(ctx context.Context, sr *sweepRun) {
 		"elapsed_ms", float64(elapsed.Nanoseconds())/1e6)
 }
 
-// execOn runs one unit on one member: the local fast path for Self, the
-// single-attempt HTTP submit for everyone else. busy=true maps 429/queue
-// pushback; down=true means the member looks dead (transport error, 5xx,
-// draining) and the caller should fail over.
-func (co *Coordinator) execOn(ctx context.Context, member string, u Unit) (st serve.JobStatus, busy, down bool, err error) {
+// runUnit dispatches one unit through the fleet's failover walk: ring owner
+// first, then successors, skipping down members. A terminal failure (the
+// simulation itself errors) fails the unit — and therefore the sweep —
+// without retry, because the engine is deterministic: the same config
+// fails the same way everywhere.
+func (co *Coordinator) runUnit(ctx context.Context, sr *sweepRun, u Unit) {
+	start := time.Now()
+	st, ws, err := co.fleet.Walk(ctx, u.Key, func(ctx context.Context, member string) (serve.JobStatus, error) {
+		return co.dispatch(ctx, sr, u, member)
+	})
+	co.cJobsRetried.Add(uint64(ws.Busy))
+	co.cFailovers.Add(uint64(ws.Failovers))
+	if err == nil {
+		co.hJobMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	}
+	co.recordUnit(sr, u, ws.Member, st, ws.Attempts, err)
+	if err == nil {
+		co.replicate(ctx, sr, u, ws.Member, st)
+	}
+}
+
+// dispatch makes one attempt of u on member under the member's in-flight
+// semaphore: the local fast path for Self, a single HTTP submit for everyone
+// else. Local errors map onto the walk's classes: queue-full pushback is a
+// *client.BusyError, draining counts as a down member, and any other failure
+// is a terminal 4xx.
+func (co *Coordinator) dispatch(ctx context.Context, sr *sweepRun, u Unit, member string) (st serve.JobStatus, err error) {
+	select {
+	case co.sems[member] <- struct{}{}:
+	case <-ctx.Done():
+		return serve.JobStatus{}, ctx.Err()
+	}
+	defer func() { <-co.sems[member] }()
+	co.cJobsDispatched.Inc()
 	if member == co.cfg.Self && co.cfg.Local != nil {
 		st, _, err = co.cfg.Local(u.spec)
 		switch {
-		case err == nil:
-			return st, false, false, nil
 		case errors.Is(err, serve.ErrBusy):
-			return serve.JobStatus{}, true, false, err
-		case errors.Is(err, serve.ErrDraining):
-			return serve.JobStatus{}, false, true, err
-		default:
-			// Local execution failure: a simulation error, terminal.
-			return serve.JobStatus{}, false, false, err
+			err = &client.BusyError{Node: member, Msg: err.Error()}
+		case err != nil && !errors.Is(err, serve.ErrDraining):
+			err = &client.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
 		}
+	} else {
+		st, err = co.fleet.Submit(ctx, member, u.spec)
 	}
-	st, err = co.clients[member].Submit(ctx, u.spec)
-	if err == nil {
-		return st, false, false, nil
+	var busy *client.BusyError
+	if err != nil && ctx.Err() == nil && !errors.As(err, &busy) {
+		co.log.Warn("unit attempt failed", "sweep", sr.id, "key", u.Key[:8],
+			"member", member, "err", err)
 	}
-	var busyErr *client.BusyError
-	if errors.As(err, &busyErr) {
-		return serve.JobStatus{}, true, false, err
-	}
-	var statusErr *client.StatusError
-	if errors.As(err, &statusErr) && statusErr.Code < 500 {
-		// 4xx: the unit itself is bad (failed simulation, bad spec);
-		// every replica would answer identically.
-		return serve.JobStatus{}, false, false, err
-	}
-	return serve.JobStatus{}, false, true, err
+	return st, err
 }
-
-// runUnit dispatches one unit: ring owner first, then successors, skipping
-// down members, bounded by the per-node in-flight semaphores. 429 pushback
-// moves to the next replica immediately; when the whole preference order is
-// busy it sleeps the advertised Retry-After (jittered) and cycles. A
-// terminal failure (the simulation itself errors) fails the unit — and
-// therefore the sweep — without retry, because the engine is deterministic:
-// the same config fails the same way everywhere.
-func (co *Coordinator) runUnit(ctx context.Context, sr *sweepRun, u Unit) {
-	order := co.ring.Owners(u.Key, 0)
-	deadline := time.Now().Add(co.cfg.RetryBudget)
-	start := time.Now()
-	attempts := 0
-	var lastErr error
-	for pass := 0; ; pass++ {
-		var busyWait time.Duration
-		sawBusy := false
-		for i, member := range order {
-			if ctx.Err() != nil {
-				co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-				return
-			}
-			if pass == 0 && !co.tracker.Alive(member) {
-				continue
-			}
-			if err := co.acquire(ctx, member); err != nil {
-				co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, err)
-				return
-			}
-			attempts++
-			co.cJobsDispatched.Inc()
-			st, busy, down, err := co.execOn(ctx, member, u)
-			co.release(member)
-			switch {
-			case err == nil:
-				co.hJobMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-				co.recordUnit(sr, u, member, st, attempts, nil)
-				co.replicate(ctx, sr, u, member, st)
-				return
-			case busy:
-				sawBusy = true
-				co.cJobsRetried.Inc()
-				var busyErr *client.BusyError
-				if errors.As(err, &busyErr) && (busyWait == 0 || busyErr.After < busyWait) {
-					busyWait = busyErr.After
-				}
-				lastErr = err
-			case down:
-				co.tracker.MarkDown(member)
-				if i < len(order)-1 {
-					co.cFailovers.Inc()
-				}
-				co.log.Warn("unit failover", "sweep", sr.id, "key", u.Key[:8],
-					"member", member, "err", err)
-				lastErr = err
-			default:
-				// Terminal: deterministic failure, no replica can differ.
-				co.recordUnit(sr, u, member, serve.JobStatus{}, attempts, err)
-				return
-			}
-		}
-		if ctx.Err() != nil {
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-			return
-		}
-		if !sawBusy && pass > 0 {
-			// A full last-resort pass over every member (down ones
-			// included) found nothing alive.
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts,
-				fmt.Errorf("cluster: no reachable member for unit: %w", lastErr))
-			return
-		}
-		if time.Now().After(deadline) {
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts,
-				fmt.Errorf("cluster: unit retry budget exhausted: %w", lastErr))
-			return
-		}
-		select {
-		case <-time.After(client.RetryDelay(busyWait)):
-		case <-ctx.Done():
-			co.recordUnit(sr, u, "", serve.JobStatus{}, attempts, ctx.Err())
-			return
-		}
-	}
-}
-
-func (co *Coordinator) acquire(ctx context.Context, member string) error {
-	select {
-	case co.sems[member] <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (co *Coordinator) release(member string) { <-co.sems[member] }
 
 // recordUnit settles one unit's outcome in the sweep record.
 func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.JobStatus, attempts int, err error) {
@@ -656,8 +544,8 @@ func (co *Coordinator) replicate(ctx context.Context, sr *sweepRun, u Unit, exec
 	if co.cfg.Replicas <= 1 || st.Result == nil {
 		return
 	}
-	for _, target := range co.ring.Owners(u.Key, co.cfg.Replicas) {
-		if target == executed || !co.tracker.Alive(target) {
+	for _, target := range co.fleet.Ring().Owners(u.Key, co.cfg.Replicas) {
+		if target == executed || !co.fleet.Tracker().Alive(target) {
 			continue
 		}
 		if err := co.pushReplica(ctx, target, ReplicaPut{Key: u.Key, Result: *st.Result}); err != nil {
@@ -696,18 +584,4 @@ func (co *Coordinator) pushReplica(ctx context.Context, target string, rp Replic
 		return fmt.Errorf("cluster: replicate to %s: %s", target, resp.Status)
 	}
 	return nil
-}
-
-// PlacementTable renders which member owns each unit of a spec — used by
-// fpbctl to preview a sweep's spread without running it.
-func (co *Coordinator) PlacementTable(units []Unit) map[string][]string {
-	out := make(map[string][]string)
-	for _, u := range units {
-		owner := co.ring.Owner(u.Key)
-		out[owner] = append(out[owner], fmt.Sprintf("%s/%s/%s", u.Scheme, u.Mapping, u.Workload))
-	}
-	for _, v := range out {
-		sort.Strings(v)
-	}
-	return out
 }

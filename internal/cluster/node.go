@@ -25,12 +25,11 @@ type NodeConfig struct {
 	// must be configured with the same member set (Self ∪ Peers) — the
 	// ring is static per process; membership changes are a restart.
 	Peers []string
-	// Replicas / VNodes / PerNodeInflight / RetryBudget / Cooldown /
-	// ProbeInterval forward to CoordinatorConfig.
+	// Replicas / VNodes / PerNodeInflight / Cooldown / ProbeInterval
+	// forward to CoordinatorConfig.
 	Replicas        int
 	VNodes          int
 	PerNodeInflight int
-	RetryBudget     time.Duration
 	Cooldown        time.Duration
 	ProbeInterval   time.Duration
 }
@@ -71,7 +70,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Replicas:        cfg.Replicas,
 		VNodes:          cfg.VNodes,
 		PerNodeInflight: cfg.PerNodeInflight,
-		RetryBudget:     cfg.RetryBudget,
 		Cooldown:        cfg.Cooldown,
 		ProbeInterval:   cfg.ProbeInterval,
 		Logger:          srv.Logger(),

@@ -20,7 +20,6 @@ package ring
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,7 +38,6 @@ type point struct {
 
 // Ring is an immutable consistent-hash ring over a member set.
 type Ring struct {
-	vnodes  int
 	members []string // sorted, deduplicated
 	points  []point  // sorted by hash
 }
@@ -61,7 +59,7 @@ func New(vnodes int, members ...string) *Ring {
 		uniq = append(uniq, m)
 	}
 	sort.Strings(uniq)
-	r := &Ring{vnodes: vnodes, members: uniq}
+	r := &Ring{members: uniq}
 	r.points = make([]point, 0, len(uniq)*vnodes)
 	for _, m := range uniq {
 		for i := 0; i < vnodes; i++ {
@@ -104,12 +102,6 @@ func (r *Ring) Members() []string {
 	out := make([]string, len(r.members))
 	copy(out, r.members)
 	return out
-}
-
-// Contains reports whether member is on the ring.
-func (r *Ring) Contains(member string) bool {
-	i := sort.SearchStrings(r.members, member)
-	return i < len(r.members) && r.members[i] == member
 }
 
 // Owner returns the primary owner of key ("" on an empty ring).
@@ -248,9 +240,4 @@ func (t *Tracker) Down() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// String renders the ring compactly for logs: "ring{3 members × 64 vnodes}".
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring{%d members × %d vnodes}", len(r.members), r.vnodes)
 }

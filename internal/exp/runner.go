@@ -31,9 +31,9 @@ var Workloads = []string{
 }
 
 // Backend resolves one (config, workload) simulation. The default (nil)
-// backend is in-process system.RunWorkload; serve/client.Client.Run plugs in
-// a shared fpbd daemon instead, turning figure regeneration into mostly
-// cache hits against its persistent store.
+// backend is in-process system.RunWorkload; serve/client.Fleet.Run plugs in
+// one shared fpbd daemon or a fleet of them instead, turning figure
+// regeneration into mostly cache hits against their persistent stores.
 type Backend func(cfg sim.Config, wl string) (system.Result, error)
 
 // Options scales an experiment run.

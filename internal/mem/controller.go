@@ -39,6 +39,19 @@ const latBucketCycles = 64
 // latencies land in the overflow bucket and report as the range maximum.
 const latMaxBuckets = 16384
 
+// latBounds are the write-latency histogram's unit-width bucket bounds
+// 0 … latMaxBuckets+1, in latBucketCycles units. Bucket v counts latencies
+// that quantize to v; the last finite bound collects the first overflow
+// value and is also what Quantile reports for the +Inf tail, so every
+// overflow reports as latMaxBuckets+1.
+var latBounds = func() []float64 {
+	b := make([]float64, latMaxBuckets+2)
+	for i := range b {
+		b[i] = float64(i)
+	}
+	return b
+}()
+
 // BaselineFunc synthesizes the pre-existing content of a never-written
 // line (memory has history before the measurement window; see DESIGN.md).
 type BaselineFunc func(lineAddr uint64, lineBytes int) []byte
@@ -108,7 +121,7 @@ type Controller struct {
 	wpPauses     *obs.Counter
 	readLatency  stats.Summary
 	writeLatency stats.Summary
-	writeLatHist *stats.Histogram // bucketed by latBucketCycles for percentiles
+	writeLatHist *obs.Histogram // bucketed by latBucketCycles for percentiles
 	cellChanges  stats.Summary
 	writeEnergy  stats.Summary // pJ per line write
 	lineWrites   map[uint64]uint64
@@ -134,7 +147,7 @@ func NewController(eng *sim.Engine, cfg *sim.Config, baseline BaselineFunc) *Con
 		baseline:     baseline,
 		banks:        make([]bankState, cfg.Banks),
 		lineWrites:   make(map[uint64]uint64),
-		writeLatHist: stats.NewHistogram(latMaxBuckets),
+		writeLatHist: obs.NewHistogramBuckets(latBounds),
 	}
 	c.mapTab = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
 	// The rotator — and its Derive(2) stream — is created unconditionally so
@@ -717,9 +730,7 @@ func (c *Controller) cancelWrite(op *writeOp) {
 func (c *Controller) completeWrite(op *writeOp) {
 	c.store.Update(op.req.Addr, op.req.Data)
 	c.writesDone.Inc()
-	lat := c.eng.Now() - op.req.enqueued
-	c.writeLatency.Add(float64(lat))
-	c.writeLatHist.Add(int(lat / latBucketCycles))
+	c.recordWriteLatency(c.eng.Now() - op.req.enqueued)
 	if c.hub.Tracing() {
 		c.hub.Emit(obs.Event{Kind: obs.Span, Cat: "mem", Name: "write",
 			ID: op.bank, Addr: op.req.Addr, V: float64(op.prof.Changed),
@@ -759,13 +770,20 @@ func (c *Controller) ReadLatency() *stats.Summary { return &c.readLatency }
 // WriteLatency returns the write enqueue-to-completion latency summary.
 func (c *Controller) WriteLatency() *stats.Summary { return &c.writeLatency }
 
+// recordWriteLatency adds one write's enqueue-to-completion latency to the
+// summary and the percentile histogram.
+func (c *Controller) recordWriteLatency(lat sim.Cycle) {
+	c.writeLatency.Add(float64(lat))
+	c.writeLatHist.Observe(float64(lat / latBucketCycles))
+}
+
 // WriteLatencyPercentiles reports the P50/P95/P99 write enqueue-to-
 // completion latency in cycles, quantized to latBucketCycles.
 func (c *Controller) WriteLatencyPercentiles() (p50, p95, p99 float64) {
 	h := c.writeLatHist
-	return float64(h.P50() * latBucketCycles),
-		float64(h.P95() * latBucketCycles),
-		float64(h.P99() * latBucketCycles)
+	return h.Quantile(0.50) * latBucketCycles,
+		h.Quantile(0.95) * latBucketCycles,
+		h.Quantile(0.99) * latBucketCycles
 }
 
 // CellChanges returns the per-write changed-cell summary (Figure 2).

@@ -63,11 +63,17 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	// Bucket search is linear: layouts are small (tens of buckets) and the
-	// common observations land early.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
+	// Binary search for the first bound >= v (len(bounds) is the +Inf
+	// bucket): layouts range from tens of buckets to the memory
+	// controller's 16k unit-width latency buckets.
+	i, j := 0, len(h.bounds)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if v > h.bounds[m] {
+			i = m + 1
+		} else {
+			j = m
+		}
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)

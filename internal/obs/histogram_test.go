@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -106,5 +108,39 @@ func TestHistogramConcurrent(t *testing.T) {
 	wantSum *= workers
 	if h.Sum() != wantSum {
 		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
+	}
+}
+
+// TestHistogramObserveMatchesLinearScan: Observe's binary search picks the
+// same bucket as a linear scan for the first bound >= v, on random
+// ascending layouts and on values that sit exactly on a bound, between
+// bounds, below the first, above the last, and at ±Inf.
+func TestHistogramObserveMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		bounds := make([]float64, 1+rng.Intn(40))
+		v := rng.Float64()*10 - 5
+		for i := range bounds {
+			v += 0.001 + rng.Float64()*3
+			bounds[i] = v
+		}
+		vals := []float64{math.Inf(1), math.Inf(-1), bounds[0] - 1, bounds[len(bounds)-1] + 1}
+		for i := 0; i < 30; i++ {
+			b := bounds[rng.Intn(len(bounds))]
+			vals = append(vals, b, b+rng.Float64()*2-1)
+		}
+		h := NewHistogramBuckets(bounds)
+		want := make([]uint64, len(bounds)+1)
+		for _, v := range vals {
+			h.Observe(v)
+			i := 0
+			for i < len(bounds) && v > bounds[i] {
+				i++
+			}
+			want[i]++
+		}
+		if got := h.Snapshot().Counts; !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: bounds %v: counts %v, want %v", trial, bounds, got, want)
+		}
 	}
 }

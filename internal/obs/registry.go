@@ -318,8 +318,8 @@ type NamedHistogram struct {
 
 // WriteJSON dumps the registry's counters and gauges as one
 // flat JSON object, keys sorted, in a byte-deterministic encoding. This is
-// the legacy /metrics format and the encoding of stored sim results; its
-// byte format is frozen (see TestEncodeSeriesGolden).
+// the encoding of stored sim results and of metrics files; its byte format
+// is frozen (see TestEncodeSeriesGolden).
 func (r *Registry) WriteJSON(w io.Writer) error {
 	return EncodeSeries(w, r.Values())
 }

@@ -131,10 +131,10 @@ func TestServeWarmStart(t *testing.T) {
 		}
 	}
 	m := getMetrics(t, ts.URL)
-	if m["serve.jobs.warm_starts"] != 1 {
-		t.Errorf("warm_starts = %v, want 1 (first job produces, second restores)", m["serve.jobs.warm_starts"])
+	if m["serve_jobs_warm_starts"] != 1 {
+		t.Errorf("warm_starts = %v, want 1 (first job produces, second restores)", m["serve_jobs_warm_starts"])
 	}
-	if m["serve.ckpt.entries"] != 1 {
-		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve.ckpt.entries"])
+	if m["serve_ckpt_entries"] != 1 {
+		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve_ckpt_entries"])
 	}
 }

@@ -1,17 +1,18 @@
-// Package client is the Go client for the fpbd simulation service
-// (internal/serve). It submits jobs synchronously, transparently retrying
-// queue-full (429) pushback with the server-advertised Retry-After delay
-// (jittered, so a saturated fleet never sees synchronized retry storms), and
-// adapts to exp.Backend so fpbexp can offload whole figure runs to a shared
-// daemon. Fleet (fleet.go) layers consistent-hash routing and
-// retry-on-next-replica failover over a set of these single-node clients.
+// Package client is the Go client for fpbd simulation daemons
+// (internal/serve): one daemon or a consistent-hash fleet of them. Fleet
+// (fleet.go) routes each job to the ring owner of its system.Key and walks
+// the key's successors when a node is down or pushes back with 429, waiting
+// out the server-advertised Retry-After (jittered, so a saturated fleet
+// never sees synchronized retry storms) when every node is busy. Fleet.Run
+// matches exp.Backend, so fpbexp can offload whole figure runs. This file
+// holds the per-node transport underneath: one HTTP attempt per call, with
+// the answer classified into the errors the walk acts on.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,42 +21,8 @@ import (
 	"strings"
 	"time"
 
-	"fpb/internal/obs"
 	"fpb/internal/serve"
-	"fpb/internal/sim"
-	"fpb/internal/system"
 )
-
-// Client talks to one fpbd daemon.
-type Client struct {
-	base string
-	hc   *http.Client
-	// RetryBudget bounds how long Do keeps retrying 429 pushback before
-	// giving up (default 2 minutes; the queue of a busy daemon drains at
-	// simulation granularity, so waits are long but bounded).
-	RetryBudget time.Duration
-
-	// Caller-side telemetry, populated by Instrument. All fields are
-	// nil-safe no-ops until then.
-	cRequests  *obs.Counter
-	cRetry429  *obs.Counter
-	cErrors    *obs.Counter
-	hRequestMs *obs.Histogram
-}
-
-// Instrument registers the client's remote-call telemetry — request count,
-// 429 retries, terminal errors, and end-to-end request latency (including
-// retry waits) — into reg. Call once, before concurrent use.
-func (c *Client) Instrument(reg *obs.Registry) {
-	c.cRequests = reg.Counter("client.requests")
-	c.cRetry429 = reg.Counter("client.retries_429")
-	c.cErrors = reg.Counter("client.errors")
-	c.hRequestMs = reg.Histogram("client.request_ms", obs.LatencyBucketsMs)
-	reg.SetHelp("client.requests", "jobs submitted to the remote daemon")
-	reg.SetHelp("client.retries_429", "429 pushback retries while submitting")
-	reg.SetHelp("client.errors", "job submissions that failed terminally")
-	reg.SetHelp("client.request_ms", "end-to-end remote job latency incl. retries (ms)")
-}
 
 // Normalize canonicalizes a daemon address ("host:port" or a full http://
 // URL) into the base-URL form every fleet layer uses as the node's identity.
@@ -69,25 +36,13 @@ func Normalize(addr string) string {
 	return strings.TrimRight(addr, "/")
 }
 
-// New returns a client for addr ("host:port" or a full http:// URL).
-func New(addr string) *Client {
-	return &Client{
-		base:        Normalize(addr),
-		hc:          &http.Client{},
-		RetryBudget: 2 * time.Minute,
-	}
-}
-
-// Base returns the client's normalized base URL (its fleet identity).
-func (c *Client) Base() string { return c.base }
-
-// Health checks GET /healthz.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+// health checks GET /healthz on one member.
+func (f *Fleet) health(ctx context.Context, member string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, member+"/healthz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := f.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: health: %w", err)
 	}
@@ -98,47 +53,10 @@ func (c *Client) Health(ctx context.Context) error {
 	return nil
 }
 
-// Do submits one job synchronously and returns its final status. 429
-// responses are retried after the advertised Retry-After (with jitter, see
-// RetryDelay) until ctx or the retry budget expires; other non-2xx statuses
-// fail immediately.
-func (c *Client) Do(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
-	c.cRequests.Inc()
-	start := time.Now()
-	st, err := c.doRetries(ctx, spec)
-	// Latency includes retry waits: it is the caller-observed cost of the
-	// remote call, not the server's service time.
-	c.hRequestMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	if err != nil {
-		c.cErrors.Inc()
-	}
-	return st, err
-}
-
-func (c *Client) doRetries(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
-	deadline := time.Now().Add(c.RetryBudget)
-	for {
-		st, err := c.Submit(ctx, spec)
-		var busy *BusyError
-		if err == nil || !errors.As(err, &busy) {
-			return st, err
-		}
-		if time.Now().After(deadline) {
-			return serve.JobStatus{}, fmt.Errorf("client: retry budget exhausted: %w", err)
-		}
-		c.cRetry429.Inc()
-		select {
-		case <-time.After(RetryDelay(busy.After)):
-		case <-ctx.Done():
-			return serve.JobStatus{}, ctx.Err()
-		}
-	}
-}
-
 // BusyError is 429 pushback from a daemon whose job queue is full. After
 // carries the server's exact Retry-After value (0 when absent/unparseable).
 // It is retryable: on the same node after waiting, or immediately on the
-// next replica (what Fleet does).
+// next replica (what the walk does).
 type BusyError struct {
 	Node  string
 	After time.Duration
@@ -151,8 +69,8 @@ func (e *BusyError) Error() string {
 
 // StatusError is a terminal non-2xx response (bad spec, failed simulation,
 // draining node, internal error). Code classifies it: 5xx/503 suggest the
-// node itself is unhealthy (Fleet fails over), 4xx means the request itself
-// is bad and would fail identically on every replica.
+// node itself is unhealthy (the walk fails over), 4xx means the request
+// itself is bad and would fail identically on every replica.
 type StatusError struct {
 	Code int
 	Msg  string
@@ -202,23 +120,23 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// Submit posts spec exactly once — no retries, no waiting. Queue-full
-// pushback returns a *BusyError carrying the parsed Retry-After; any other
-// non-OK response returns a *StatusError; transport failures return the
-// wrapped net/http error. Fleet builds replica failover on this: it wants
-// the 429 immediately so it can try the next ring owner instead of camping
-// on a saturated node.
-func (c *Client) Submit(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
+// Submit posts spec to one member exactly once — no retries, no waiting.
+// Queue-full pushback returns a *BusyError carrying the parsed Retry-After;
+// any other non-OK response returns a *StatusError; transport failures
+// return the wrapped net/http error. The walk builds replica failover on
+// this: it wants the 429 immediately so it can try the next ring owner
+// instead of camping on a saturated node.
+func (f *Fleet) Submit(ctx context.Context, member string, spec serve.JobSpec) (serve.JobStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return serve.JobStatus{}, fmt.Errorf("client: encoding spec: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, member+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	resp, err := f.hc.Do(req)
 	if err != nil {
 		return serve.JobStatus{}, fmt.Errorf("client: %w", err)
 	}
@@ -236,7 +154,7 @@ func (c *Client) Submit(ctx context.Context, spec serve.JobSpec) (serve.JobStatu
 		return st, nil
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return serve.JobStatus{}, &BusyError{
-			Node:  c.base,
+			Node:  member,
 			After: parseRetryAfter(resp.Header.Get("Retry-After")),
 			Msg:   st.Error,
 		}
@@ -247,47 +165,4 @@ func (c *Client) Submit(ctx context.Context, spec serve.JobSpec) (serve.JobStatu
 		}
 		return serve.JobStatus{}, &StatusError{Code: resp.StatusCode, Msg: msg}
 	}
-}
-
-// Result fetches the stored result for a content key (GET /v1/results/{key})
-// from this node's local store. ok=false is a clean miss (the node does not
-// hold the key); err covers transport and server failures.
-func (c *Client) Result(ctx context.Context, key string) (res system.Result, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/results/"+key, nil)
-	if err != nil {
-		return system.Result{}, false, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return system.Result{}, false, fmt.Errorf("client: result: %w", err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return system.Result{}, false, fmt.Errorf("client: result: %w", err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err := json.Unmarshal(raw, &res); err != nil {
-			return system.Result{}, false, fmt.Errorf("client: result: %w", err)
-		}
-		return res, true, nil
-	case http.StatusNotFound:
-		return system.Result{}, false, nil
-	default:
-		return system.Result{}, false, &StatusError{Code: resp.StatusCode, Msg: strings.TrimSpace(string(raw))}
-	}
-}
-
-// Run simulates one (config, workload) pair on the daemon. Its signature
-// matches exp.Backend, so `fpbexp -remote` plugs it straight into a Runner.
-func (c *Client) Run(cfg sim.Config, wl string) (system.Result, error) {
-	st, err := c.Do(context.Background(), serve.JobSpec{Workload: wl, Config: &cfg})
-	if err != nil {
-		return system.Result{}, err
-	}
-	if st.State != serve.StateDone || st.Result == nil {
-		return system.Result{}, fmt.Errorf("client: job %s: state %s: %s", st.ID, st.State, st.Error)
-	}
-	return *st.Result, nil
 }

@@ -14,7 +14,8 @@ import (
 	"fpb/internal/system"
 )
 
-func startDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *Client) {
+// startDaemon boots one daemon and returns a one-address fleet over it.
+func startDaemon(t *testing.T, cfg serve.Config, fc FleetConfig) (*serve.Server, *Fleet) {
 	t.Helper()
 	s, err := serve.New(cfg)
 	if err != nil {
@@ -25,7 +26,12 @@ func startDaemon(t *testing.T, cfg serve.Config) (*serve.Server, *Client) {
 		ts.Close()
 		s.Drain()
 	})
-	return s, New(ts.URL)
+	f, err := NewFleet([]string{ts.URL}, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return s, f
 }
 
 func fake(sims *atomic.Int64, delay time.Duration) serve.SimulateFunc {
@@ -38,9 +44,9 @@ func fake(sims *atomic.Int64, delay time.Duration) serve.SimulateFunc {
 
 func TestClientRoundTrip(t *testing.T) {
 	var sims atomic.Int64
-	_, c := startDaemon(t, serve.Config{Workers: 2, Simulate: fake(&sims, 0)})
+	_, c := startDaemon(t, serve.Config{Workers: 2, Simulate: fake(&sims, 0)}, FleetConfig{})
 
-	if err := c.Health(context.Background()); err != nil {
+	if err := c.health(context.Background(), c.Ring().Members()[0]); err != nil {
 		t.Fatalf("health: %v", err)
 	}
 	cfg := sim.DefaultConfig()
@@ -61,8 +67,7 @@ func TestClientRetriesQueueFull(t *testing.T) {
 		QueueDepth: 1,
 		RetryAfter: time.Millisecond, // rounds up to 1s header; client honors it
 		Simulate:   fake(&sims, 50*time.Millisecond),
-	})
-	c.RetryBudget = 30 * time.Second
+	}, FleetConfig{RetryBudget: 30 * time.Second})
 
 	// More concurrent distinct jobs than worker+queue slots: some submits
 	// must see 429 and retry until the queue drains.
@@ -91,7 +96,7 @@ func TestClientRetriesQueueFull(t *testing.T) {
 // distinct pair exactly once and serve Runner reads from the remote results.
 func TestRunnerOffloadsToDaemon(t *testing.T) {
 	var sims atomic.Int64
-	_, c := startDaemon(t, serve.Config{Workers: 4, QueueDepth: 32, Simulate: fake(&sims, 0)})
+	_, c := startDaemon(t, serve.Config{Workers: 4, QueueDepth: 32, Simulate: fake(&sims, 0)}, FleetConfig{})
 
 	r := exp.NewRunner(exp.Options{
 		InstrPerCore: 1000,
@@ -125,7 +130,7 @@ func TestRunnerOffloadsToDaemon(t *testing.T) {
 	}
 }
 
-// TestClientAndRunnerTelemetry: the instrumented client and an exp.Runner
+// TestClientAndRunnerTelemetry: the instrumented fleet and an exp.Runner
 // sharing one registry record requests, 429 retries, backend calls and
 // latency histograms — the caller-side half of the fleet observability
 // story.
@@ -136,8 +141,7 @@ func TestClientAndRunnerTelemetry(t *testing.T) {
 		QueueDepth: 1,
 		RetryAfter: time.Millisecond,
 		Simulate:   fake(&sims, 20*time.Millisecond),
-	})
-	c.RetryBudget = 30 * time.Second
+	}, FleetConfig{RetryBudget: 30 * time.Second})
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"net/http"
 	"sync"
 	"time"
 
@@ -27,8 +27,9 @@ type FleetConfig struct {
 	// recovered nodes early (and detects silently dead ones). 0 disables
 	// it; failure-driven marking plus the cooldown still work.
 	ProbeInterval time.Duration
-	// RetryBudget bounds how long Do cycles the replica set when every
-	// node is busy or down (default 2 minutes, like Client).
+	// RetryBudget bounds how long a walk keeps cycling members that push
+	// back with 429 (default 2 minutes; the queue of a busy daemon drains
+	// at simulation granularity, so waits are long but bounded).
 	RetryBudget time.Duration
 }
 
@@ -45,13 +46,14 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	return c
 }
 
-// Fleet is the multi-node, failover-aware client for a consistent-hash
-// cluster of fpbd daemons. Each job routes to the ring owner of its
-// system.Key — the node whose content-addressed store is hot for that key —
-// and walks the key's successor list when the owner is down, draining, or
-// pushing back with 429. Placement is deterministic (same ring as the
-// daemons themselves), so every client sends the same key to the same node
-// and the fleet's caches stay partitioned instead of duplicated.
+// Fleet is the client for one fpbd daemon or a consistent-hash cluster of
+// them. Each job routes to the ring owner of its system.Key — the node whose
+// content-addressed store is hot for that key — and walks the key's
+// successor list when the owner is down, draining, or pushing back with
+// 429. Placement is deterministic (same ring as the daemons themselves), so
+// every client sends the same key to the same node and the fleet's caches
+// stay partitioned instead of duplicated. A single address is simply a
+// one-member ring.
 //
 // Health state is failure-driven (a node that errors is skipped for
 // Cooldown) and, optionally, probe-driven: with ProbeInterval set, a
@@ -62,7 +64,7 @@ type Fleet struct {
 	cfg     FleetConfig
 	ring    *ring.Ring
 	tracker *ring.Tracker
-	clients map[string]*Client
+	hc      *http.Client
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -78,30 +80,22 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet client over the node addresses (each "host:port"
-// or a full URL; duplicates collapse after normalization). A single address
-// degenerates to plain single-node routing, so callers can always construct
-// a Fleet and forget whether the deployment is one daemon or twenty.
+// or a full URL; duplicates collapse after normalization).
 func NewFleet(addrs []string, cfg FleetConfig) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	members := make([]string, 0, len(addrs))
-	clients := make(map[string]*Client, len(addrs))
-	for _, a := range addrs {
-		base := Normalize(a)
-		if _, dup := clients[base]; dup {
-			continue
-		}
-		clients[base] = New(base)
-		members = append(members, base)
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("client: fleet: no node addresses")
+	members := make([]string, len(addrs))
+	for i, a := range addrs {
+		members[i] = Normalize(a)
 	}
 	f := &Fleet{
 		cfg:     cfg,
 		ring:    ring.New(cfg.VNodes, members...),
 		tracker: ring.NewTracker(cfg.Cooldown),
-		clients: clients,
+		hc:      &http.Client{},
 		stop:    make(chan struct{}),
+	}
+	if f.ring.Len() == 0 {
+		return nil, fmt.Errorf("client: fleet: no node addresses")
 	}
 	if cfg.ProbeInterval > 0 {
 		f.wg.Add(1)
@@ -113,12 +107,13 @@ func NewFleet(addrs []string, cfg FleetConfig) (*Fleet, error) {
 // Ring exposes the fleet's placement ring (read-only).
 func (f *Fleet) Ring() *ring.Ring { return f.ring }
 
-// Nodes returns the normalized member addresses, sorted.
-func (f *Fleet) Nodes() []string { return f.ring.Members() }
+// Tracker exposes the fleet's member health: the walk marks members down
+// on failure and the prober re-admits them.
+func (f *Fleet) Tracker() *ring.Tracker { return f.tracker }
 
-// Instrument registers the fleet's telemetry into reg: the same client.*
-// series a single-node Client exposes (so fpbexp -runstats output is
-// uniform) plus fleet-specific failover and health series.
+// Instrument registers the fleet's telemetry into reg: request, 429 and
+// error counts, end-to-end request latency, plus failover and health
+// series.
 func (f *Fleet) Instrument(reg *obs.Registry) {
 	f.cRequests = reg.Counter("client.requests")
 	f.cRetry429 = reg.Counter("client.retries_429")
@@ -161,18 +156,18 @@ func (f *Fleet) probeLoop() {
 			return
 		case <-t.C:
 			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeInterval)
-			f.ProbeDown(ctx)
+			f.probeDown(ctx)
 			cancel()
 		}
 	}
 }
 
-// ProbeDown health-checks every member currently marked down, re-admitting
-// the ones that answer. Exposed for tests and one-shot tooling.
-func (f *Fleet) ProbeDown(ctx context.Context) {
+// probeDown health-checks every member currently marked down, re-admitting
+// the ones that answer.
+func (f *Fleet) probeDown(ctx context.Context) {
 	for _, m := range f.tracker.Down() {
 		f.cProbes.Inc()
-		if err := f.clients[m].Health(ctx); err == nil {
+		if err := f.health(ctx, m); err == nil {
 			f.tracker.MarkAlive(m)
 		} else {
 			f.tracker.MarkDown(m) // refresh the cooldown
@@ -180,115 +175,108 @@ func (f *Fleet) ProbeDown(ctx context.Context) {
 	}
 }
 
-// MarkDown force-marks a member down (used by the coordinator when it
-// observes a failure through its own traffic).
-func (f *Fleet) MarkDown(member string) { f.tracker.MarkDown(Normalize(member)) }
+// Attempt tries a job once on one member. Its error classifies the answer
+// for the walk: a *BusyError is pushback, a *StatusError below 500 is
+// terminal, and anything else means the member looks dead.
+type Attempt func(ctx context.Context, member string) (serve.JobStatus, error)
 
-// Do submits one job to the fleet and returns its final status. Routing:
-// the replica preference order for the job's system.Key, skipping members
-// currently believed down; a transport/5xx failure marks the node down and
-// moves on (retry-on-next-replica); a 429 moves on immediately without
-// marking the node down. When a full pass over the order yields only busy
-// nodes, Do sleeps the smallest advertised Retry-After (jittered) and
-// cycles again until ctx or the retry budget expires. 4xx responses are
-// terminal — a bad spec fails identically on every replica.
+// WalkStats reports what one walk did.
+type WalkStats struct {
+	Member    string // the member that answered ("" when the walk failed)
+	Attempts  int    // attempts made
+	Busy      int    // 429 pushback answers
+	Failovers int    // moves to a successor after a member failed
+}
+
+// Walk runs attempt over the replica preference order of key until one
+// member answers. Pass 0 skips members believed down; later passes try
+// every member. A 429 moves on at once without marking the node down, a
+// 4xx is terminal (a bad spec or a failed simulation fails identically on
+// every replica), and a transport error, 5xx or draining node marks the
+// member down and fails over. Between passes the walk sleeps the smallest
+// advertised Retry-After (jittered; the default delay when none was
+// advertised) and cycles until ctx or the retry budget runs out; a pass
+// after the first with no pushback ends the walk, because nothing
+// reachable is left to wait for.
+func (f *Fleet) Walk(ctx context.Context, key string, attempt Attempt) (serve.JobStatus, WalkStats, error) {
+	order := f.ring.Owners(key, 0) // full deterministic failover order
+	deadline := time.Now().Add(f.cfg.RetryBudget)
+	var ws WalkStats
+	var lastErr error
+	for pass := 0; ; pass++ {
+		var busyWait time.Duration
+		sawBusy := false
+		for i, m := range order {
+			if err := ctx.Err(); err != nil {
+				return serve.JobStatus{}, ws, err
+			}
+			if pass == 0 && !f.tracker.Alive(m) {
+				continue
+			}
+			ws.Attempts++
+			st, err := attempt(ctx, m)
+			if err == nil {
+				ws.Member = m
+				return st, ws, nil
+			}
+			if ctx.Err() != nil {
+				// The caller gave up; the member is not to blame.
+				return serve.JobStatus{}, ws, ctx.Err()
+			}
+			lastErr = err
+			var busy *BusyError
+			var status *StatusError
+			switch {
+			case errors.As(err, &busy):
+				ws.Busy++
+				sawBusy = true
+				if busy.After > 0 && (busyWait == 0 || busy.After < busyWait) {
+					busyWait = busy.After
+				}
+			case errors.As(err, &status) && status.Code < 500:
+				return serve.JobStatus{}, ws, err
+			default:
+				f.tracker.MarkDown(m)
+				if i < len(order)-1 {
+					ws.Failovers++
+				}
+			}
+		}
+		if pass > 0 && !sawBusy {
+			return serve.JobStatus{}, ws, fmt.Errorf("client: no reachable member: %w", lastErr)
+		}
+		if time.Now().After(deadline) {
+			return serve.JobStatus{}, ws, fmt.Errorf("client: retry budget exhausted: %w", lastErr)
+		}
+		select {
+		case <-time.After(RetryDelay(busyWait)):
+		case <-ctx.Done():
+			return serve.JobStatus{}, ws, ctx.Err()
+		}
+	}
+}
+
+// Do submits one job to the fleet over HTTP and returns its final status,
+// walking the key's replicas as Walk describes.
 func (f *Fleet) Do(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
 	cfg, wl, err := spec.Resolve()
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
-	return f.do(ctx, spec, system.Key(cfg, wl))
-}
-
-func (f *Fleet) do(ctx context.Context, spec serve.JobSpec, key string) (serve.JobStatus, error) {
 	f.cRequests.Inc()
 	start := time.Now()
-	st, err := f.doFailover(ctx, spec, key)
+	st, ws, err := f.Walk(ctx, system.Key(cfg, wl), func(ctx context.Context, m string) (serve.JobStatus, error) {
+		return f.Submit(ctx, m, spec)
+	})
+	f.cRetry429.Add(uint64(ws.Busy))
+	f.cFailovers.Add(uint64(ws.Failovers))
+	// Latency includes retry waits: it is the caller-observed cost of the
+	// remote call, not the server's service time.
 	f.hRequestMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	if err != nil {
 		f.cErrors.Inc()
 	}
 	return st, err
-}
-
-func (f *Fleet) doFailover(ctx context.Context, spec serve.JobSpec, key string) (serve.JobStatus, error) {
-	order := f.ring.Owners(key, 0) // full deterministic failover order
-	deadline := time.Now().Add(f.cfg.RetryBudget)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		busyWait := time.Duration(0)
-		tried := 0
-		for i, m := range order {
-			// Skip members believed down — except on a full pass where
-			// nothing was reachable; then try everyone as a last resort.
-			if attempt > 0 || f.tracker.Alive(m) {
-				st, err := f.clients[m].Submit(ctx, spec)
-				tried++
-				if err == nil {
-					return st, nil
-				}
-				lastErr = err
-				var busy *BusyError
-				var status *StatusError
-				switch {
-				case errors.As(err, &busy):
-					f.cRetry429.Inc()
-					if busyWait == 0 || busy.After < busyWait {
-						busyWait = busy.After
-					}
-				case errors.As(err, &status) && status.Code < 500 && status.Code != 429:
-					// Bad spec or failed simulation: every replica would
-					// answer the same. Terminal.
-					return serve.JobStatus{}, err
-				default:
-					// Transport error or 5xx: the node is unhealthy.
-					f.tracker.MarkDown(m)
-					if i < len(order)-1 {
-						f.cFailovers.Inc()
-					}
-				}
-				if ctx.Err() != nil {
-					return serve.JobStatus{}, ctx.Err()
-				}
-			}
-		}
-		if tried == 0 {
-			// Everything was marked down and not yet cooled down; next
-			// pass ignores the tracker.
-			continue
-		}
-		if time.Now().After(deadline) {
-			return serve.JobStatus{}, fmt.Errorf("client: fleet retry budget exhausted: %w", lastErr)
-		}
-		select {
-		case <-time.After(RetryDelay(busyWait)):
-		case <-ctx.Done():
-			return serve.JobStatus{}, ctx.Err()
-		}
-	}
-}
-
-// Result fetches a stored result by content key, walking the key's replica
-// order: the primary owner first, then successors (which hold it when the
-// replication factor is > 1 or a failover executed it elsewhere). ok=false
-// means no reachable node holds the key.
-func (f *Fleet) Result(ctx context.Context, key string) (system.Result, bool, error) {
-	var lastErr error
-	for _, m := range f.ring.Owners(key, 0) {
-		if !f.tracker.Alive(m) {
-			continue
-		}
-		res, ok, err := f.clients[m].Result(ctx, key)
-		if err != nil {
-			lastErr = err
-			f.tracker.MarkDown(m)
-			continue
-		}
-		if ok {
-			return res, true, nil
-		}
-	}
-	return system.Result{}, false, lastErr
 }
 
 // Run simulates one (config, workload) pair on the fleet; its signature
@@ -303,17 +291,4 @@ func (f *Fleet) Run(cfg sim.Config, wl string) (system.Result, error) {
 		return system.Result{}, fmt.Errorf("client: fleet job %s: state %s: %s", st.ID, st.State, st.Error)
 	}
 	return *st.Result, nil
-}
-
-// Owners reports the replica preference order the fleet would use for one
-// (config, workload) pair — handy for tooling (fpbctl members) and tests.
-func (f *Fleet) Owners(cfg sim.Config, wl string) []string {
-	return f.ring.Owners(system.Key(cfg, wl), 0)
-}
-
-// DownNodes lists members currently believed down, sorted.
-func (f *Fleet) DownNodes() []string {
-	d := f.tracker.Down()
-	sort.Strings(d)
-	return d
 }

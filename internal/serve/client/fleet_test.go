@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -78,7 +79,10 @@ func TestServerAdvertisesExactRetryAfter(t *testing.T) {
 	// Cleanup (not defer): it must run AFTER the deferred close(block)
 	// releases the in-flight handlers ts.Close waits for.
 	t.Cleanup(ts.Close)
-	c := New(ts.URL)
+	f, err := NewFleet([]string{ts.URL}, FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Fill the worker and the queue with async submissions (sync ones would
 	// block this goroutine on the never-finishing fake simulation), then
@@ -114,7 +118,7 @@ func TestServerAdvertisesExactRetryAfter(t *testing.T) {
 
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 99
-	_, err = c.Submit(context.Background(), serve.JobSpec{Workload: "mix_1", Config: &cfg})
+	_, err = f.Submit(context.Background(), Normalize(ts.URL), serve.JobSpec{Workload: "mix_1", Config: &cfg})
 	busy, ok := err.(*BusyError)
 	if !ok {
 		t.Fatalf("expected BusyError from saturated daemon, got %v", err)
@@ -168,7 +172,7 @@ func TestFleetRoutesToRingOwner(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		cfg := sim.DefaultConfig()
 		cfg.Seed = seed
-		owner := f.Owners(cfg, "mix_1")[0]
+		owner := f.Ring().Owner(system.Key(cfg, "mix_1"))
 		res, err := f.Run(cfg, "mix_1")
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +207,7 @@ func TestFleetFailsOverToReplicaOnNodeDeath(t *testing.T) {
 
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 7
-	owner := f.Owners(cfg, "lbm_m")[0]
+	owner := f.Ring().Owner(system.Key(cfg, "lbm_m"))
 
 	// Kill the primary owner of this key.
 	for _, ts := range tss {
@@ -220,8 +224,8 @@ func TestFleetFailsOverToReplicaOnNodeDeath(t *testing.T) {
 	if res.CPI != 14 {
 		t.Fatalf("replica produced CPI %v, want 14", res.CPI)
 	}
-	if down := f.DownNodes(); len(down) != 1 || down[0] != owner {
-		t.Fatalf("DownNodes = %v, want [%s]", down, owner)
+	if down := f.Tracker().Down(); len(down) != 1 || down[0] != owner {
+		t.Fatalf("down = %v, want [%s]", down, owner)
 	}
 	if v, _ := reg.Value("client.fleet.failovers"); v < 1 {
 		t.Fatalf("client.fleet.failovers = %v, want >= 1", v)
@@ -321,7 +325,7 @@ func TestFleetFailsOverOn429(t *testing.T) {
 		t.Fatal("healthy node never simulated anything")
 	}
 	// The busy node must not be marked down — 429 is pushback, not death.
-	if down := f.DownNodes(); len(down) != 0 {
+	if down := f.Tracker().Down(); len(down) != 0 {
 		t.Fatalf("429 marked a node down: %v", down)
 	}
 }
@@ -349,43 +353,49 @@ func TestFleetProbeReadmitsRecoveredNode(t *testing.T) {
 	}, FleetConfig{Cooldown: time.Hour}) // cooldown too long to self-heal
 
 	m := Normalize(tss[0].URL)
-	f.MarkDown(m)
-	if down := f.DownNodes(); len(down) != 1 {
-		t.Fatalf("DownNodes = %v", down)
+	f.tracker.MarkDown(m)
+	if down := f.tracker.Down(); len(down) != 1 {
+		t.Fatalf("down = %v", down)
 	}
 	// The node is actually healthy; one probe pass re-admits it.
-	f.ProbeDown(context.Background())
-	if down := f.DownNodes(); len(down) != 0 {
+	f.probeDown(context.Background())
+	if down := f.tracker.Down(); len(down) != 0 {
 		t.Fatalf("probe did not re-admit healthy node: %v", down)
 	}
 }
 
-func TestFleetResultReplicaRead(t *testing.T) {
-	dirs := make([]string, 2)
-	for i := range dirs {
-		dirs[i] = t.TempDir()
+// TestFleetAllMembersDownFails: a fleet whose every member refuses
+// connections fails after one last-resort pass instead of cycling dead
+// members until the (default, 2-minute) retry budget runs out — for a
+// single address exactly as for several.
+func TestFleetAllMembersDownFails(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		addrs := make([]string, n)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = ln.Addr().String()
+			ln.Close()
+		}
+		f, err := NewFleet(addrs, FleetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The context only keeps a regression from hanging the suite.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cfg := sim.DefaultConfig()
+		start := time.Now()
+		_, err = f.Do(ctx, serve.JobSpec{Workload: "mcf_m", Config: &cfg})
+		elapsed := time.Since(start)
+		cancel()
+		f.Close()
+		if err == nil {
+			t.Fatalf("%d dead members: Do succeeded", n)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("%d dead members: Do took %v to fail (err %v), want < 2s", n, elapsed, err)
+		}
 	}
-	var count atomic.Int64
-	servers, tss, f := fleetDaemons(t, 2, func(i int) serve.Config {
-		return serve.Config{Workers: 1, StoreDir: dirs[i], Simulate: deterministicSim(&count)}
-	}, FleetConfig{})
-
-	cfg := sim.DefaultConfig()
-	cfg.Seed = 3
-	key := system.Key(cfg, "ast_m")
-	want, err := f.Run(cfg, "ast_m")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The result is in the owner's store; a ring-aware read finds it.
-	got, ok, err := f.Result(context.Background(), key)
-	if err != nil || !ok {
-		t.Fatalf("Result: ok=%v err=%v", ok, err)
-	}
-	if got.CPI != want.CPI || got.Workload != want.Workload {
-		t.Fatalf("replica read mismatch: %+v vs %+v", got, want)
-	}
-	_ = servers
-	_ = tss
 }

@@ -126,13 +126,17 @@ func TestJobLifecycleRecord(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation: bare GET keeps the legacy JSON, explicit
-// ?format= and Prometheus-style Accept headers switch to the text
-// exposition.
+// TestMetricsContentNegotiation: /metrics has one representation. Every
+// request — bare, ?format=json|prometheus|prom, or an Accept header asking
+// for JSON, text/plain or OpenMetrics — gets the Prometheus text with every
+// serving series (dashboards scrape these exact names, so renames are
+// regressions).
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Workers:  1,
-		Simulate: func(cfg simCfg, wl string) (sysResult, error) { return fakeResult(cfg, wl), nil },
+		Workers:       1,
+		StoreDir:      t.TempDir(),
+		CheckpointDir: t.TempDir(),
+		Simulate:      func(cfg simCfg, wl string) (sysResult, error) { return fakeResult(cfg, wl), nil },
 	})
 	if code, _ := postJob(t, ts.URL, spec(1), ""); code != http.StatusOK {
 		t.Fatalf("job failed: %d", code)
@@ -162,25 +166,22 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		return resp.Header.Get("Content-Type"), string(body)
 	}
 
-	// Default: legacy JSON.
-	ct, body := get("", nil)
-	if ct != "application/json" || !json.Valid([]byte(body)) {
-		t.Fatalf("default /metrics: ct=%q valid-json=%v", ct, json.Valid([]byte(body)))
-	}
-
-	// Explicit Prometheus, both spellings plus scraper Accept headers.
 	for _, req := range []struct {
 		query string
 		hdr   map[string]string
 	}{
+		{"", nil},
+		{"?format=json", nil},
 		{"?format=prometheus", nil},
 		{"?format=prom", nil},
+		{"", map[string]string{"Accept": "application/json"}},
 		{"", map[string]string{"Accept": "text/plain;version=0.0.4;q=0.5,*/*;q=0.1"}},
 		{"", map[string]string{"Accept": "application/openmetrics-text;version=1.0.0"}},
+		{"?format=json", map[string]string{"Accept": "text/plain"}},
 	} {
 		ct, body := get(req.query, req.hdr)
 		if ct != obs.PrometheusContentType {
-			t.Fatalf("%s %v: ct=%q", req.query, req.hdr, ct)
+			t.Fatalf("%q %v: ct=%q", req.query, req.hdr, ct)
 		}
 		samples, bad := obs.ParsePrometheus(body)
 		if len(bad) != 0 {
@@ -192,17 +193,28 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if !strings.Contains(body, "# TYPE serve_job_sim_ms histogram") {
 			t.Fatal("exposition missing histogram TYPE line")
 		}
-	}
-
-	// JSON remains reachable explicitly even with a Prometheus Accept.
-	ct, _ = get("?format=json", map[string]string{"Accept": "text/plain"})
-	if ct != "application/json" {
-		t.Fatalf("?format=json did not win over Accept: ct=%q", ct)
+		for _, name := range []string{
+			"serve_jobs_accepted", "serve_jobs_coalesced", "serve_jobs_rejected",
+			"serve_jobs_done", "serve_jobs_failed", "serve_jobs_records",
+			"serve_jobs_warm_starts", "serve_store_put_errors",
+			"serve_cache_hits", "serve_cache_misses",
+			"serve_queue_depth", "serve_queue_capacity",
+			"serve_workers_busy", "serve_workers_total",
+			"serve_store_entries", "serve_ckpt_entries",
+			"serve_job_queue_wait_ms_count", "serve_job_sim_ms_count",
+			"serve_job_store_write_ms_count",
+		} {
+			if _, ok := samples[name]; !ok {
+				t.Errorf("%q %v: serving series %q missing", req.query, req.hdr, name)
+			}
+		}
 	}
 }
 
-// TestLegacyMetricNamesPresent pins the pre-Prometheus /metrics JSON keys:
-// dashboards scrape these exact names, so renames are regressions.
+// TestLegacyMetricNamesPresent pins the pre-Prometheus /metrics keys:
+// dashboards scrape these exact names, now in exposition form (dots become
+// underscores), so renames are regressions. The serve.latency_ms gauges are
+// gone; the serve.job stage histograms cover the same interval.
 func TestLegacyMetricNamesPresent(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:  1,
@@ -219,11 +231,10 @@ func TestLegacyMetricNamesPresent(t *testing.T) {
 		"serve.cache.hits", "serve.cache.misses",
 		"serve.queue.depth", "serve.queue.capacity",
 		"serve.workers.busy", "serve.workers.total",
-		"serve.latency_ms.p50", "serve.latency_ms.p95", "serve.latency_ms.p99",
-		"serve.latency_ms.mean", "serve.store.entries",
+		"serve.store.entries",
 	} {
-		if _, ok := m[name]; !ok {
-			t.Errorf("legacy metric %q missing from /metrics JSON", name)
+		if _, ok := m[strings.ReplaceAll(name, ".", "_")]; !ok {
+			t.Errorf("legacy metric %q missing from /metrics", name)
 		}
 	}
 }

@@ -10,14 +10,12 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"fpb/internal/ckpt"
 	"fpb/internal/obs"
 	"fpb/internal/sim"
-	"fpb/internal/stats"
 	"fpb/internal/system"
 )
 
@@ -145,8 +143,7 @@ type Server struct {
 	cHits, cMisses                   *obs.Counter
 	cStoreErrors                     *obs.Counter
 	cWarmStarts                      *obs.Counter
-	latency                          *stats.Histogram // job latency, ms (legacy percentile gauges)
-	hQueueWait, hSim, hStore         *obs.Histogram   // lifecycle stage histograms, ms
+	hQueueWait, hSim, hStore         *obs.Histogram // lifecycle stage histograms, ms
 }
 
 // New builds a server, opens its store, and starts the worker pool.
@@ -159,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		inflight: make(map[string]*job),
 		jobs:     make(map[string]*job),
-		latency:  stats.NewHistogram(60_000),
 	}
 	if cfg.StoreDir != "" {
 		st, err := OpenStore(cfg.StoreDir)
@@ -228,10 +224,6 @@ func (s *Server) registerMetrics() {
 	s.reg.Gauge("serve.workers.busy", func() float64 { return float64(s.busy) })
 	s.reg.Gauge("serve.workers.total", func() float64 { return float64(s.cfg.Workers) })
 	s.reg.Gauge("serve.jobs.records", func() float64 { return float64(len(s.jobs)) })
-	s.reg.Gauge("serve.latency_ms.p50", func() float64 { return float64(s.latency.P50()) })
-	s.reg.Gauge("serve.latency_ms.p95", func() float64 { return float64(s.latency.P95()) })
-	s.reg.Gauge("serve.latency_ms.p99", func() float64 { return float64(s.latency.P99()) })
-	s.reg.Gauge("serve.latency_ms.mean", func() float64 { return s.latency.Mean() })
 	s.hQueueWait = s.reg.Histogram("serve.job.queue_wait_ms", obs.LatencyBucketsMs)
 	s.hSim = s.reg.Histogram("serve.job.sim_ms", obs.LatencyBucketsMs)
 	s.hStore = s.reg.Histogram("serve.job.store_write_ms", obs.LatencyBucketsMs)
@@ -338,7 +330,6 @@ func (s *Server) worker() {
 		j.lc.StoreWriteMs = durMs(storeDur)
 		s.busy--
 		delete(s.inflight, j.key)
-		s.latency.Add(int(time.Since(start).Milliseconds()))
 		s.mu.Unlock()
 		// Log before releasing waiters: a client that reads the log right
 		// after its response must find the job's final line there.
@@ -529,44 +520,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, body)
 }
 
-// metricsFormat negotiates the /metrics representation: an explicit
-// ?format= wins, then the Accept header; bare requests keep getting the
-// legacy JSON so pre-existing tooling never breaks.
-func metricsFormat(r *http.Request) string {
-	switch r.URL.Query().Get("format") {
-	case "json":
-		return "json"
-	case "prometheus", "prom":
-		return "prom"
-	}
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "application/json") {
-		return "json"
-	}
-	// Prometheus scrapers send text/plain (with version params) or
-	// application/openmetrics-text.
-	if strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") {
-		return "prom"
-	}
-	return "json"
-}
-
+// handleMetrics serves the registry as Prometheus text, whatever the
+// request's ?format= or Accept header asks for.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	format := metricsFormat(r)
+	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	// Snapshots run under mu: gauge closures read mu-guarded fields.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if format == "prom" {
-		w.Header().Set("Content-Type", obs.PrometheusContentType)
-		err = s.reg.WritePrometheus(w)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		err = s.reg.WriteJSON(w)
-	}
-	if err != nil {
+	if err := s.reg.WritePrometheus(w); err != nil {
 		// Headers are gone; nothing more to do than note it.
-		s.log.Error("metrics dump failed", "format", format, "err", err)
+		s.log.Error("metrics dump failed", "err", err)
 	}
 }
 
@@ -624,10 +587,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult serves a stored result by its content key, from the LOCAL
-// store only — no proxying, no simulation. Replica-aware callers (the fleet
-// client, the sweep coordinator's replication checks) use it to read a key
-// from whichever ring owner answers; a miss is a plain 404 so the caller can
-// move on to the next replica.
+// store only — no proxying, no simulation. It lets an operator (or a test)
+// check that a key's result landed on each of its ring owners; a miss is a
+// plain 404.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if s.store == nil {

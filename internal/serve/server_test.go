@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fpb/internal/obs"
 	"fpb/internal/sim"
 	"fpb/internal/system"
 )
@@ -61,6 +62,7 @@ func postJob(t *testing.T, url string, spec JobSpec, query string) (int, JobStat
 	return resp.StatusCode, st
 }
 
+// getMetrics scrapes /metrics into Prometheus sample names and values.
 func getMetrics(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
@@ -68,9 +70,13 @@ func getMetrics(t *testing.T, url string) map[string]float64 {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	m, bad := obs.ParsePrometheus(string(body))
+	if len(bad) != 0 {
+		t.Fatalf("unparseable exposition lines: %v", bad)
 	}
 	return m
 }
@@ -116,7 +122,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		m := getMetrics(t, ts.URL)
-		if m["serve.jobs.coalesced"] == k-1 && m["serve.jobs.accepted"] == 1 {
+		if m["serve_jobs_coalesced"] == k-1 && m["serve_jobs_accepted"] == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -206,11 +212,11 @@ func TestRestartServesFromPersistentStore(t *testing.T) {
 		t.Errorf("simulations = %d, want 1", sims.Load())
 	}
 	m := getMetrics(t, ts2.URL)
-	if m["serve.cache.hits"] != 1 {
-		t.Errorf("cache hits = %v, want 1", m["serve.cache.hits"])
+	if m["serve_cache_hits"] != 1 {
+		t.Errorf("cache hits = %v, want 1", m["serve_cache_hits"])
 	}
-	if m["serve.store.entries"] != 1 {
-		t.Errorf("store entries = %v, want 1", m["serve.store.entries"])
+	if m["serve_store_entries"] != 1 {
+		t.Errorf("store entries = %v, want 1", m["serve_store_entries"])
 	}
 }
 
@@ -250,8 +256,8 @@ func TestQueueSaturationRejectsWithoutDeadlock(t *testing.T) {
 		t.Errorf("Retry-After = %q, want %q", ra, "3")
 	}
 	m := getMetrics(t, ts.URL)
-	if m["serve.jobs.rejected"] != 1 {
-		t.Errorf("rejected = %v, want 1", m["serve.jobs.rejected"])
+	if m["serve_jobs_rejected"] != 1 {
+		t.Errorf("rejected = %v, want 1", m["serve_jobs_rejected"])
 	}
 
 	// Releasing the worker drains everything; the rejected job succeeds

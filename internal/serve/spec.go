@@ -8,10 +8,8 @@
 // Endpoints:
 //
 //	GET  /healthz           liveness + queue/worker snapshot
-//	GET  /metrics           the server's obs metrics registry; legacy JSON
-//	                        by default, Prometheus text exposition with
-//	                        ?format=prometheus or an Accept header of
-//	                        text/plain / application/openmetrics-text
+//	GET  /metrics           the server's obs metrics registry as Prometheus
+//	                        text (whatever ?format= or Accept asks for)
 //	POST /v1/jobs           run a job (blocks until done); ?async=1 returns
 //	                        202 immediately with an id to poll
 //	GET  /v1/jobs/{id}      status/result of a previously submitted job

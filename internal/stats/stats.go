@@ -117,94 +117,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Histogram counts integer-valued observations in unit-width buckets
-// [0, max]; values beyond max land in the overflow bucket.
-type Histogram struct {
-	buckets  []uint64
-	overflow uint64
-	total    uint64
-	sum      uint64
-}
-
-// NewHistogram returns a histogram covering [0, max].
-func NewHistogram(max int) *Histogram {
-	if max < 0 {
-		max = 0
-	}
-	return &Histogram{buckets: make([]uint64, max+1)}
-}
-
-// Reset clears all buckets and totals, keeping the bucket range.
-func (h *Histogram) Reset() {
-	clear(h.buckets)
-	h.overflow, h.total, h.sum = 0, 0, 0
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v < len(h.buckets) {
-		h.buckets[v]++
-	} else {
-		h.overflow++
-	}
-	h.total++
-	h.sum += uint64(v)
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.total }
-
-// Mean returns the arithmetic mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Count returns the number of observations equal to v.
-func (h *Histogram) Count(v int) uint64 {
-	if v < 0 || v >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[v]
-}
-
-// Overflow returns the number of observations beyond the histogram range.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Percentile returns the p-th percentile (p in [0,100]) of recorded values;
-// overflow observations count as the maximum bucket value + 1.
-func (h *Histogram) Percentile(p float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for v, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return v
-		}
-	}
-	return len(h.buckets)
-}
-
-// P50 returns the median recorded value.
-func (h *Histogram) P50() int { return h.Percentile(50) }
-
-// P95 returns the 95th-percentile recorded value.
-func (h *Histogram) P95() int { return h.Percentile(95) }
-
-// P99 returns the 99th-percentile recorded value.
-func (h *Histogram) P99() int { return h.Percentile(99) }
-
 // Ratio returns a/b, or 0 when b is 0. Convenient for normalized metrics.
 func Ratio(a, b float64) float64 {
 	if b == 0 {

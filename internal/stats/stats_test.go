@@ -94,48 +94,6 @@ func TestGeoMeanScaleInvariance(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{1, 1, 2, 5, 20} {
-		h.Add(v)
-	}
-	if h.N() != 5 {
-		t.Errorf("N = %d, want 5", h.N())
-	}
-	if h.Count(1) != 2 || h.Count(2) != 1 {
-		t.Error("bucket counts wrong")
-	}
-	if h.Overflow() != 1 {
-		t.Errorf("Overflow = %d, want 1", h.Overflow())
-	}
-	if m := h.Mean(); math.Abs(m-29.0/5) > 1e-9 {
-		t.Errorf("Mean = %g, want 5.8", m)
-	}
-	if h.Count(-1) != 0 || h.Count(99) != 0 {
-		t.Error("out-of-range Count must be 0")
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(100)
-	for v := 1; v <= 100; v++ {
-		h.Add(v)
-	}
-	if p := h.Percentile(50); p != 50 {
-		t.Errorf("P50 = %d, want 50", p)
-	}
-	if p := h.Percentile(99); p != 99 {
-		t.Errorf("P99 = %d, want 99", p)
-	}
-	if p := h.Percentile(100); p != 100 {
-		t.Errorf("P100 = %d, want 100", p)
-	}
-	empty := NewHistogram(4)
-	if empty.Percentile(50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Error("Ratio(6,3) != 2")
@@ -223,35 +181,5 @@ func TestSummaryRejectsNonFinite(t *testing.T) {
 	}
 	if math.IsNaN(s.StdDev()) || math.IsInf(s.StdDev(), 0) {
 		t.Errorf("StdDev = %g, want finite", s.StdDev())
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	h := NewHistogram(100)
-	for v := 1; v <= 100; v++ {
-		h.Add(v)
-	}
-	if got := h.P50(); got != 50 {
-		t.Errorf("P50 = %d, want 50", got)
-	}
-	if got := h.P95(); got != 95 {
-		t.Errorf("P95 = %d, want 95", got)
-	}
-	if got := h.P99(); got != 99 {
-		t.Errorf("P99 = %d, want 99", got)
-	}
-
-	// Overflow observations count as max bucket value + 1.
-	ho := NewHistogram(4)
-	for i := 0; i < 10; i++ {
-		ho.Add(100)
-	}
-	if got := ho.P99(); got != 5 {
-		t.Errorf("all-overflow P99 = %d, want 5", got)
-	}
-
-	var empty Histogram
-	if empty.P50() != 0 || empty.P95() != 0 || empty.P99() != 0 {
-		t.Error("empty histogram percentiles must be 0")
 	}
 }

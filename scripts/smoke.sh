@@ -1,9 +1,9 @@
 #!/bin/sh
 # Daemon smoke test: builds fpbd and fpbtop, boots a daemon on a loopback
-# port, drives one job through the full lifecycle, and asserts that both
-# /metrics representations (legacy JSON and Prometheus text) reflect it —
-# the end-to-end proof behind the serving + observability stack that unit
-# tests can't give (real binary, real HTTP, real store on disk).
+# port, drives one job through the full lifecycle, and asserts that the
+# /metrics Prometheus text reflects it — the end-to-end proof behind the
+# serving + observability stack that unit tests can't give (real binary,
+# real HTTP, real store on disk).
 #
 # Requires: go, curl. Exits non-zero on any failed assertion.
 set -eu
@@ -67,10 +67,10 @@ RESP2="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE
 echo "$RESP2" | grep -q '"cached": *true' || fail "identical job not served from cache: $RESP2"
 echo "$RESP2" | grep -q '"outcome": *"cache-hit"' || fail "missing cache-hit lifecycle record: $RESP2"
 
-echo "smoke: checking legacy JSON metrics"
-MJSON="$(curl -fsS "$BASE/metrics")"
-echo "$MJSON" | grep -q '"serve.jobs.done": *1' || fail "serve.jobs.done != 1 in JSON: $MJSON"
-echo "$MJSON" | grep -q '"serve.cache.hits": *1' || fail "serve.cache.hits != 1 in JSON: $MJSON"
+echo "smoke: checking metrics"
+MBARE="$(curl -fsS "$BASE/metrics")"
+echo "$MBARE" | grep -q '^serve_jobs_done 1$' || fail "serve_jobs_done != 1 in bare /metrics: $MBARE"
+echo "$MBARE" | grep -q '^serve_cache_hits 1$' || fail "serve_cache_hits != 1 in bare /metrics: $MBARE"
 
 echo "smoke: checking Prometheus metrics"
 MPROM="$(curl -fsS "$BASE/metrics?format=prometheus")"
@@ -79,9 +79,9 @@ echo "$MPROM" | grep -q '^serve_cache_hits 1$' || fail "serve_cache_hits != 1 in
 echo "$MPROM" | grep -q '^# TYPE serve_job_sim_ms histogram$' || fail "missing sim_ms histogram TYPE"
 echo "$MPROM" | grep -q '^serve_job_sim_ms_count 1$' || fail "sim_ms histogram did not record the job"
 
-echo "smoke: checking content negotiation via Accept"
-CT="$(curl -fsS -o /dev/null -w '%{content_type}' -H 'Accept: text/plain' "$BASE/metrics")"
-case "$CT" in text/plain*) : ;; *) fail "Accept: text/plain returned $CT" ;; esac
+echo "smoke: checking the /metrics content type"
+CT="$(curl -fsS -o /dev/null -w '%{content_type}' "$BASE/metrics")"
+case "$CT" in text/plain*) : ;; *) fail "bare /metrics returned $CT" ;; esac
 
 echo "smoke: fpbtop one-shot snapshot"
 TOP="$("$BIN/fpbtop" -addr "127.0.0.1:$PORT" -n 1)"
@@ -99,7 +99,7 @@ W1="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$WSPEC1" "$BASE/
 echo "$W1" | grep -q '"state": *"done"' || fail "first warmup job did not finish: $W1"
 W2="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$WSPEC2" "$BASE/v1/jobs")"
 echo "$W2" | grep -q '"state": *"done"' || fail "second warmup job did not finish: $W2"
-curl -fsS "$BASE/metrics" | grep -q '"serve.jobs.warm_starts": *1' ||
+curl -fsS "$BASE/metrics" | grep -q '^serve_jobs_warm_starts 1$' ||
     fail "second warmup job should have warm-started from the first one's checkpoint"
 
 echo "smoke: checkpoint image export/import round trip"
@@ -125,8 +125,10 @@ FPBD_PID=""
 # exposes its ring/sweep metrics. FLEET_SMOKE=0 skips this section.
 # ---------------------------------------------------------------------------
 if [ "${FLEET_SMOKE:-1}" = 1 ]; then
-    echo "smoke: building fpbctl"
+    echo "smoke: building fpbctl, fpbexp, fpbsim"
     go build -o "$BIN/fpbctl" ./cmd/fpbctl
+    go build -o "$BIN/fpbexp" ./cmd/fpbexp
+    go build -o "$BIN/fpbsim" ./cmd/fpbsim
 
     P1=$((PORT + 1))
     P2=$((PORT + 2))
@@ -177,6 +179,18 @@ if [ "${FLEET_SMOKE:-1}" = 1 ]; then
     SWEEP2="$("$BIN/fpbctl" -addr "$A1" sweep -schemes gcp,ideal -workloads xal_m,mum_m \
         -seed 8 -instr 2000 -wait)" || fail "post-kill sweep failed: ${SWEEP2:-}"
     echo "$SWEEP2" | grep -q '4/4 done' || fail "post-kill sweep incomplete: $SWEEP2"
+
+    echo "smoke: fpbexp -remote over the fleet with a dead member"
+    EXPOUT="$("$BIN/fpbexp" -exp tab3 -instr 2000 -workloads mcf_m -remote "$A1,$A2,$A3" 2>&1)" ||
+        fail "fpbexp -remote failed with a dead member: $EXPOUT"
+
+    echo "smoke: fpbsim -remote at the dead member fails fast"
+    T0="$(date +%s)"
+    if timeout 60 "$BIN/fpbsim" -workload mcf_m -scheme gcp -instr 2000 -remote "$A3" >/dev/null 2>&1; then
+        fail "fpbsim -remote at a dead daemon succeeded"
+    fi
+    T1="$(date +%s)"
+    [ $((T1 - T0)) -le 5 ] || fail "fpbsim -remote at a dead daemon took $((T1 - T0))s to fail (want <= 5s)"
 
     echo "smoke: Prometheus fleet metrics"
     MFLEET="$(curl -fsS "http://$A1/metrics?format=prometheus")"
