@@ -9,7 +9,7 @@ all: check
 build:
 	$(GO) build ./...
 
-# Fails if any file needs gofmt (mirrors scripts/check.sh).
+# Fails if any file needs gofmt (scripts/check.sh runs the same check).
 fmt:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -25,8 +25,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full pre-merge gate: gofmt, vet, build, and the race-enabled tests.
-check: fmt vet build race
+# The full pre-merge gate, defined once in scripts/check.sh: gofmt, vet,
+# build, the race-enabled tests and the fpbdebug tests. The daemon smoke
+# (scripts/smoke.sh) runs on its own, as in CI.
+check:
+	SMOKE=0 ./scripts/check.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -15,15 +15,6 @@
 // nonzero for regressions only with -strict, so CI can surface warnings
 // without failing the build.
 //
-// Warm-start mode measures the checkpoint warm-start payoff for sweeps:
-//
-//	fpbbench -warm 200000 [-instr 20000] [-workloads mcf_m,mix_1]
-//
-// It runs the Figure 18 experiment with the given warmup-cycle count twice —
-// cold, then against a fresh checkpoint store — verifies both produce
-// identical tables, and prints benchmark-formatted lines with the wall times
-// and the cold/warm speedup.
-//
 // Snapshots are deterministic: benchmark names are normalized (Benchmark
 // prefix and -GOMAXPROCS suffix stripped) and JSON object keys are sorted,
 // so identical measurements on the same host produce byte-identical files.
@@ -45,9 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"fpb/internal/exp"
 )
 
 // Snapshot is the on-disk format: the host that took it, and benchmark
@@ -75,19 +63,8 @@ func main() {
 		compare   = flag.Bool("compare", false, "compare two snapshot files given as arguments")
 		threshold = flag.Float64("threshold", 0.20, "relative ns/op or allocs/op growth treated as a regression")
 		strict    = flag.Bool("strict", false, "exit nonzero when compare finds regressions")
-		instr     = flag.Uint64("instr", 20_000, "instructions per core for -warm runs")
-		workloads = flag.String("workloads", "", "comma-separated workload subset for -warm runs (default: all 13)")
-		warm      = flag.Uint64("warm", 0, "warmup cycles: run the Fig. 18 sweep cold vs checkpoint-warm-started and report the wall-clock ratio")
 	)
 	flag.Parse()
-
-	if *warm > 0 {
-		if err := runWarm(os.Stdout, *warm, *instr, *workloads); err != nil {
-			fmt.Fprintln(os.Stderr, "fpbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *compare {
 		if flag.NArg() != 2 {
@@ -129,60 +106,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fpbbench:", err)
 		os.Exit(2)
 	}
-}
-
-// runWarm measures the shared-prefix warm-start speedup: the Figure 18
-// experiment — 5 scheme configs per workload, all sharing one warmup prefix —
-// run once cold (every simulation re-simulates its warmup) and once against a
-// fresh checkpoint store (the warmup simulates once per workload; the other
-// simulations restore it). Both runs must produce identical tables; any
-// divergence is a determinism bug and exits nonzero. Lines are
-// benchmark-formatted for ingest mode.
-func runWarm(w io.Writer, cycles, instr uint64, workloads string) error {
-	e, ok := exp.ByID("fig18")
-	if !ok {
-		return fmt.Errorf("fig18 experiment not registered")
-	}
-	opt := exp.Options{InstrPerCore: instr, Workers: 1, WarmupCycles: cycles}
-	if workloads != "" {
-		opt.Workloads = strings.Split(workloads, ",")
-	}
-	// Untimed warm-up: workload tables and allocator arenas are one-time
-	// costs that would otherwise land on the cold run and inflate the ratio.
-	if _, err := e.Run(exp.NewRunner(opt)); err != nil {
-		return err
-	}
-
-	start := time.Now()
-	coldTb, err := e.Run(exp.NewRunner(opt))
-	if err != nil {
-		return err
-	}
-	coldDur := time.Since(start)
-
-	dir, err := os.MkdirTemp("", "fpbbench-ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	warmOpt := opt
-	warmOpt.CheckpointDir = dir
-	warmRunner := exp.NewRunner(warmOpt)
-	start = time.Now()
-	warmTb, err := e.Run(warmRunner)
-	if err != nil {
-		return err
-	}
-	warmDur := time.Since(start)
-	if coldTb.String() != warmTb.String() {
-		return fmt.Errorf("warm-started results diverged from the cold run — determinism bug")
-	}
-
-	fmt.Fprintf(w, "BenchmarkWarmStartFig18/mode=cold/warmup=%d \t1\t%d ns/op\n",
-		cycles, coldDur.Nanoseconds())
-	fmt.Fprintf(w, "BenchmarkWarmStartFig18/mode=warm/warmup=%d \t1\t%d ns/op\t%.3f speedup\t%d warm_starts\n",
-		cycles, warmDur.Nanoseconds(), float64(coldDur)/float64(warmDur), warmRunner.WarmStarts())
-	return nil
 }
 
 // metricKey normalizes a `go test -bench` unit to a JSON-friendly key.

@@ -15,8 +15,6 @@
 //	GET  /metrics           serving metrics as Prometheus text
 //	POST /v1/jobs           run a job; blocks until the result is ready
 //	POST /v1/jobs?async=1   202 + job id immediately; poll GET /v1/jobs/{id}
-//	GET  /v1/checkpoints/{key}  raw warmup checkpoint image (with -ckpt-store)
-//	PUT  /v1/checkpoints/{key}  seed a checkpoint image (with -ckpt-store)
 //	GET  /debug/pprof/      runtime profiles (only with -pprof)
 //
 // Logs are structured (log/slog): -log-format picks text or json, -log-level
@@ -99,7 +97,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		store     = flag.String("store", "fpbd-store", "persistent result store directory (empty = no persistence)")
-		ckptStore = flag.String("ckpt-store", "", "warmup checkpoint store directory (empty = no warm-starting); jobs declaring warmup_cycles then share each warmup prefix's simulation")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "job queue depth; a full queue answers 429")
 		drain     = flag.Duration("drain-timeout", 2*time.Minute, "max time to drain in-flight jobs at shutdown")
@@ -156,12 +153,11 @@ func main() {
 
 	node, err := cluster.NewNode(cluster.NodeConfig{
 		Serve: serve.Config{
-			Workers:       *workers,
-			QueueDepth:    *queue,
-			StoreDir:      *store,
-			CheckpointDir: *ckptStore,
-			Logger:        log,
-			EnablePprof:   *pprofFlag,
+			Workers:     *workers,
+			QueueDepth:  *queue,
+			StoreDir:    *store,
+			Logger:      log,
+			EnablePprof: *pprofFlag,
 		},
 		Self:            *advertise,
 		Peers:           peerList,
@@ -219,9 +215,8 @@ func main() {
 	hits, _ := reg.Value("serve.cache.hits")
 	coalesced, _ := reg.Value("serve.jobs.coalesced")
 	rejected, _ := reg.Value("serve.jobs.rejected")
-	warms, _ := reg.Value("serve.jobs.warm_starts")
 	log.Info("exit",
 		"jobs_done", int(done), "jobs_failed", int(failed),
 		"cache_hits", int(hits), "coalesced", int(coalesced),
-		"rejected", int(rejected), "warm_starts", int(warms))
+		"rejected", int(rejected))
 }

@@ -13,11 +13,6 @@
 // to a shared fpbd daemon, so repeated figure regenerations become cache
 // hits against its persistent result store (see cmd/fpbd).
 //
-// -warmup N prepends a shared warmup phase to every simulation (optionally
-// under -warmup-scheme), and -checkpoint-dir makes grid points sharing a
-// warmup prefix simulate it once and warm-start from the stored barrier
-// image — byte-identically (DESIGN.md §12).
-//
 // Profiling and observability: -pprof serves net/http/pprof, -cpuprofile /
 // -memprofile write whole-run profiles, and -metricsdir dumps one metrics
 // registry JSON per simulated (config, workload) pair.
@@ -35,11 +30,9 @@ import (
 	"strings"
 	"time"
 
-	"fpb/internal/ckpt"
 	"fpb/internal/exp"
 	"fpb/internal/obs"
 	"fpb/internal/serve/client"
-	"fpb/internal/sim"
 )
 
 func main() {
@@ -53,10 +46,6 @@ func main() {
 		bars      = flag.Bool("bars", false, "also render each result column as an ASCII bar chart")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS); with -remote, in-flight requests")
 		remote    = flag.String("remote", "", "offload simulations to fpbd daemon(s) at these comma-separated addresses; several addresses form a failover fleet")
-
-		warmup       = flag.Uint64("warmup", 0, "run N warmup cycles before measurement in every simulation (0 = off)")
-		warmupScheme = flag.String("warmup-scheme", "", "scheme the shared warmup phase runs under (requires -warmup)")
-		ckptDir      = flag.String("checkpoint-dir", "", "warm-start simulations sharing a warmup prefix from checkpoints in this directory (requires -warmup)")
 
 		runStats   = flag.Bool("runstats", false, "dump run telemetry (sims, retries, backend latency) to stderr at exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -108,38 +97,7 @@ func main() {
 		return
 	}
 
-	if *warmupScheme != "" && *warmup == 0 {
-		fmt.Fprintln(os.Stderr, "fpbexp: -warmup-scheme is only meaningful with -warmup N (N > 0 warmup cycles)")
-		os.Exit(1)
-	}
-	if *ckptDir != "" && *warmup == 0 {
-		fmt.Fprintln(os.Stderr, "fpbexp: -checkpoint-dir is only meaningful with -warmup N (N > 0 warmup cycles): checkpoints capture the warmup prefix")
-		os.Exit(1)
-	}
-	if *ckptDir != "" && *remote != "" {
-		fmt.Fprintln(os.Stderr, "fpbexp: -checkpoint-dir is a local store; for remote runs configure each daemon's store with fpbd -ckpt-store")
-		os.Exit(1)
-	}
-	if *ckptDir != "" {
-		// Fail fast on an unusable store path: exp.NewRunner would only
-		// warn and silently run everything cold.
-		if _, err := ckpt.NewStore(*ckptDir); err != nil {
-			fmt.Fprintf(os.Stderr, "fpbexp: -checkpoint-dir: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	opt := exp.Options{
-		InstrPerCore: *instr, MetricsDir: *metricsDir, Workers: *workers,
-		WarmupCycles: *warmup, CheckpointDir: *ckptDir,
-	}
-	if *warmupScheme != "" {
-		ws, err := sim.ParseScheme(*warmupScheme)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fpbexp: -warmup-scheme:", err)
-			os.Exit(1)
-		}
-		opt.WarmupScheme = ws
-	}
+	opt := exp.Options{InstrPerCore: *instr, MetricsDir: *metricsDir, Workers: *workers}
 	if *workloads != "" {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}

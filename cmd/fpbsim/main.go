@@ -7,13 +7,6 @@
 //	fpbsim -workload lbm_m -scheme dimm+chip -mapping vim -gcpeff 0.5
 //	fpbsim -workload mcf_m -scheme fpb -trace out.trace -metrics out.json -probe-interval 10000
 //	fpbsim -workload mcf_m -scheme fpb -remote localhost:8080
-//	fpbsim -workload mcf_m -scheme fpb -warmup 2000000 -checkpoint-dir /tmp/fpb-ckpt
-//
-// With -warmup N the run simulates N cycles under the warmup scheme before
-// measurement begins (a declared part of the configuration — results include
-// it). Adding -checkpoint-dir stores the quiesced post-warmup state so later
-// runs sharing the same warmup prefix restore it instead of re-simulating;
-// either way the results are byte-identical.
 //
 // With -remote the run is offloaded to a shared fpbd daemon (see cmd/fpbd
 // and README "Serving"): identical requests are answered from its persistent
@@ -41,7 +34,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"fpb/internal/ckpt"
 	"fpb/internal/obs"
 	"fpb/internal/serve"
 	"fpb/internal/serve/client"
@@ -73,10 +65,6 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
 		traceDir = flag.String("tracedir", "", "replay per-core trace files <dir>/<workload>.coreN.trace instead of generating")
 		remote   = flag.String("remote", "", "offload the run to an fpbd daemon at this address (host:port)")
-
-		warmup       = flag.Uint64("warmup", 0, "run N warmup cycles before measurement (0 = off; part of the declared config)")
-		warmupScheme = flag.String("warmup-scheme", "", "scheme the warmup phase runs under (default: the config default; requires -warmup)")
-		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint the warmup prefix here and warm-start repeat runs (requires -warmup)")
 
 		traceOut      = flag.String("trace", "", "write Chrome trace_event JSON to this file")
 		traceJSONL    = flag.String("trace-jsonl", "", "write the raw JSONL event stream to this file")
@@ -112,33 +100,8 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *warmupScheme != "" && *warmup == 0 {
-		fail("-warmup-scheme is only meaningful with -warmup N (N > 0 warmup cycles)")
-	}
-	if *ckptDir != "" && *warmup == 0 {
-		fail("-checkpoint-dir is only meaningful with -warmup N (N > 0 warmup cycles): checkpoints capture the warmup prefix")
-	}
-	cfg.WarmupCycles = *warmup
-	if *warmupScheme != "" {
-		ws, err := sim.ParseScheme(*warmupScheme)
-		if err != nil {
-			fail("-warmup-scheme: %v", err)
-		}
-		cfg.WarmupScheme = ws
-	}
 	if err := cfg.Validate(); err != nil {
 		fail("%v", err)
-	}
-	if *ckptDir != "" {
-		if *traceDir != "" {
-			fail("-checkpoint-dir cannot combine with -tracedir: trace-replay state is not checkpointable")
-		}
-		if *remote != "" {
-			fail("-checkpoint-dir is a local store; for remote runs configure the daemon's store with fpbd -ckpt-store")
-		}
-		if *traceOut != "" || *traceJSONL != "" || *probeInterval > 0 {
-			fail("-trace/-trace-jsonl/-probe-interval cannot combine with -checkpoint-dir (the warm-start path has no trace attach point)")
-		}
 	}
 
 	if *remote != "" {
@@ -163,30 +126,6 @@ func main() {
 			}
 		}
 		fmt.Printf("remote              %s (job %s, cached %v)\n", *remote, st.ID, st.Cached)
-		printResult(res, cfg, m, *gcpEff, *wc, *wp)
-		return
-	}
-
-	if *ckptDir != "" {
-		store, err := ckpt.NewStore(*ckptDir)
-		if err != nil {
-			fail("opening checkpoint store: %v", err)
-		}
-		res, warmed, err := system.RunWorkloadCheckpointed(cfg, *wl, store)
-		if err != nil {
-			fail("%v", err)
-		}
-		res.Workload = *wl
-		if *metricsOut != "" {
-			if err := writeMetricsFile(*metricsOut, res.Metrics); err != nil {
-				fail("writing metrics: %v", err)
-			}
-		}
-		if warmed {
-			fmt.Printf("warm start          restored %d warmup cycles from %s\n", *warmup, *ckptDir)
-		} else {
-			fmt.Printf("warm start          simulated warmup cold, checkpointed to %s\n", *ckptDir)
-		}
 		printResult(res, cfg, m, *gcpEff, *wc, *wp)
 		return
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"unsafe"
 
 	"fpb/internal/sim"
@@ -79,6 +81,29 @@ func (h *Hierarchy) Release() {
 // Clone copies and a snapshot of it keeps resident.
 func (h *Hierarchy) MetaBytes() int {
 	return (len(h.l1.meta) + len(h.l2.meta) + len(h.l3.meta)) * int(unsafe.Sizeof(way{}))
+}
+
+// Digest returns the SHA-256 of everything a Clone copies: per level, the
+// line size, associativity, set count, LRU tick and hit/miss counters, then
+// every way's tag and metadata word, all little-endian. Equal digests mean
+// equal cache state; golden tests pin prefill with it.
+func (h *Hierarchy) Digest() [sha256.Size]byte {
+	d := sha256.New()
+	var buf []byte
+	for _, c := range []*Cache{h.l1, h.l2, h.l3} {
+		buf = buf[:0]
+		for _, v := range []uint64{uint64(c.lineB), uint64(c.ways), uint64(c.sets), c.tick, c.hits, c.misses} {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		for _, w := range c.meta {
+			buf = binary.LittleEndian.AppendUint64(buf, w.tag)
+			buf = binary.LittleEndian.AppendUint64(buf, w.meta)
+		}
+		d.Write(buf)
+	}
+	var sum [sha256.Size]byte
+	d.Sum(sum[:0])
+	return sum
 }
 
 // L1 returns the L1 cache (tests and telemetry).

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fpb/internal/obs"
 	"fpb/internal/serve"
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -49,11 +47,10 @@ func startFleet(t *testing.T, n int, simulate func(node int) serve.SimulateFunc)
 		}
 		cfg := NodeConfig{
 			Serve: serve.Config{
-				Workers:       2,
-				QueueDepth:    64,
-				StoreDir:      t.TempDir(),
-				CheckpointDir: t.TempDir(),
-				RetryAfter:    50 * time.Millisecond,
+				Workers:    2,
+				QueueDepth: 64,
+				StoreDir:   t.TempDir(),
+				RetryAfter: 50 * time.Millisecond,
 			},
 			Self:     h.addrs[i],
 			Peers:    peers,
@@ -438,6 +435,14 @@ func TestNodeEndpoints(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A removed field is refused, not ignored.
+	resp, _ = http.Post(addr+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"schemes":["fpb"],"workloads":["mcf_m"],"warmup_cycles":1000}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("warmup_cycles: %s", resp.Status)
+	}
+	resp.Body.Close()
+
 	// Unknown sweep id.
 	resp, _ = http.Get(addr + "/v1/sweeps/s999999")
 	if resp.StatusCode != http.StatusNotFound {
@@ -510,75 +515,6 @@ func TestSweepCancel(t *testing.T) {
 		// Cancelled is expected; Done is a benign race when the release
 		// beats the cancellation into the workers.
 		t.Fatalf("state after cancel: %s", final.State)
-	}
-}
-
-// TestSweepWarmStartSingleNode runs a real warm sweep on a one-node fleet:
-// three schemes share one warmup prefix, so the node simulates the warmup
-// once, warm-starts the other two units, and every result is byte-identical
-// to a cold in-process run of the same declared config.
-func TestSweepWarmStartSingleNode(t *testing.T) {
-	h := startFleet(t, 1, nil)
-	defer h.stop(nil)
-
-	spec := SweepSpec{
-		Schemes:        []string{"dimm+chip", "gcp", "fpb"},
-		Workloads:      []string{"mcf_m"},
-		InstrPerCore:   3000,
-		WarmupCycles:   40_000,
-		WarmupScheme:   "dimm+chip",
-		IncludeResults: true,
-	}
-	st := postSweep(t, h.addrs[0], spec, true)
-	if st.State != SweepDone || st.Completed != 3 {
-		t.Fatalf("sweep: state %s completed %d/%d err %q", st.State, st.Completed, st.Total, st.Error)
-	}
-	for _, jo := range st.Jobs {
-		js := serve.JobSpec{
-			Workload:     jo.Workload,
-			Scheme:       jo.Scheme,
-			InstrPerCore: spec.InstrPerCore,
-			WarmupCycles: spec.WarmupCycles,
-			WarmupScheme: spec.WarmupScheme,
-		}
-		cfg, wl, err := js.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := system.RunWorkload(cfg, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Workload = wl
-		got, err := json.Marshal(jo.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, cold) {
-			t.Errorf("scheme %s: swept result differs from cold run", jo.Scheme)
-		}
-	}
-
-	// The node warm-started every unit after the first.
-	resp, err := http.Get(h.addrs[0] + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := obs.ParsePrometheus(string(body))
-	if m["serve_jobs_warm_starts"] != 2 {
-		t.Errorf("warm_starts = %v, want 2", m["serve_jobs_warm_starts"])
-	}
-	if m["serve_ckpt_entries"] != 1 {
-		t.Errorf("ckpt.entries = %v, want 1 (one shared prefix)", m["serve_ckpt_entries"])
 	}
 }
 

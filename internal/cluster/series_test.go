@@ -76,11 +76,10 @@ func documentedSeries(t *testing.T) map[string]seriesDoc {
 // text, and every row names a registered series. The per-member counter is
 // documented once with a {node} placeholder.
 func TestSeriesTableMatchesDesign(t *testing.T) {
-	// A node with both stores registers the optional store gauges too.
+	// A node with a store registers the optional store gauge too.
 	node, err := NewNode(NodeConfig{Serve: serve.Config{
-		Workers:       1,
-		StoreDir:      t.TempDir(),
-		CheckpointDir: t.TempDir(),
+		Workers:  1,
+		StoreDir: t.TempDir(),
 	}})
 	if err != nil {
 		t.Fatal(err)

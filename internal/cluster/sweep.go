@@ -51,13 +51,6 @@ type SweepSpec struct {
 	// Seed / InstrPerCore override the base config when non-zero.
 	Seed         uint64 `json:"seed,omitempty"`
 	InstrPerCore uint64 `json:"instr_per_core,omitempty"`
-	// WarmupCycles declares a shared warmup phase for every unit (non-zero;
-	// sim.Config.WarmupCycles). Units landing on the same node then simulate
-	// their common warmup prefix once and warm-start from its checkpoint —
-	// results stay byte-identical to cold runs.
-	WarmupCycles uint64 `json:"warmup_cycles,omitempty"`
-	// WarmupScheme names the scheme the warmup phase runs under.
-	WarmupScheme string `json:"warmup_scheme,omitempty"`
 	// IncludeResults carries every unit's full Result in the sweep status.
 	// Meant for small sweeps and tests; large sweeps should read results
 	// from the stores via GET /v1/results/{key}.
@@ -102,8 +95,6 @@ func (s SweepSpec) Expand() ([]Unit, error) {
 					Mapping:      mapping,
 					Seed:         s.Seed,
 					InstrPerCore: s.InstrPerCore,
-					WarmupCycles: s.WarmupCycles,
-					WarmupScheme: s.WarmupScheme,
 				}
 				cfg, _, err := spec.Resolve()
 				if err != nil {

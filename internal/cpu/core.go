@@ -31,14 +31,6 @@ type Core struct {
 	finishCycle  sim.Cycle
 	onFinish     func(*Core)
 
-	// Warmup-barrier state. When a run has a warmup phase the core executes
-	// with measuring=false and no instruction budget until the clock reaches
-	// pauseAt, then parks at the next instruction boundary without scheduling
-	// further events. ResumeMeasurement un-parks it into the measured phase.
-	pauseAt   sim.Cycle
-	parked    bool
-	measuring bool
-
 	// Per-core memory telemetry for PKI calibration.
 	demandReads uint64
 	memWrites   uint64
@@ -69,7 +61,6 @@ func New(id int, eng *sim.Engine, cfg *sim.Config, hier *cache.Hierarchy,
 	c := &Core{
 		ID: id, eng: eng, cfg: cfg, hier: hier, src: src, mut: mut, mc: mc,
 		budget: cfg.InstrPerCore, onFinish: onFinish,
-		pauseAt: sim.MaxCycle, measuring: true,
 	}
 	c.drainFn = c.drainWritebacks
 	c.issueFn = c.issueDemandRead
@@ -79,45 +70,6 @@ func New(id int, eng *sim.Engine, cfg *sim.Config, hier *cache.Hierarchy,
 
 // Start begins execution at the current cycle.
 func (c *Core) Start() { c.step() }
-
-// SetBarrier arms a warmup barrier: the core runs unmeasured (no instruction
-// budget, no retirement counting toward the Result) and parks at the first
-// instruction boundary at or after cycle at. Must be called before Start.
-func (c *Core) SetBarrier(at sim.Cycle) {
-	c.pauseAt = at
-	c.measuring = false
-}
-
-// Parked reports whether the core is stopped at the warmup barrier.
-func (c *Core) Parked() bool { return c.parked }
-
-// RestoreParked marks a freshly built core as already sitting at the quiesce
-// barrier, for the checkpoint-restore path: the core must not be Started;
-// ResumeMeasurement launches it directly into the measured phase.
-func (c *Core) RestoreParked() {
-	c.parked = true
-	c.measuring = false
-}
-
-// ResumeMeasurement un-parks the core into the measured phase: measurement
-// counters reset to zero, the instruction budget is re-read from the config
-// (which the barrier sequence rebinds to the measurement config), and the
-// core takes its first measured step at the current cycle. Cores must be
-// resumed in ID order so event sequence numbers match the cold run.
-func (c *Core) ResumeMeasurement() {
-	if c.finished {
-		return
-	}
-	c.parked = false
-	c.measuring = true
-	c.pauseAt = sim.MaxCycle
-	c.instrRetired = 0
-	c.demandReads = 0
-	c.memWrites = 0
-	c.hier.ResetStats()
-	c.budget = c.cfg.InstrPerCore
-	c.step()
-}
 
 // Hierarchy returns the core's private cache hierarchy.
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
@@ -140,13 +92,7 @@ func (c *Core) step() {
 	if c.finished {
 		return
 	}
-	if !c.measuring && c.eng.Now() >= c.pauseAt {
-		// Warmup barrier: park at this instruction boundary. No event is
-		// scheduled, so the queue drains and the system can quiesce.
-		c.parked = true
-		return
-	}
-	if c.measuring && c.instrRetired >= c.budget {
+	if c.instrRetired >= c.budget {
 		c.finish()
 		return
 	}

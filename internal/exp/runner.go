@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"fpb/internal/ckpt"
 	"fpb/internal/obs"
 	"fpb/internal/sim"
 	"fpb/internal/stats"
@@ -46,7 +44,7 @@ type Options struct {
 	Workloads []string
 	// MetricsDir, when non-empty, receives one metrics-registry JSON dump
 	// per simulated (config, workload) pair. Filenames are deterministic:
-	// <workload>_<scheme>_<fnv64a of the config>.json.
+	// <workload>_<scheme>_<first 16 hex digits of system.Key>.json.
 	MetricsDir string
 	// Workers bounds Prewarm's simulation parallelism (default:
 	// GOMAXPROCS). With a remote Backend it bounds in-flight requests
@@ -54,21 +52,6 @@ type Options struct {
 	Workers int
 	// Backend overrides how simulations run; nil means in-process.
 	Backend Backend
-	// WarmupCycles/WarmupScheme declare a warmup phase on BaseConfig
-	// (sim.Config.WarmupCycles/WarmupScheme): every simulation runs that
-	// many cycles under the warmup scheme before measurement begins. They
-	// are applied to the base config, so every figure variant shares the
-	// declaration — which is what makes their warmup prefixes shared. Zero
-	// disables warmup.
-	WarmupCycles uint64
-	WarmupScheme sim.Scheme
-	// CheckpointDir, when non-empty, warm-starts in-process simulations:
-	// each distinct warmup prefix (system.CheckpointKey) is simulated once,
-	// checkpointed at the measurement barrier into this directory, and every
-	// later grid point sharing the prefix restores the image instead of
-	// re-running warmup. Results are bit-identical either way. Ignored with
-	// a remote Backend (the daemon keeps its own store).
-	CheckpointDir string
 	// Metrics, when non-nil, receives the runner's execution telemetry:
 	// simulations run, backend retries/failures, and backend latency.
 	// These describe how an experiment batch executed, never its figures.
@@ -103,15 +86,12 @@ type Experiment struct {
 // share one simulation instead of duplicating it.
 type Runner struct {
 	opt   Options
-	store *ckpt.Store // warm-start checkpoint store; nil disables
 	mu    sync.Mutex
 	cache map[key]*entry
 	sims  uint64 // simulations actually executed (not served from cache)
-	warms uint64 // executed simulations that warm-started from a checkpoint
 
 	// Telemetry (nil-safe no-ops without Options.Metrics).
 	cSims      *obs.Counter
-	cWarms     *obs.Counter
 	cRetries   *obs.Counter
 	cFailures  *obs.Counter
 	hBackendMs *obs.Histogram
@@ -143,22 +123,12 @@ func NewRunner(opt Options) *Runner {
 		}
 	}
 	r := &Runner{opt: opt, cache: make(map[key]*entry)}
-	if opt.CheckpointDir != "" {
-		st, err := ckpt.NewStore(opt.CheckpointDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "exp: checkpoint store disabled: %v\n", err)
-		} else {
-			r.store = st
-		}
-	}
 	if reg := opt.Metrics; reg != nil {
 		r.cSims = reg.Counter("exp.sims")
-		r.cWarms = reg.Counter("exp.warm_starts")
 		r.cRetries = reg.Counter("exp.backend.retries")
 		r.cFailures = reg.Counter("exp.backend.failures")
 		r.hBackendMs = reg.Histogram("exp.backend_ms", obs.LatencyBucketsMs)
 		reg.SetHelp("exp.sims", "simulations executed (memoization misses)")
-		reg.SetHelp("exp.warm_starts", "executed simulations restored from a warmup checkpoint")
 		reg.SetHelp("exp.backend.retries", "backend calls retried after a transient failure")
 		reg.SetHelp("exp.backend.failures", "simulations that failed even after the retry")
 		reg.SetHelp("exp.backend_ms", "backend call latency per fresh simulation (ms)")
@@ -173,8 +143,6 @@ func (r *Runner) Opt() Options { return r.opt }
 func (r *Runner) BaseConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.InstrPerCore = r.opt.InstrPerCore
-	cfg.WarmupCycles = r.opt.WarmupCycles
-	cfg.WarmupScheme = r.opt.WarmupScheme
 	return cfg
 }
 
@@ -198,20 +166,7 @@ func (r *Runner) Run(cfg sim.Config, wl string) (system.Result, error) {
 	e.once.Do(func() {
 		run := r.opt.Backend
 		if run == nil {
-			// In-process default: route through the checkpoint store, so
-			// grid points sharing a warmup prefix simulate it once. The
-			// store's claim/wait protocol coordinates concurrent Prewarm
-			// workers; with a nil store this is plain RunWorkload.
-			run = func(cfg sim.Config, wl string) (system.Result, error) {
-				res, warmed, err := system.RunWorkloadCheckpointed(cfg, wl, r.store)
-				if warmed {
-					r.cWarms.Inc()
-					r.mu.Lock()
-					r.warms++
-					r.mu.Unlock()
-				}
-				return res, err
-			}
+			run = system.RunWorkload
 		}
 		start := time.Now()
 		res, err := run(cfg, wl)
@@ -243,27 +198,19 @@ func (r *Runner) Simulations() uint64 {
 	return r.sims
 }
 
-// WarmStarts reports how many executed simulations restored their warmup
-// phase from a checkpoint instead of simulating it.
-func (r *Runner) WarmStarts() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.warms
-}
-
 // dumpMetrics writes one metrics-registry snapshot per fresh simulation to
-// Options.MetricsDir. The filename hashes the full config so every distinct
-// variant of a workload gets its own stable file across runs. Dump failures
-// don't abort the experiment; they are reported once per file on stderr.
+// Options.MetricsDir. The filename carries the simulation's system.Key
+// prefix, so every distinct variant of a workload gets its own stable file
+// across runs, named by the same content address the result stores use.
+// Dump failures don't abort the experiment; they are reported once per file
+// on stderr.
 func (r *Runner) dumpMetrics(cfg sim.Config, wl string, res system.Result) {
 	if r.opt.MetricsDir == "" || len(res.Metrics) == 0 {
 		return
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cfg)
 	scheme := strings.NewReplacer("+", "-", "/", "-", " ", "-").Replace(res.Scheme)
 	path := filepath.Join(r.opt.MetricsDir,
-		fmt.Sprintf("%s_%s_%016x.json", wl, scheme, h.Sum64()))
+		fmt.Sprintf("%s_%s_%s.json", wl, scheme, system.Key(cfg, wl)[:16]))
 	f, err := os.Create(path)
 	if err == nil {
 		err = obs.EncodeSeries(f, res.Metrics)

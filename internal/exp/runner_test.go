@@ -2,6 +2,8 @@ package exp
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -238,49 +240,23 @@ func TestPrewarmDispatchNotBlockedBySlowSimulations(t *testing.T) {
 	}
 }
 
-// TestRunnerWarmStartSweep is the end-to-end warm-start contract at the
-// experiment layer: a sweep of schemes sharing one warmup prefix simulates
-// the prefix exactly once, warm-starts everything else, and produces tables
-// identical to a checkpoint-free runner's.
-func TestRunnerWarmStartSweep(t *testing.T) {
-	mk := func(dir string) *Runner {
-		return NewRunner(Options{
-			InstrPerCore:  3000,
-			Workloads:     []string{"mcf_m"},
-			WarmupCycles:  40_000,
-			CheckpointDir: dir,
-		})
-	}
-	norm := Variant{Label: "DIMM+chip", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMChip }}
-	variants := []Variant{
-		{Label: "GCP", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCP }},
-		{Label: "GCP+IPM", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCPIPM }},
-		{Label: "FPB", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeGCPIPMMR }},
-	}
-
-	warm := mk(t.TempDir())
-	got, err := warm.SpeedupTable("t", norm, variants)
-	if err != nil {
+// TestMetricsDumpNamedBySystemKey: a metrics dump is named by the same
+// content address the result stores use, so the name of a run's dump is
+// stable across runs and changes exactly when its system.Key does.
+func TestMetricsDumpNamedBySystemKey(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRunner(Options{
+		MetricsDir: dir,
+		Backend: func(cfg sim.Config, wl string) (system.Result, error) {
+			return system.Result{Workload: wl, Scheme: cfg.Scheme.String(), Metrics: map[string]float64{"sim.cycle": 1}}, nil
+		},
+	})
+	if _, err := r.Run(sim.DefaultConfig(), "mcf_m"); err != nil {
 		t.Fatal(err)
 	}
-	if sims := warm.Simulations(); sims != 4 {
-		t.Fatalf("sweep ran %d simulations, want 4", sims)
-	}
-	// Exactly one grid point (the checkpoint producer) ran the warmup
-	// phase; the other three restored it.
-	if ws := warm.WarmStarts(); ws != 3 {
-		t.Errorf("WarmStarts() = %d, want 3", ws)
-	}
-
-	cold := mk("")
-	want, err := cold.SpeedupTable("t", norm, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.WarmStarts() != 0 {
-		t.Errorf("checkpoint-free runner reported warm starts")
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("warm-started sweep table differs from cold sweep table:\n cold: %+v\n warm: %+v", want, got)
+	want := filepath.Join(dir, "mcf_m_DIMM-chip_97b3b7f7c0bba693.json")
+	if _, err := os.Stat(want); err != nil {
+		names, _ := filepath.Glob(filepath.Join(dir, "*"))
+		t.Fatalf("dump %s missing (%v); dir holds %v", want, err, names)
 	}
 }

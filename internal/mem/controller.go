@@ -150,12 +150,16 @@ func NewController(eng *sim.Engine, cfg *sim.Config, baseline BaselineFunc) *Con
 		writeLatHist: obs.NewHistogramBuckets(latBounds),
 	}
 	c.mapTab = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
-	// The rotator — and its Derive(2) stream — is created unconditionally so
-	// the controller consumes the root RNG the same way under every policy
-	// config: a warmup build (PWL pinned off) and a measurement build must
-	// leave the derivation sequence aligned for checkpoint restore. PWL
-	// gates the rotator's effect through ShiftEvery (0 disables rotation).
-	c.rot = mapping.NewRotator(cfg.CellsPerLine(), rotShiftEvery(cfg), rng.Derive(2))
+	// The rotator — and its Derive(2) stream — is created under every
+	// config, PWL on or off, so the controller derives its streams in one
+	// fixed order: the order the golden result pins were recorded with.
+	// PWL gates the rotator's effect through ShiftEvery (0 disables
+	// rotation).
+	shiftEvery := 0
+	if cfg.PWL {
+		shiftEvery = cfg.PWLShiftWrites
+	}
+	c.rot = mapping.NewRotator(cfg.CellsPerLine(), shiftEvery, rng.Derive(2))
 	if baseline == nil {
 		c.baseline = func(uint64, int) []byte { return nil } // all zeros
 	}

@@ -85,19 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Reset zeroes every bucket, the count, and the sum, keeping the bucket
-// layout (the warmup-barrier stats reset).
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // Count reports the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -89,16 +89,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Reset zeroes the counter — the one sanctioned break from monotonicity,
-// used by the warmup-barrier stats reset so measurement counts start from
-// zero on both the cold and the restored path.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	c.v.Store(0)
-}
-
 // metric is one registered series.
 type metric struct {
 	kind Kind
@@ -286,28 +276,6 @@ func (r *Registry) HistogramSnapshots() []NamedHistogram {
 		out[i] = NamedHistogram{Name: n, Snapshot: hs[i].Snapshot()}
 	}
 	return out
-}
-
-// ResetMeasurement zeroes every registered counter and histogram. Gauges read live component state and are untouched. Called by the
-// warmup-barrier sequence so measurement statistics start from zero whether
-// the barrier was reached by simulation or by checkpoint restore.
-func (r *Registry) ResetMeasurement() {
-	r.mu.Lock()
-	cs := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		cs = append(cs, c)
-	}
-	hs := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hs = append(hs, h)
-	}
-	r.mu.Unlock()
-	for _, c := range cs {
-		c.Reset()
-	}
-	for _, h := range hs {
-		h.Reset()
-	}
 }
 
 // NamedHistogram pairs a histogram snapshot with its registered name.

@@ -26,19 +26,6 @@ func NewPool(cap float64) *Pool {
 // Cap returns the pool capacity.
 func (p *Pool) Cap() float64 { return p.cap }
 
-// Reset re-sizes the pool in place to a new capacity, full. It panics if any
-// tokens are in use: resizing is only legal at a quiesce barrier, when every
-// grant has been released. In-place mutation matters — observability gauges
-// bind method values to the pool instance, so the instance must survive a
-// reconfiguration.
-func (p *Pool) Reset(cap float64) {
-	if p.InUse() > epsilon {
-		panic(fmt.Sprintf("power: resetting pool with %.6f tokens in use", p.InUse()))
-	}
-	p.cap = cap
-	p.avail = cap
-}
-
 // Available returns the tokens currently free.
 func (p *Pool) Available() float64 { return p.avail }
 

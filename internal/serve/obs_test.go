@@ -133,10 +133,9 @@ func TestJobLifecycleRecord(t *testing.T) {
 // regressions).
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Workers:       1,
-		StoreDir:      t.TempDir(),
-		CheckpointDir: t.TempDir(),
-		Simulate:      func(cfg simCfg, wl string) (sysResult, error) { return fakeResult(cfg, wl), nil },
+		Workers:  1,
+		StoreDir: t.TempDir(),
+		Simulate: func(cfg simCfg, wl string) (sysResult, error) { return fakeResult(cfg, wl), nil },
 	})
 	if code, _ := postJob(t, ts.URL, spec(1), ""); code != http.StatusOK {
 		t.Fatalf("job failed: %d", code)
@@ -196,11 +195,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		for _, name := range []string{
 			"serve_jobs_accepted", "serve_jobs_coalesced", "serve_jobs_rejected",
 			"serve_jobs_done", "serve_jobs_failed", "serve_jobs_records",
-			"serve_jobs_warm_starts", "serve_store_put_errors",
+			"serve_store_put_errors",
 			"serve_cache_hits", "serve_cache_misses",
 			"serve_queue_depth", "serve_queue_capacity",
 			"serve_workers_busy", "serve_workers_total",
-			"serve_store_entries", "serve_ckpt_entries",
+			"serve_store_entries",
 			"serve_job_queue_wait_ms_count", "serve_job_sim_ms_count",
 			"serve_job_store_write_ms_count",
 		} {

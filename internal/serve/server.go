@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"fpb/internal/ckpt"
 	"fpb/internal/obs"
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -33,13 +32,6 @@ type Config struct {
 	// StoreDir roots the persistent result store; empty disables
 	// persistence (results then live only as long as the job records).
 	StoreDir string
-	// CheckpointDir roots the warmup checkpoint store; empty disables
-	// warm-starting. Jobs declaring a warmup phase (WarmupCycles > 0) then
-	// simulate each distinct warmup prefix once, checkpoint it, and restore
-	// it for every later job sharing the prefix — results are byte-identical
-	// either way. The store is also exposed over GET/PUT
-	// /v1/checkpoints/{key} so sweep coordinators can seed sibling nodes.
-	CheckpointDir string
 	// RetryAfter is advertised on 429 responses (default 1s).
 	RetryAfter time.Duration
 	// MaxJobRecords bounds completed job records kept for async polling
@@ -118,8 +110,7 @@ func (j *job) status() JobStatus {
 // http.Handler, stop with Drain.
 type Server struct {
 	cfg   Config
-	store *Store      // nil when persistence is disabled
-	ckpt  *ckpt.Store // nil when warm-starting is disabled
+	store *Store // nil when persistence is disabled
 	reg   *obs.Registry
 	log   *slog.Logger
 	mux   *http.ServeMux
@@ -142,7 +133,6 @@ type Server struct {
 	cDone, cFailed                   *obs.Counter
 	cHits, cMisses                   *obs.Counter
 	cStoreErrors                     *obs.Counter
-	cWarmStarts                      *obs.Counter
 	hQueueWait, hSim, hStore         *obs.Histogram // lifecycle stage histograms, ms
 }
 
@@ -164,25 +154,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = st
 	}
-	if cfg.CheckpointDir != "" {
-		cs, err := ckpt.NewStore(cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		s.ckpt = cs
-	}
 	s.registerMetrics()
 	if s.cfg.Simulate == nil {
-		// Default backend: route through the checkpoint store so jobs
-		// sharing a warmup prefix simulate it once per node. With a nil
-		// store this is plain system.RunWorkload.
-		s.cfg.Simulate = func(cfg sim.Config, wl string) (system.Result, error) {
-			res, warmed, err := system.RunWorkloadCheckpointed(cfg, wl, s.ckpt)
-			if warmed {
-				s.cWarmStarts.Inc()
-			}
-			return res, err
-		}
+		s.cfg.Simulate = system.RunWorkload
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -190,8 +164,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
-	s.mux.HandleFunc("GET /v1/checkpoints/{key}", s.handleCheckpointGet)
-	s.mux.HandleFunc("PUT /v1/checkpoints/{key}", s.handleCheckpointPut)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -218,7 +190,6 @@ func (s *Server) registerMetrics() {
 	s.cHits = s.reg.Counter("serve.cache.hits")
 	s.cMisses = s.reg.Counter("serve.cache.misses")
 	s.cStoreErrors = s.reg.Counter("serve.store.put_errors")
-	s.cWarmStarts = s.reg.Counter("serve.jobs.warm_starts")
 	s.reg.Gauge("serve.queue.depth", func() float64 { return float64(len(s.queue)) })
 	s.reg.Gauge("serve.queue.capacity", func() float64 { return float64(s.cfg.QueueDepth) })
 	s.reg.Gauge("serve.workers.busy", func() float64 { return float64(s.busy) })
@@ -236,7 +207,6 @@ func (s *Server) registerMetrics() {
 		"serve.cache.hits":         "requests answered from the persistent result store",
 		"serve.cache.misses":       "requests that required a fresh simulation",
 		"serve.store.put_errors":   "persistence failures (results degraded to memory-only)",
-		"serve.jobs.warm_starts":   "simulations restored from a warmup checkpoint",
 		"serve.queue.depth":        "jobs waiting for a worker",
 		"serve.queue.capacity":     "queue slots before 429 pushback",
 		"serve.workers.busy":       "workers currently simulating",
@@ -253,13 +223,6 @@ func (s *Server) registerMetrics() {
 		s.reg.Gauge("serve.store.entries", func() float64 { return float64(s.store.Len()) })
 		s.reg.SetHelp("serve.store.entries", "results in the content-addressed store")
 	}
-	if s.ckpt != nil {
-		s.reg.Gauge("serve.ckpt.entries", func() float64 {
-			n, _ := s.ckpt.Len()
-			return float64(n)
-		})
-		s.reg.SetHelp("serve.ckpt.entries", "warmup checkpoint images in the store")
-	}
 }
 
 // Registry exposes the server's metrics registry (e.g. for logging at exit).
@@ -271,10 +234,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // disabled). The cluster layer writes replicated results through it and the
 // /v1/results endpoint reads from it.
 func (s *Server) Store() *Store { return s.store }
-
-// CkptStore exposes the warmup checkpoint store (nil when warm-starting is
-// disabled). The cluster layer seeds sibling nodes through it.
-func (s *Server) CkptStore() *ckpt.Store { return s.ckpt }
 
 // Logger exposes the server's structured logger so embedding layers (the
 // cluster node) log through the same handler and level.
@@ -606,69 +565,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, res)
-}
-
-// handleCheckpointGet serves a raw warmup checkpoint image by its prefix key,
-// from the LOCAL checkpoint store only. A sweep coordinator uses it to copy a
-// warmed image from the node that produced it to siblings about to run grid
-// points sharing the prefix.
-func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if s.ckpt == nil {
-		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "no checkpoint store on this node"})
-		return
-	}
-	if err := ckpt.ValidateKey(key); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	img, ok, err := s.ckpt.Get(key)
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "no checkpoint for key " + key})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(img); err != nil {
-		s.log.Debug("checkpoint send failed", "key", key, "err", err)
-	}
-}
-
-// handleCheckpointPut accepts a raw checkpoint image for a key. The body is
-// validated through ckpt.NewReader before it lands, so a corrupt or truncated
-// upload is rejected instead of poisoning the store; images carry their own
-// integrity trailer, so nothing beyond structural validity is checked here.
-func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if s.ckpt == nil {
-		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "no checkpoint store on this node"})
-		return
-	}
-	if err := ckpt.ValidateKey(key); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	// Images hold whole PCM banks; 1 GiB is far above any real image but
-	// still bounds a hostile upload.
-	img, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading body: " + err.Error()})
-		return
-	}
-	if _, err := ckpt.NewReader(img); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid checkpoint image: " + err.Error()})
-		return
-	}
-	if err := s.ckpt.Put(key, img); err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	s.log.Info("checkpoint stored", "key", key, "bytes", len(img))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -431,6 +432,20 @@ func TestSubmitValidation(t *testing.T) {
 		Workers:  1,
 		Simulate: func(cfg sim.Config, wl string) (system.Result, error) { return fakeResult(cfg, wl), nil },
 	})
+	// A full config that is valid but for the one field under test, so
+	// nothing else in it can be why it is refused.
+	config := func(mutate func(*sim.Config)) string {
+		cfg := sim.DefaultConfig()
+		mutate(&cfg)
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	noWays := config(func(c *sim.Config) { c.L1Ways = 0 })
+	// A config from a release that still had the warmup phase.
+	withWarmup := strings.Replace(config(func(*sim.Config) {}), `,"Seed":`, `,"WarmupCycles":1,"Seed":`, 1)
 	cases := []struct {
 		name string
 		body string
@@ -440,6 +455,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad mapping", `{"workload":"mcf_m","mapping":"zigzag"}`},
 		{"unknown field", `{"workload":"mcf_m","wat":1}`},
 		{"syntax", `{"workload":`},
+		{"zero L1 ways", `{"workload":"mcf_m","config":` + noWays + `}`},
+		{"warmup_cycles", `{"workload":"mcf_m","warmup_cycles":1000}`},
+		{"warmup_scheme", `{"workload":"mcf_m","warmup_scheme":"dimm+chip"}`},
+		{"config.WarmupCycles", `{"workload":"mcf_m","config":` + withWarmup + `}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(tc.body)))

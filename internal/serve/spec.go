@@ -13,8 +13,6 @@
 //	POST /v1/jobs           run a job (blocks until done); ?async=1 returns
 //	                        202 immediately with an id to poll
 //	GET  /v1/jobs/{id}      status/result of a previously submitted job
-//	GET  /v1/checkpoints/{key}  raw warmup checkpoint image from the local store
-//	PUT  /v1/checkpoints/{key}  store a checkpoint image (validated on upload)
 //	GET  /debug/pprof/...   runtime profiles, only when Config.EnablePprof
 //
 // Jobs are identified by system.Key — the SHA-256 of the canonical
@@ -50,13 +48,6 @@ type JobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// InstrPerCore overrides the per-core instruction budget when non-zero.
 	InstrPerCore uint64 `json:"instr_per_core,omitempty"`
-	// WarmupCycles declares a warmup phase when non-zero
-	// (sim.Config.WarmupCycles): the node warm-starts the job from its
-	// checkpoint store when the warmup prefix's image is present.
-	WarmupCycles uint64 `json:"warmup_cycles,omitempty"`
-	// WarmupScheme names the scheme the warmup phase runs under (default:
-	// the config's WarmupScheme, i.e. Ideal for a default config).
-	WarmupScheme string `json:"warmup_scheme,omitempty"`
 }
 
 // Resolve produces the validated (config, workload) pair the spec denotes.
@@ -87,16 +78,6 @@ func (s JobSpec) Resolve() (sim.Config, string, error) {
 	}
 	if s.InstrPerCore != 0 {
 		cfg.InstrPerCore = s.InstrPerCore
-	}
-	if s.WarmupCycles != 0 {
-		cfg.WarmupCycles = s.WarmupCycles
-	}
-	if s.WarmupScheme != "" {
-		ws, err := sim.ParseScheme(s.WarmupScheme)
-		if err != nil {
-			return sim.Config{}, "", fmt.Errorf("serve: job spec: warmup scheme: %w", err)
-		}
-		cfg.WarmupScheme = ws
 	}
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, "", fmt.Errorf("serve: job spec: %w", err)

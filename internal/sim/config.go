@@ -224,24 +224,6 @@ type Config struct {
 	WriteTruncation   bool
 	TruncateTailCells int // WT: truncate when <= this many cells remain (ECC covers them)
 
-	// --- Warmup / checkpointing ---
-	// WarmupCycles > 0 prepends a warmup phase to the run: the system
-	// executes under the warmup configuration (see WarmupConfig) until the
-	// first instruction boundary at or after this cycle, quiesces (cores
-	// parked, memory subsystem drained, event heap empty), resets every
-	// measurement statistic, rebinds to this configuration, and only then
-	// starts counting the per-core instruction budget. The warmup phase is
-	// a declared model parameter: it changes the measured Result (caches
-	// and the PCM array are warm), and two runs that agree on WarmupCycles
-	// and WarmupScheme are bit-identical whether or not a checkpoint was
-	// taken at the boundary. 0 (default) disables warmup.
-	WarmupCycles uint64
-	// WarmupScheme is the power scheme the warmup phase runs under. It is
-	// deliberately separate from Scheme so that a sweep over schemes (or
-	// mappings, WC/WP/WT flags, ...) shares one warmup prefix — and
-	// therefore one checkpoint image. Ignored when WarmupCycles is 0.
-	WarmupScheme Scheme
-
 	// --- Misc ---
 	Seed uint64
 }
@@ -367,36 +349,23 @@ func (c *Config) Validate() error {
 	if _, ok := schemeNames[c.Scheme]; !ok {
 		return fmt.Errorf("config: unknown Scheme %d", int(c.Scheme))
 	}
-	if _, ok := schemeNames[c.WarmupScheme]; !ok {
-		return fmt.Errorf("config: unknown WarmupScheme %d", int(c.WarmupScheme))
+	for _, l := range []struct {
+		name             string
+		bytes, line, way int
+	}{
+		{"L1", c.L1SizeKB * 1024, c.L1LineB, c.L1Ways},
+		{"L2", c.L2SizeKB * 1024, c.L2LineB, c.L2Ways},
+		{"L3", c.L3SizeMB * 1024 * 1024, c.L3LineB, c.L3Ways},
+	} {
+		switch {
+		case l.bytes <= 0 || l.way <= 0:
+			return fmt.Errorf("config: %s size (%d B) and ways (%d) must be positive", l.name, l.bytes, l.way)
+		case l.bytes/l.line/l.way < 1: // two divisions: line*way may overflow
+			return fmt.Errorf("config: %s of %d B holds less than one %d-way set of %d B lines",
+				l.name, l.bytes, l.way, l.line)
+		}
 	}
 	return nil
-}
-
-// WarmupConfig derives the configuration the warmup phase runs under: the
-// same machine structure and workload-visible parameters, with every policy
-// dimension a sweep typically varies pinned to the declared warmup scheme's
-// canonical value. Pinning is what makes warmup prefixes *shared*: grid
-// points that differ only in Scheme, CellMapping, Multi-RESET, WC/WP/WT,
-// PWL, half-stripe or queue scheduling all map to the same warmup config —
-// and therefore to the same checkpoint key (system.CheckpointKey).
-// Structural fields (cores, cache geometry, banks/chips, timings, power
-// scalars, seed) pass through: changing them changes the warm state.
-func (c Config) WarmupConfig() Config {
-	w := c
-	w.Scheme = c.WarmupScheme
-	w.CellMapping = MapNaive
-	w.MultiResetSplit = 0
-	w.MultiResetAlways = false
-	w.HalfStripe = false
-	w.PWL = false
-	w.PWLShiftWrites = 0
-	w.WriteQueueSched = 0
-	w.WriteCancellation = false
-	w.WritePausing = false
-	w.WriteTruncation = false
-	w.TruncateTailCells = 0
-	return w
 }
 
 // UsesGCP reports whether the scheme employs the global charge pump.

@@ -11,14 +11,10 @@ package sim
 
 import (
 	"fmt"
-	"math"
 )
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle uint64
-
-// MaxCycle is the largest representable cycle; used as "never".
-const MaxCycle = Cycle(math.MaxUint64)
 
 // Event is a scheduled callback. The callback runs exactly once, at the
 // cycle it was scheduled for, unless cancelled first.
@@ -184,27 +180,6 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancel = true
-}
-
-// Clock snapshots the engine's scheduling state — current cycle, next
-// sequence number, and events run — for checkpointing at a quiesce barrier.
-func (e *Engine) Clock() (now Cycle, seq, ran uint64) {
-	return e.now, e.seq, e.ran
-}
-
-// RestoreClock positions an empty engine at a checkpointed clock state.
-// Restoring seq is what keeps post-restore event ordering bit-identical to
-// the uninterrupted run: the first event scheduled after the barrier gets
-// the same (when, seq) key on both paths. It panics with pending events —
-// the checkpoint format only captures quiesced systems (see internal/ckpt).
-func (e *Engine) RestoreClock(now Cycle, seq, ran uint64) {
-	if e.Pending() != 0 {
-		panic("sim: RestoreClock on an engine with pending events")
-	}
-	e.now = now
-	e.seq = seq
-	e.ran = ran
-	e.queue.base = now
 }
 
 // SetDispatchHook installs (or, with nil, removes) a callback observing

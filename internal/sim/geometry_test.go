@@ -1,0 +1,54 @@
+package sim_test
+
+import (
+	"testing"
+
+	"fpb/internal/cache"
+	"fpb/internal/sim"
+)
+
+// TestValidateMatchesCacheGeometry: Validate must refuse exactly the cache
+// geometries cache.New panics on (a non-positive size or way count, or a
+// capacity below one set), at every level, so a bad job spec is a 400 and
+// not a crashed worker. Each case is checked against a real build.
+func TestValidateMatchesCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*sim.Config)
+		ok   bool
+	}{
+		{"L1 zero ways", func(c *sim.Config) { c.L1Ways = 0 }, false},
+		{"L1 zero size", func(c *sim.Config) { c.L1SizeKB = 0 }, false},
+		{"L1 negative size", func(c *sim.Config) { c.L1SizeKB = -32 }, false},
+		{"L1 below one set", func(c *sim.Config) { c.L1SizeKB, c.L1Ways = 1, 32 }, false},
+		{"L1 one set", func(c *sim.Config) { c.L1SizeKB, c.L1Ways = 1, 16 }, true},
+		{"L2 negative ways", func(c *sim.Config) { c.L2Ways = -1 }, false},
+		{"L2 zero size", func(c *sim.Config) { c.L2SizeKB = 0 }, false},
+		{"L2 below one set", func(c *sim.Config) { c.L2SizeKB, c.L2Ways = 1, 17 }, false},
+		{"L2 one set", func(c *sim.Config) { c.L2SizeKB, c.L2Ways = 1, 16 }, true},
+		{"L3 zero size", func(c *sim.Config) { c.L3SizeMB = 0 }, false},
+		{"L3 zero ways", func(c *sim.Config) { c.L3Ways = 0 }, false},
+		{"L3 below one set", func(c *sim.Config) { c.L3SizeMB, c.L3Ways = 1, 4097 }, false},
+		{"L3 one set", func(c *sim.Config) { c.L3SizeMB, c.L3Ways = 1, 4096 }, true},
+		{"L1 line*ways overflows", func(c *sim.Config) { c.L1Ways = 1 << 58 }, false},
+	}
+	for _, tc := range cases {
+		cfg := sim.DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err == nil {
+			cache.NewHierarchy(&cfg).Release() // must not panic
+		} else if !panics(func() { cache.NewHierarchy(&cfg) }) {
+			t.Errorf("%s: cache.NewHierarchy builds a geometry Validate refuses", tc.name)
+		}
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}

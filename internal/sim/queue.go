@@ -62,7 +62,7 @@ func (q *eventQueue) len() int { return q.nBucket + len(q.far) }
 
 // push files the event by timestamp: near events go to their cycle bucket,
 // far ones to the overflow heap. Callers guarantee ev.when >= q.base, so
-// the difference form below is overflow-safe even at when == MaxCycle.
+// the difference form below is overflow-safe even at the largest Cycle.
 func (q *eventQueue) push(ev *Event) {
 	if ev.when-q.base < numBuckets {
 		idx := int(ev.when - q.base)

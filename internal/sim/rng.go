@@ -46,19 +46,6 @@ func (r *RNG) Derive(label uint64) *RNG {
 	return NewRNG(r.Uint64() ^ (label * 0xD1B54A32D192ED03))
 }
 
-// State snapshots the generator's internal state for checkpointing.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState restores a state captured by State. The all-zero state is not a
-// valid xoshiro256** state and is rejected with the same fallback Reseed
-// applies, so a corrupt checkpoint cannot wedge the stream.
-func (r *RNG) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		s[0] = 0x9E3779B97F4A7C15
-	}
-	r.s = s
-}
-
 // Uint64 returns the next 64 uniformly distributed bits. The xoshiro256**
 // step is written over locals to fit the inlining budget, so Intn, Float64,
 // Bernoulli, Normal and Perm draw without a call per output.

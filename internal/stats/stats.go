@@ -24,10 +24,6 @@ type Summary struct {
 	last     float64
 }
 
-// Reset clears the summary to its empty state (the warmup-barrier stats
-// reset).
-func (s *Summary) Reset() { *s = Summary{} }
-
 // Add records one observation; non-finite values are dropped.
 func (s *Summary) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fpb/internal/cache"
-	"fpb/internal/ckpt"
 	"fpb/internal/sim"
 	"fpb/internal/workload"
 )
@@ -54,10 +53,9 @@ func TestGoldenResults(t *testing.T) {
 // TestGoldenPrefill pins the exact warm cache state prefill leaves in every
 // core of three workloads at the default geometry, plus one core at a 128 MB
 // L3 (the stream footprint fits, so the warm-up re-inserts resident lines)
-// and one at 128 B L3 lines. Checkpoint images store cache state as deltas
-// against this baseline, so it must not change under a refactor either. Each
-// hierarchy is digested as its SaveDelta against an empty one. Regenerate
-// only with
+// and one at 128 B L3 lines. Every measured run starts from this state, so
+// it must not change under a refactor either. Each hierarchy is pinned by
+// its Digest. Regenerate only with
 //
 //	go test ./internal/system -run TestGoldenPrefill -update
 //
@@ -76,13 +74,9 @@ func TestGoldenPrefill(t *testing.T) {
 			gen := workload.NewGenerator(prof, &cfg, i, root.Derive(uint64(1000+i)).Derive(1))
 			h := cache.NewHierarchy(&cfg)
 			prefill(h, gen, prof)
-			empty := cache.NewHierarchy(&cfg)
-			w := ckpt.NewWriter()
-			h.SaveDelta(w, empty)
-			sum := sha256.Sum256(w.Finish())
+			sum := h.Digest()
 			got[fmt.Sprintf("%s%s/core%d", label, wlName, i)] = hex.EncodeToString(sum[:])
 			h.Release()
-			empty.Release()
 		}
 	}
 	cfg := sim.DefaultConfig()

@@ -23,12 +23,16 @@ type canonicalJob struct {
 }
 
 // configV1 freezes the key format's config shape: version-1 keys were first
-// computed when sim.Config ended in three execution-engine fields, always
-// zero in a key. encoding/json writes the embedded Config's fields first and
-// these after them, so the bytes — and every stored result and checkpoint
-// key — stay what they were.
+// computed when sim.Config ended in two warmup fields, the seed and three
+// execution-engine fields, all but the seed always zero in a key.
+// encoding/json writes the embedded Config's fields first, minus the Seed
+// this struct shadows, and these after them, so the bytes — and every stored
+// result key — stay what they were.
 type configV1 struct {
 	sim.Config
+	WarmupCycles         uint64
+	WarmupScheme         int
+	Seed                 uint64
 	Shards, ShardHorizon int
 	ShardStaticLookahead bool
 }
@@ -37,7 +41,7 @@ type configV1 struct {
 // simulation: the byte string two jobs share exactly when they are the same
 // simulation. It is the preimage of Key.
 func Canonical(cfg sim.Config, workload string) []byte {
-	b, err := json.Marshal(canonicalJob{Version: keyFormatVersion, Workload: workload, Config: configV1{Config: cfg}})
+	b, err := json.Marshal(canonicalJob{Version: keyFormatVersion, Workload: workload, Config: configV1{Config: cfg, Seed: cfg.Seed}})
 	if err != nil {
 		// sim.Config holds only scalars; Marshal cannot fail.
 		panic("system: canonical encoding: " + err.Error())
@@ -50,20 +54,5 @@ func Canonical(cfg sim.Config, workload string) []byte {
 // cache in the tree (exp.Runner, the fpbd result store) keys on it.
 func Key(cfg sim.Config, workload string) string {
 	sum := sha256.Sum256(Canonical(cfg, workload))
-	return hex.EncodeToString(sum[:])
-}
-
-// CheckpointKey returns the content address of the warmup prefix of one
-// (config, workload) run: the key under which its barrier checkpoint image
-// is stored and shared. Two grid points share a key — and therefore one
-// warmup simulation — exactly when their warmup phases are byte-identical:
-// the key hashes the *warmup* config (measurement-only policy fields pinned
-// by Config.WarmupConfig), with InstrPerCore zeroed on top, since the
-// instruction budget only governs how far the measurement phase runs past
-// the barrier.
-func CheckpointKey(cfg sim.Config, workload string) string {
-	w := cfg.WarmupConfig()
-	w.InstrPerCore = 0
-	sum := sha256.Sum256(Canonical(w, workload))
 	return hex.EncodeToString(sum[:])
 }

@@ -17,16 +17,11 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("same job hashed differently: %s vs %s", k1, k2)
 	}
-	// Stored results, checkpoints and perfbench/testdata/golden.json are
-	// keyed by these exact strings: a change to the canonical encoding
-	// must be deliberate (see keyFormatVersion).
+	// Stored results and perfbench/testdata/golden.json are keyed by this
+	// exact string: a change to the canonical encoding must be deliberate
+	// (see keyFormatVersion).
 	if want := "97b3b7f7c0bba693b7a36e759034630e586473e0b769f9873e81eaec38c0c34b"; k1 != want {
 		t.Errorf("Key(DefaultConfig, mcf_m) = %s, want %s", k1, want)
-	}
-	wcfg := cfg
-	wcfg.WarmupCycles = 500_000
-	if got, want := CheckpointKey(wcfg, "mcf_m"), "5d69b6bd111bce6ac7a1c153d819cc0f81bd84776be6f0a3bfeb4bceed9429b8"; got != want {
-		t.Errorf("CheckpointKey(DefaultConfig+warmup, mcf_m) = %s, want %s", got, want)
 	}
 	if kw := Key(cfg, "lbm_m"); kw == k1 {
 		t.Error("different workloads share a key")
@@ -43,10 +38,11 @@ func TestKeyIsStableAndDiscriminating(t *testing.T) {
 	}
 }
 
-// TestShardedKeyIgnoresShards checks that the frozen v1 key shape still ends
-// in the old execution-engine fields, pinned at zero, for a non-default
-// config: keys written when those fields existed (and were zeroed before
-// hashing) are the keys computed now.
+// TestShardedKeyIgnoresShards checks that the frozen v1 key shape still
+// carries the old warmup fields before the seed and ends in the old
+// execution-engine fields, all pinned at zero, for a non-default config:
+// keys written when those fields existed (and were zero in every key) are
+// the keys computed now.
 func TestShardedKeyIgnoresShards(t *testing.T) {
 	a := quickConfig(sim.SchemeGCP)
 	cfgJSON, err := json.Marshal(a)
@@ -54,14 +50,14 @@ func TestShardedKeyIgnoresShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"v":1,"workload":"mcf_m","config":` +
-		strings.TrimSuffix(string(cfgJSON), "}") +
+		strings.Replace(strings.TrimSuffix(string(cfgJSON), "}"), `,"Seed":`, `,"WarmupCycles":0,"WarmupScheme":0,"Seed":`, 1) +
 		`,"Shards":0,"ShardHorizon":0,"ShardStaticLookahead":false}}`
 	if got := string(Canonical(a, "mcf_m")); got != want {
 		t.Errorf("Canonical does not encode the frozen v1 shape:\n got %s\nwant %s", got, want)
 	}
 	sum := sha256.Sum256([]byte(want))
 	if Key(a, "mcf_m") != hex.EncodeToString(sum[:]) {
-		t.Error("Key is not the SHA-256 of the v1 encoding with zeroed shard fields")
+		t.Error("Key is not the SHA-256 of the v1 encoding with zeroed warmup and shard fields")
 	}
 	if Key(a, "mcf_m") == Key(a, "lbm_m") {
 		t.Error("distinct workloads share a key")

@@ -32,38 +32,10 @@ type System struct {
 	// time-series probes (EnableProbes).
 	Obs *obs.Hub
 
-	gens     []*workload.Generator
-	muts     []*workload.Mutator
 	finished int
 	prober   *obs.Prober
 	probeEv  *sim.Event
-
-	// baseHiers are the pristine pre-run cache baselines, one per core —
-	// shared read-only references into the prefill snapshot cache, not
-	// copies. Checkpoints serialize each hierarchy as a sparse delta
-	// against its baseline; the restore side regenerates the identical
-	// baseline from the deterministic prefill and applies the delta.
-	baseHiers []*cache.Hierarchy
-
-	// Warmup / checkpoint state. When Cfg.WarmupCycles > 0, the system is
-	// built under the warmup configuration (measCfg keeps the measurement
-	// one); Run quiesces at the barrier, rebinds Cfg to measCfg in place and
-	// resumes. measStart is the barrier cycle measurement counts from;
-	// atBarrier marks a system sitting quiesced at the barrier (restored
-	// from a checkpoint, or mid-way through Run's own barrier sequence).
-	measCfg     sim.Config
-	measStart   sim.Cycle
-	atBarrier   bool
-	barrierHook func(*System)
-	wlName      string
 }
-
-// SetBarrierHook installs fn to run once when the warmup phase quiesces at
-// the barrier — after measurement statistics reset, before the configuration
-// rebinds to the measurement values. This is the checkpoint capture point:
-// the hook sees the system exactly as EncodeCheckpoint expects it. Call
-// before Run; ignored when the run has no warmup phase.
-func (s *System) SetBarrierHook(fn func(*System)) { s.barrierHook = fn }
 
 // Result carries the metrics of one run.
 type Result struct {
@@ -114,19 +86,9 @@ type Result struct {
 }
 
 // Build wires a system for the configuration and workload. The workload
-// must have exactly cfg.Cores core profiles. When cfg.WarmupCycles > 0 the
-// system is built under cfg.WarmupConfig(): Run executes the warmup phase,
-// quiesces at the barrier and rebinds to cfg before measuring.
+// must have exactly cfg.Cores core profiles. Every core's caches start
+// prefilled to the measurement steady state (see prefill).
 func Build(cfg sim.Config, wl workload.Workload) (*System, error) {
-	return build(cfg, wl, false)
-}
-
-// build assembles the machine. restored builds the empty shell a checkpoint
-// image is loaded into: components are constructed directly under the
-// measurement config (their config-derived structure then matches the cold
-// run's post-rebind state), caches are not prefilled, and cores are parked
-// at the barrier instead of armed for warmup.
-func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -134,16 +96,8 @@ func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error)
 		return nil, fmt.Errorf("system: workload %s has %d cores, config wants %d",
 			wl.Name, len(wl.Cores), cfg.Cores)
 	}
-	warmup := cfg.WarmupCycles > 0
-	buildCfg := cfg
-	if warmup && !restored {
-		buildCfg = cfg.WarmupConfig()
-	}
 	eng := sim.NewEngine()
-	// Every component takes &s.Cfg — one shared config — so the barrier
-	// sequence can swap warmup for measurement values in place and have the
-	// whole machine observe the change.
-	s := &System{Cfg: buildCfg, measCfg: cfg, Eng: eng, wlName: wl.Name}
+	s := &System{Cfg: cfg, Eng: eng}
 	mc := mem.NewController(eng, &s.Cfg, workload.BaselineContent)
 	s.MC, s.Obs = mc, mc.Hub()
 	s.registerSystemMetrics()
@@ -152,26 +106,10 @@ func build(cfg sim.Config, wl workload.Workload, restored bool) (*System, error)
 	for i, prof := range wl.Cores {
 		coreRNG := root.Derive(uint64(1000 + i))
 		gen := workload.NewGenerator(prof, &s.Cfg, i, coreRNG.Derive(1))
-		// Both paths start from the same deterministic prefill: the restored
-		// build's hierarchy holds the baseline content the image's cache
-		// deltas apply onto (the generator still has its build-time cursors
-		// here — its own state restores after the shell is assembled).
-		hier, base := prefilledHierarchy(&s.Cfg, gen, prof)
+		hier := prefilledHierarchy(&s.Cfg, gen, prof)
 		mut := workload.NewMutator(prof.Value, coreRNG.Derive(2))
-		s.baseHiers = append(s.baseHiers, base)
 		core := cpu.New(i, eng, &s.Cfg, hier, gen, mut, mc, func(*cpu.Core) { s.finished++ })
-		if warmup && !restored {
-			core.SetBarrier(sim.Cycle(cfg.WarmupCycles))
-		}
-		if restored {
-			core.RestoreParked()
-		}
 		s.Cores = append(s.Cores, core)
-		s.gens = append(s.gens, gen)
-		s.muts = append(s.muts, mut)
-	}
-	if restored {
-		s.atBarrier = true
 	}
 	return s, nil
 }
@@ -218,7 +156,7 @@ type prefillSnapshot struct {
 // workloads). Cached or computed, the returned hierarchy is bit-identical —
 // prefill is a pure function of prefillKey — and exclusively owned by the
 // caller.
-func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (owned, base *cache.Hierarchy) {
+func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
 	rStart, _ := gen.StreamReadRegion()
 	wStart, _ := gen.StreamWriteRegion()
 	hotStart, hotSpan := gen.HotRegion()
@@ -238,7 +176,7 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		e.used = c.stamp
 		h := e.hier.Clone(cfg)
 		c.Unlock()
-		return h, e.hier
+		return h
 	}
 	c.Unlock()
 
@@ -252,7 +190,7 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		// A concurrent build prefilled the same key first; its snapshot
 		// holds the identical content.
 		e.used = c.stamp
-		return h, e.hier
+		return h
 	}
 	if c.m == nil {
 		c.m = make(map[prefillKey]*prefillSnapshot)
@@ -270,13 +208,9 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		c.bytes -= c.m[oldest].hier.MetaBytes()
 		delete(c.m, oldest)
 	}
-	snap := &prefillSnapshot{hier: h.Clone(cfg), used: c.stamp}
-	c.m[k] = snap
+	c.m[k] = &prefillSnapshot{hier: h.Clone(cfg), used: c.stamp}
 	c.bytes += size
-	// The snapshot's copy doubles as the checkpoint delta baseline: map
-	// entries are cloned on every hit and never mutated, so the reference
-	// stays pristine even after eviction drops it from the map.
-	return h, snap.hier
+	return h
 }
 
 // prefill warms one core's caches to the measurement steady state
@@ -384,20 +318,10 @@ func (s *System) EnableProbes(interval sim.Cycle, w io.Writer) *obs.Prober {
 
 // Run executes until every core retires its budget (or the event heap
 // drains, which indicates a deadlock and panics). It returns the collected
-// metrics. A run with a warmup phase first executes to the quiesce barrier
-// (see runWarmup); a system restored from a checkpoint starts at the barrier
-// and skips straight to the measured phase.
+// metrics.
 func (s *System) Run() Result {
-	if s.atBarrier {
-		s.resumeMeasurement()
-	} else {
-		for _, c := range s.Cores {
-			c.Start()
-		}
-		if s.Cfg.WarmupCycles > 0 {
-			s.runWarmup()
-			s.resumeMeasurement()
-		}
+	for _, c := range s.Cores {
+		c.Start()
 	}
 	for s.finished < len(s.Cores) {
 		if !s.Eng.Step() {
@@ -413,52 +337,6 @@ func (s *System) Run() Result {
 	return s.collect()
 }
 
-// runWarmup executes the warmup phase to quiescence: cores park at the first
-// instruction boundary past Cfg.WarmupCycles, in-flight memory work drains,
-// and the event heap runs dry. It then verifies the barrier invariant, resets
-// every measurement statistic, fires the barrier hook (the checkpoint capture
-// point), and rebinds the shared config to the measurement values. The exact
-// barrier cycle is the drain time, not WarmupCycles itself: it is a
-// deterministic function of (warmup config, workload), which is precisely
-// what the checkpoint key hashes.
-func (s *System) runWarmup() {
-	for s.Eng.Step() {
-	}
-	parked := 0
-	for _, c := range s.Cores {
-		if c.Parked() || c.Finished() {
-			parked++
-		}
-	}
-	if parked < len(s.Cores) || !s.MC.Quiesced() || s.Eng.Pending() != 0 {
-		s.MC.DumpState()
-		panic(fmt.Sprintf("system: warmup failed to quiesce — %d/%d cores parked, MC quiesced %v, %d events pending",
-			parked, len(s.Cores), s.MC.Quiesced(), s.Eng.Pending()))
-	}
-	s.measStart = s.Eng.Now()
-	s.MC.ResetMeasurement()
-	if s.barrierHook != nil {
-		s.barrierHook(s)
-	}
-	// In-place rebind: every component reads *(&s.Cfg), so assigning here
-	// switches the whole machine to the measurement configuration. The
-	// controller and power manager then re-derive their config-dependent
-	// structures (mapping tables, rotation interval, pool capacities).
-	s.Cfg = s.measCfg
-	s.MC.Rebind()
-	s.atBarrier = true
-}
-
-// resumeMeasurement launches the measured phase from the barrier: cores are
-// un-parked in ID order (so event sequence numbers — and therefore all
-// downstream tie-breaking — match between the cold and the restored path).
-func (s *System) resumeMeasurement() {
-	s.atBarrier = false
-	for _, c := range s.Cores {
-		c.ResumeMeasurement()
-	}
-}
-
 func (s *System) collect() Result {
 	var r Result
 	r.Scheme = s.Cfg.Scheme.String()
@@ -469,18 +347,12 @@ func (s *System) collect() Result {
 		if !c.Finished() {
 			fc = s.Eng.Now()
 		}
-		if fc < s.measStart {
-			fc = s.measStart
-		}
-		// Per-core cycle counts (and r.Cycles below) are measured from the
-		// warmup barrier, so CPI and the rate denominators cover only the
-		// measured phase. measStart is 0 for runs without warmup.
-		cycles += uint64(fc - s.measStart)
+		cycles += uint64(fc)
 		reads, writes := c.MemCounts()
 		r.DemandReads += reads
 		r.Writes += writes
 	}
-	r.Cycles = s.Eng.Now() - s.measStart
+	r.Cycles = s.Eng.Now()
 	if r.Instrs > 0 {
 		r.CPI = float64(cycles) / float64(r.Instrs)
 		ki := float64(r.Instrs) / 1000

@@ -1,7 +1,7 @@
 package system
 
 import (
-	"reflect"
+	"crypto/sha256"
 	"sync"
 	"testing"
 
@@ -219,7 +219,7 @@ func TestPrefillSnapshotBound(t *testing.T) {
 }
 
 // TestPrefilledHierarchyConcurrent has several goroutines miss the snapshot
-// cache on the same key at once. Each must get the identical baseline, and
+// cache on the same key at once. Each must get the identical hierarchy, and
 // the cache's byte count must still equal the sum over its entries.
 func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	cfg := sim.DefaultConfig()
@@ -230,22 +230,22 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := wl.Cores[0]
-	bases := make([]*cache.Hierarchy, 4)
+	digests := make([][sha256.Size]byte, 4)
 	var wg sync.WaitGroup
-	for g := range bases {
+	for g := range digests {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
-			h, base := prefilledHierarchy(&cfg, gen, prof)
+			h := prefilledHierarchy(&cfg, gen, prof)
+			digests[g] = h.Digest()
 			h.Release()
-			bases[g] = base
 		}()
 	}
 	wg.Wait()
-	for g, b := range bases[1:] {
-		if !reflect.DeepEqual(b.L3(), bases[0].L3()) {
-			t.Errorf("goroutine %d got a different L3 baseline", g+1)
+	for g, d := range digests[1:] {
+		if d != digests[0] {
+			t.Errorf("goroutine %d got a different hierarchy", g+1)
 		}
 	}
 	c := &prefillSnapshots

@@ -76,13 +76,6 @@ if [ "$QUICK" -eq 0 ]; then
     # is enough: the simulation itself is deterministic and long.
     go test -run '^$' -bench 'BenchmarkFig18Throughput' -benchtime 1x -benchmem . |
         tee -a "$RAW"
-    # Checkpointed warm-start vs cold warmup for the Fig. 18 sweep. The
-    # run itself asserts the warm-started results are byte-identical to
-    # the cold ones; the snapshot records the speedup.
-    go run ./cmd/fpbbench -warm 4000000 -instr 5000 | tee -a "$RAW"
-else
-    # Warm-start smoke: shorter warmup, same byte-identity assertion.
-    go run ./cmd/fpbbench -warm 1000000 -instr 3000 | tee -a "$RAW"
 fi
 
 go run ./cmd/fpbbench -out "$OUT" <"$RAW"

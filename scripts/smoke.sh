@@ -41,7 +41,7 @@ go build -o "$BIN/fpbd" ./cmd/fpbd
 go build -o "$BIN/fpbtop" ./cmd/fpbtop
 
 echo "smoke: starting fpbd on :$PORT"
-"$BIN/fpbd" -addr "127.0.0.1:$PORT" -store "$TMP/store" -ckpt-store "$TMP/ckpt" \
+"$BIN/fpbd" -addr "127.0.0.1:$PORT" -store "$TMP/store" \
     -workers 2 -log-format json -log-level debug >"$LOG" 2>&1 &
 FPBD_PID=$!
 
@@ -91,27 +91,6 @@ echo "$TOP" | grep -q 'simulation' || fail "fpbtop missing latency table: $TOP"
 echo "smoke: structured logs carry the job id"
 grep -q "$JOB_ID" "$LOG" || fail "job id $JOB_ID absent from daemon logs"
 grep -q '"msg":"job done"' "$LOG" || fail "no 'job done' log line"
-
-echo "smoke: checkpointed warm-start jobs"
-WSPEC1='{"workload":"mcf_m","scheme":"dimm+chip","instr_per_core":2000,"warmup_cycles":300000}'
-WSPEC2='{"workload":"mcf_m","scheme":"gcp","instr_per_core":2000,"warmup_cycles":300000}'
-W1="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$WSPEC1" "$BASE/v1/jobs")"
-echo "$W1" | grep -q '"state": *"done"' || fail "first warmup job did not finish: $W1"
-W2="$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$WSPEC2" "$BASE/v1/jobs")"
-echo "$W2" | grep -q '"state": *"done"' || fail "second warmup job did not finish: $W2"
-curl -fsS "$BASE/metrics" | grep -q '^serve_jobs_warm_starts 1$' ||
-    fail "second warmup job should have warm-started from the first one's checkpoint"
-
-echo "smoke: checkpoint image export/import round trip"
-KEY="$(ls "$TMP/ckpt" | sed -n 's/\.fpbckpt$//p' | head -n1)"
-[ -n "$KEY" ] || fail "no checkpoint image materialized in the store"
-curl -fsS "$BASE/v1/checkpoints/$KEY" -o "$TMP/img.fpbckpt" || fail "checkpoint GET failed"
-CODE="$(curl -fsS -o /dev/null -w '%{http_code}' -X PUT \
-    --data-binary @"$TMP/img.fpbckpt" "$BASE/v1/checkpoints/$KEY")"
-[ "$CODE" = 204 ] || fail "checkpoint PUT returned $CODE"
-NOKEY="0000000000000000000000000000000000000000000000000000000000000000"
-CODE404="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/checkpoints/$NOKEY")"
-[ "$CODE404" = 404 ] || fail "missing checkpoint should answer 404, got $CODE404"
 
 echo "smoke: graceful shutdown"
 kill -TERM "$FPBD_PID"
