@@ -7,15 +7,16 @@
 //
 //	fpbtop -addr localhost:8080            # refresh every 2s until ^C
 //	fpbtop -addr localhost:8080 -n 1       # one snapshot (scripts, smoke tests)
-//	fpbtop -addr host1:8080,host2:8080     # fleet view: one row per node
+//	fpbtop -addr host1:8080,host2:8080     # a fleet: one row per node
 //	fpbtop -interval 500ms -no-clear       # append snapshots instead of redrawing
 //
-// With several addresses fpbtop renders the per-node fleet table (queue,
-// workers, cache ratio, sweep counters, keyspace share) plus fleet totals;
-// an unreachable node shows as DOWN and, in finite -n mode, makes fpbtop
-// exit non-zero so scripted health checks fail loudly. fpbtop only needs
-// the Prometheus text endpoint, so it works against anything that serves
-// the exposition.
+// One layout serves any number of addresses: a row per node (queue,
+// workers, cache ratio, jobs, sweep counters, keyspace share), totals over
+// the reachable nodes, and latency percentiles from their summed histogram
+// buckets. An unreachable node shows as DOWN and, in finite -n mode, makes
+// fpbtop exit non-zero so scripted health checks fail loudly. fpbtop only
+// needs the Prometheus text endpoint, so it works against anything that
+// serves the exposition.
 package main
 
 import (
@@ -51,22 +52,6 @@ func scrape(hc *http.Client, url string) (map[string]float64, error) {
 	return samples, nil
 }
 
-// bar renders a fixed-width utilization bar, e.g. [####......].
-func bar(used, total float64, width int) string {
-	if total <= 0 {
-		return strings.Repeat(".", width)
-	}
-	frac := used / total
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	n := int(frac*float64(width) + 0.5)
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
-}
-
 func ratio(num, den float64) float64 {
 	if den == 0 {
 		return 0
@@ -74,23 +59,45 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-func render(w io.Writer, addr string, s map[string]float64, prev map[string]float64, interval time.Duration) {
-	qd, qc := s["serve_queue_depth"], s["serve_queue_capacity"]
-	wb, wt := s["serve_workers_busy"], s["serve_workers_total"]
-	hits, misses := s["serve_cache_hits"], s["serve_cache_misses"]
-	done, failed := s["serve_jobs_done"], s["serve_jobs_failed"]
+// render prints one snapshot for any number of nodes: a row per node (DOWN
+// with the scrape error when unreachable), the totals over the reachable
+// nodes, and the lifecycle latency percentiles from their summed histogram
+// buckets. It returns the totals; prev is the previous snapshot's, from
+// which the job rate is computed.
+func render(w io.Writer, addrs []string, samples []map[string]float64, errs []error,
+	prev map[string]float64, interval time.Duration) map[string]float64 {
+	fmt.Fprintf(w, "fpbd — %d node(s) — %s\n\n", len(addrs), time.Now().Format("15:04:05"))
+	fmt.Fprintf(w, "  %-26s %9s %9s %7s %8s %6s %7s %6s\n",
+		"node", "queue", "workers", "cache%", "done", "fail", "sweeps", "own%")
+	total := map[string]float64{}
+	down := 0
+	for i, a := range addrs {
+		if errs[i] != nil {
+			fmt.Fprintf(w, "  %-26s DOWN (%v)\n", a, errs[i])
+			down++
+			continue
+		}
+		s := samples[i]
+		for k, v := range s {
+			total[k] += v
+		}
+		hits, misses := s["serve_cache_hits"], s["serve_cache_misses"]
+		fmt.Fprintf(w, "  %-26s %5.0f/%-3.0f %5.0f/%-3.0f %6.1f%% %8.0f %6.0f %7.0f %5.1f%%\n",
+			a,
+			s["serve_queue_depth"], s["serve_queue_capacity"],
+			s["serve_workers_busy"], s["serve_workers_total"],
+			100*ratio(hits, hits+misses), s["serve_jobs_done"], s["serve_jobs_failed"],
+			s["cluster_sweeps_running"], 100*s["cluster_ring_owned_share"])
+	}
 
-	fmt.Fprintf(w, "fpbd %s — %s\n\n", addr, time.Now().Format("15:04:05"))
-	fmt.Fprintf(w, "  queue    [%s] %.0f/%.0f\n", bar(qd, qc, 20), qd, qc)
-	fmt.Fprintf(w, "  workers  [%s] %.0f/%.0f busy\n", bar(wb, wt, 20), wb, wt)
-	fmt.Fprintf(w, "  cache    %.1f%% hit (%.0f hits / %.0f misses)\n",
-		100*ratio(hits, hits+misses), hits, misses)
 	rate := ""
 	if prev != nil && interval > 0 {
-		rate = fmt.Sprintf("  (%.1f/s)", (done-prev["serve_jobs_done"])/interval.Seconds())
+		rate = fmt.Sprintf(" (%.1f/s)", (total["serve_jobs_done"]-prev["serve_jobs_done"])/interval.Seconds())
 	}
-	fmt.Fprintf(w, "  jobs     %.0f done, %.0f failed, %.0f coalesced, %.0f rejected%s\n",
-		done, failed, s["serve_jobs_coalesced"], s["serve_jobs_rejected"], rate)
+	fmt.Fprintf(w, "\n  fleet    %.0f done%s, %.0f failed, %.0f coalesced, %.0f rejected, %.0f stored, %.0f sweeps running, %d/%d nodes down\n",
+		total["serve_jobs_done"], rate, total["serve_jobs_failed"], total["serve_jobs_coalesced"],
+		total["serve_jobs_rejected"], total["serve_store_entries"], total["cluster_sweeps_running"],
+		down, len(addrs))
 
 	fmt.Fprintf(w, "\n  %-22s %8s %8s %8s %8s\n", "latency (ms)", "p50", "p95", "p99", "count")
 	for _, h := range []struct{ label, name string }{
@@ -98,56 +105,22 @@ func render(w io.Writer, addr string, s map[string]float64, prev map[string]floa
 		{"simulation", "serve_job_sim_ms"},
 		{"store write", "serve_job_store_write_ms"},
 	} {
-		count := s[h.name+"_count"]
-		p50, ok := obs.HistogramQuantile(s, h.name, 0.50)
+		count := total[h.name+"_count"]
+		p50, ok := obs.HistogramQuantile(total, h.name, 0.50)
 		if !ok {
 			fmt.Fprintf(w, "  %-22s %8s %8s %8s %8.0f\n", h.label, "-", "-", "-", count)
 			continue
 		}
-		p95, _ := obs.HistogramQuantile(s, h.name, 0.95)
-		p99, _ := obs.HistogramQuantile(s, h.name, 0.99)
+		p95, _ := obs.HistogramQuantile(total, h.name, 0.95)
+		p99, _ := obs.HistogramQuantile(total, h.name, 0.99)
 		fmt.Fprintf(w, "  %-22s %8.3g %8.3g %8.3g %8.0f\n", h.label, p50, p95, p99, count)
 	}
-	if entries, ok := s["serve_store_entries"]; ok {
-		fmt.Fprintf(w, "\n  store    %.0f results persisted\n", entries)
-	}
-}
-
-// renderFleet prints one row per node plus fleet totals. Unreachable nodes
-// render as DOWN with the scrape error.
-func renderFleet(w io.Writer, addrs []string, samples []map[string]float64, errs []error) {
-	fmt.Fprintf(w, "fpbd fleet — %d nodes — %s\n\n", len(addrs), time.Now().Format("15:04:05"))
-	fmt.Fprintf(w, "  %-26s %9s %9s %7s %8s %6s %7s %6s\n",
-		"node", "queue", "workers", "cache%", "done", "fail", "sweeps", "own%")
-	var tDone, tFailed, tSweeps float64
-	downNodes := 0
-	for i, a := range addrs {
-		if errs[i] != nil {
-			fmt.Fprintf(w, "  %-26s DOWN (%v)\n", a, errs[i])
-			downNodes++
-			continue
-		}
-		s := samples[i]
-		hits, misses := s["serve_cache_hits"], s["serve_cache_misses"]
-		done, failed := s["serve_jobs_done"], s["serve_jobs_failed"]
-		running := s["cluster_sweeps_running"]
-		tDone += done
-		tFailed += failed
-		tSweeps += running
-		fmt.Fprintf(w, "  %-26s %5.0f/%-3.0f %5.0f/%-3.0f %6.1f%% %8.0f %6.0f %7.0f %5.1f%%\n",
-			a,
-			s["serve_queue_depth"], s["serve_queue_capacity"],
-			s["serve_workers_busy"], s["serve_workers_total"],
-			100*ratio(hits, hits+misses), done, failed, running,
-			100*s["cluster_ring_owned_share"])
-	}
-	fmt.Fprintf(w, "\n  fleet    %.0f done, %.0f failed, %.0f sweeps running, %d/%d nodes down\n",
-		tDone, tFailed, tSweeps, downNodes, len(addrs))
+	return total
 }
 
 func main() {
 	var (
-		addr     = flag.String("addr", "localhost:8080", "fpbd address(es), comma-separated (host:port or URL); several addresses render the fleet view")
+		addr     = flag.String("addr", "localhost:8080", "fpbd address(es), comma-separated (host:port or URL)")
 		interval = flag.Duration("interval", 2*time.Second, "refresh interval")
 		count    = flag.Int("n", 0, "number of snapshots (0 = until interrupted)")
 		noClear  = flag.Bool("no-clear", false, "append snapshots instead of redrawing the screen")
@@ -171,31 +144,16 @@ func main() {
 		errs := make([]error, len(urls))
 		for j, u := range urls {
 			samples[j], errs[j] = scrape(hc, u)
-		}
-		if len(urls) == 1 && errs[0] != nil {
-			// Single-node mode keeps the historical contract: a failed
-			// scrape is fatal immediately, whatever the mode.
-			fmt.Fprintln(os.Stderr, "fpbtop:", errs[0])
-			os.Exit(1)
+			hadErr = hadErr || errs[j] != nil
 		}
 		if !*noClear && i > 0 {
 			fmt.Print("\033[H\033[2J") // cursor home + clear screen
 		}
-		if len(urls) == 1 {
-			render(os.Stdout, addrs[0], samples[0], prev, *interval)
-			prev = samples[0]
-		} else {
-			renderFleet(os.Stdout, addrs, samples, errs)
-			for _, err := range errs {
-				if err != nil {
-					hadErr = true
-				}
-			}
-		}
+		prev = render(os.Stdout, addrs, samples, errs, prev, *interval)
 		fmt.Println()
 	}
-	// Finite-snapshot fleet mode (e.g. -n 1 in smoke scripts) fails loudly
-	// when any node was unreachable.
+	// Finite-snapshot mode (e.g. -n 1 in smoke scripts) fails loudly when
+	// any node was unreachable.
 	if hadErr && *count > 0 {
 		os.Exit(1)
 	}

@@ -13,168 +13,63 @@ import (
 
 // ablation-gcpsize: the paper sizes the GCP equal to one LCP by default.
 // How sensitive is FPB-GCP to that choice?
-func init() {
-	register(Experiment{
-		ID:    "abl-gcpsize",
-		Title: "Ablation: GCP output sizing",
-		Paper: "(extension) paper default sizes the GCP as one LCP; half/double explore the area-performance trade",
-		Run:   runAblGCPSize,
-	})
-}
-
 func runAblGCPSize(r *Runner) (*stats.Table, error) {
-	mk := func(label string, scale float64) Variant {
-		return Variant{
-			Label: label,
-			Mutate: func(c *sim.Config) {
-				c.Scheme = sim.SchemeGCP
-				c.CellMapping = sim.MapBIM
-				c.GCPEff = 0.70
-				c.GCPMaxTokens = c.LCPTokens() * scale
-			},
-		}
+	gcpSized := func(label string, scale float64) column {
+		return column{label: label, cfg: func(c *sim.Config) {
+			gcp(sim.MapBIM, 0.70)(c)
+			c.GCPMaxTokens = c.LCPTokens() * scale
+		}}
 	}
-	variants := []Variant{
-		mk("GCP-0.5xLCP", 0.5),
-		mk("GCP-1xLCP", 1.0),
-		mk("GCP-2xLCP", 2.0),
-	}
-	return r.SpeedupTable("Ablation: GCP size (speedup vs DIMM+chip)", dimmChip, variants)
+	return r.speedups("Ablation: GCP size (speedup vs DIMM+chip)", dimmChip,
+		gcpSized("GCP-0.5xLCP", 0.5),
+		gcpSized("GCP-1xLCP", 1.0),
+		gcpSized("GCP-2xLCP", 2.0),
+	)
 }
 
 // ablation-halfstripe: the paper's Section 2.1 cell-stripping alternative —
 // each line across half the chips, accessed in two rounds. The paper
 // rejects it because doubled array latency "will harm system performance";
 // this ablation quantifies that choice under both the baseline and FPB.
-func init() {
-	register(Experiment{
-		ID:    "abl-halfstripe",
-		Title: "Ablation: half-stripe two-round cell layout",
-		Paper: "(Section 2.1) the paper predicts doubled read/write latency harms performance; full stripe is the baseline",
-		Run:   runAblHalfStripe,
-	})
-}
-
 func runAblHalfStripe(r *Runner) (*stats.Table, error) {
-	mk := func(label string, scheme sim.Scheme, half bool) Variant {
-		return Variant{
-			Label: label,
-			Mutate: func(c *sim.Config) {
-				c.Scheme = scheme
-				c.HalfStripe = half
-				if scheme == sim.SchemeGCPIPMMR {
-					c.CellMapping = sim.MapBIM
-					c.GCPEff = 0.70
-				}
-			},
+	half := func(base func(*sim.Config)) func(*sim.Config) {
+		return func(c *sim.Config) {
+			base(c)
+			c.HalfStripe = true
 		}
 	}
-	variants := []Variant{
-		mk("base-half", sim.SchemeDIMMChip, true),
-		mk("FPB-full", sim.SchemeGCPIPMMR, false),
-		mk("FPB-half", sim.SchemeGCPIPMMR, true),
-	}
-	return r.SpeedupTable("Ablation: half-stripe layout (speedup vs full-stripe DIMM+chip)", dimmChip, variants)
+	return r.speedups("Ablation: half-stripe layout (speedup vs full-stripe DIMM+chip)", dimmChip,
+		column{label: "base-half", cfg: half(dimmChip)},
+		column{label: "FPB-full", cfg: fpbFull},
+		column{label: "FPB-half", cfg: half(fpbFull)},
+	)
 }
 
 // ablation-mrtrigger: the paper triggers Multi-RESET greedily on admission
 // shortfall (Section 6.2); the alternative splits every RESET
 // unconditionally. Shortfall-triggered should win: it pays the extra RESET
 // latency only when it buys admission.
-func init() {
-	register(Experiment{
-		ID:    "abl-mrtrigger",
-		Title: "Ablation: Multi-RESET trigger policy",
-		Paper: "(extension) paper uses greedy split-on-shortfall; always-split pays the latency unconditionally",
-		Run:   runAblMRTrigger,
-	})
-}
-
 func runAblMRTrigger(r *Runner) (*stats.Table, error) {
-	mk := func(label string, always bool) Variant {
-		return Variant{
-			Label: label,
-			Mutate: func(c *sim.Config) {
-				c.Scheme = sim.SchemeGCPIPMMR
-				c.CellMapping = sim.MapBIM
-				c.GCPEff = 0.70
-				c.MultiResetSplit = 3
-				c.MultiResetAlways = always
-			},
-		}
-	}
-	variants := []Variant{
-		mk("MR-on-shortfall", false),
-		mk("MR-always", true),
-	}
-	return r.SpeedupTable("Ablation: Multi-RESET trigger (speedup vs DIMM+chip)", dimmChip, variants)
+	return r.speedups("Ablation: Multi-RESET trigger (speedup vs DIMM+chip)", dimmChip,
+		column{label: "MR-on-shortfall", cfg: fpbFull},
+		column{label: "MR-always", cfg: func(c *sim.Config) {
+			fpbFull(c)
+			c.MultiResetAlways = true
+		}},
+	)
 }
 
 // ablation-setratio: IPM's reclamation factor is (C-1)/C where C is the
 // RESET/SET power ratio. The paper's model uses C=2 (SET = RESET/2); this
-// sweeps the ratio to show IPM's benefit grows with C.
-func init() {
-	register(Experiment{
-		ID:    "abl-setratio",
-		Title: "Ablation: SET/RESET power ratio",
-		Paper: "(extension) IPM reclaims (C-1)/C of RESET tokens; a lower SET/RESET ratio means more reclamation",
-		Run:   runAblSetRatio,
-	})
-}
-
+// sweeps the ratio to show IPM's benefit grows with C. Each column is
+// normalized to DIMM+chip at the same ratio: the device changed, so the
+// baseline must change with it.
 func runAblSetRatio(r *Runner) (*stats.Table, error) {
 	ratios := []float64{0.25, 0.5, 0.75}
-	variants := make([]Variant, 0, len(ratios))
-	for _, ratio := range ratios {
-		ratio := ratio
-		variants = append(variants, Variant{
-			Label: fmt.Sprintf("IPM-set/reset=%.2f", ratio),
-			Mutate: func(c *sim.Config) {
-				c.Scheme = sim.SchemeGCPIPMMR
-				c.CellMapping = sim.MapBIM
-				c.GCPEff = 0.70
-				c.SetPowerRatio = ratio
-			},
-		})
-	}
-	// Normalize each column to DIMM+chip at the same ratio (the device
-	// changed, so the baseline must change with it).
-	cols := []string{"workload"}
-	for _, v := range variants {
-		cols = append(cols, v.Label)
-	}
-	t := stats.NewTable("Ablation: SET power ratio (speedup vs same-ratio DIMM+chip)", cols...)
-	var cfgs []sim.Config
-	bases := make([]sim.Config, len(ratios))
-	techs := make([]sim.Config, len(ratios))
+	labels := make([]string, len(ratios))
 	for i, ratio := range ratios {
-		b := r.BaseConfig()
-		b.Scheme = sim.SchemeDIMMChip
-		b.SetPowerRatio = ratio
-		bases[i] = b
-		techs[i] = r.cfgOf(variants[i])
-		cfgs = append(cfgs, b, techs[i])
+		labels[i] = fmt.Sprintf("IPM-set/reset=%.2f", ratio)
 	}
-	if err := r.Prewarm(cfgs, r.Opt().Workloads); err != nil {
-		return nil, err
-	}
-	perCol := make([][]float64, len(ratios))
-	for _, wl := range r.Opt().Workloads {
-		row := make([]float64, 0, len(ratios))
-		for i := range ratios {
-			s, err := speedupOf(r, bases[i], techs[i], wl)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
-			perCol[i] = append(perCol[i], s)
-		}
-		t.AddRow(wl, row...)
-	}
-	g := make([]float64, len(ratios))
-	for i := range perCol {
-		g[i] = stats.GeoMean(perCol[i])
-	}
-	t.AddRow("gmean", g...)
-	return t, nil
+	return sweepTable(r, "Ablation: SET power ratio (speedup vs same-ratio DIMM+chip)", labels,
+		func(c *sim.Config, i int) { c.SetPowerRatio = ratios[i] })
 }

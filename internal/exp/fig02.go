@@ -7,25 +7,16 @@ import (
 	"fpb/internal/workload"
 )
 
-// Figure 2: average cell changes per PCM line write for 2-bit MLC vs SLC at
-// 256 B / 128 B / 64 B line sizes. This is a data census, not a timing
-// simulation: each workload's value-mutation model is applied repeatedly to
-// line content and the differential-write cell changes counted.
-func init() {
-	register(Experiment{
-		ID:    "fig2",
-		Title: "Figure 2: cell changes per line write",
-		Paper: "2-bit MLC changes fewer cells than SLC; larger lines change more cells (~100-500 cells at 256B)",
-		Run:   runFig2,
-	})
-}
-
 // fig2Workloads matches the figure's x axis; "other" aggregates the
 // remaining simulated benchmarks.
 var fig2Workloads = []string{"bwa_m", "lbm_m", "mcf_m", "xal_m", "mum_m", "tig_m", "other"}
 
 const fig2WritesPerSample = 300
 
+// Figure 2: average cell changes per PCM line write for 2-bit MLC vs SLC at
+// 256 B / 128 B / 64 B line sizes. This is a data census, not a timing
+// simulation: each workload's value-mutation model is applied repeatedly to
+// line content and the differential-write cell changes counted.
 func runFig2(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 2: average cell changes per line write",
 		"workload", "256B-mlc", "256B-slc", "128B-mlc", "128B-slc", "64B-mlc", "64B-slc")

@@ -3,73 +3,39 @@ package exp
 import (
 	"fpb/internal/sim"
 	"fpb/internal/stats"
+	"fpb/internal/system"
 )
 
 // Figure 4: performance of simple power-management heuristics under MLC
 // PCM power restrictions, normalized to Ideal (no power limit). The paper's
 // headline motivation: DIMM-only loses 33%, DIMM+chip 51%; PWL, bigger
 // local pumps, and out-of-order write scheduling barely help (except
-// 2xlocal).
-func init() {
-	register(Experiment{
-		ID:    "fig4",
-		Title: "Figure 4: performance under power restrictions",
-		Paper: "vs Ideal: DIMM-only 0.67, DIMM+chip 0.49, PWL ~+2%, 1.5xlocal 0.80, 2xlocal ~DIMM-only, sche-X ~no gain",
-		Run:   runFig4,
-	})
-}
-
+// 2xlocal). The base config is DIMM+chip, so each heuristic column only
+// sets its own knob.
 func runFig4(r *Runner) (*stats.Table, error) {
-	norm := Variant{Label: "Ideal", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeIdeal }}
-	variants := []Variant{
-		{Label: "Ideal", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeIdeal }},
-		{Label: "DIMM-only", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMOnly }},
-		{Label: "DIMM+chip", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMChip }},
-		{Label: "PWL", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
-			c.PWL = true
-		}},
-		{Label: "1.5xlocal", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
-			c.LocalScale = 1.5
-		}},
-		{Label: "2xlocal", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
-			c.LocalScale = 2.0
-		}},
-		{Label: "sche24", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
-			c.WriteQueueSched = 24
-		}},
-		{Label: "sche48", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
+	return r.speedups("Figure 4: speedup vs Ideal (no power limit)", ideal,
+		column{label: "Ideal", cfg: ideal},
+		column{label: "DIMM-only", cfg: scheme(sim.SchemeDIMMOnly)},
+		column{label: "DIMM+chip", cfg: dimmChip},
+		column{label: "PWL", cfg: func(c *sim.Config) { c.PWL = true }},
+		column{label: "1.5xlocal", cfg: func(c *sim.Config) { c.LocalScale = 1.5 }},
+		column{label: "2xlocal", cfg: func(c *sim.Config) { c.LocalScale = 2.0 }},
+		column{label: "sche24", cfg: func(c *sim.Config) { c.WriteQueueSched = 24 }},
+		column{label: "sche48", cfg: func(c *sim.Config) {
 			c.WriteQueueEntries = 48
 			c.WriteQueueSched = 48
 		}},
-		{Label: "sche96", Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeDIMMChip
+		column{label: "sche96", cfg: func(c *sim.Config) {
 			c.WriteQueueEntries = 96
 			c.WriteQueueSched = 96
 		}},
-	}
-	return r.SpeedupTable("Figure 4: speedup vs Ideal (no power limit)", norm, variants)
+	)
 }
 
 // Figure 10: percentage of execution cycles spent in write bursts for the
 // baseline (DIMM+chip). The paper reports an average of 52.2%.
-func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Figure 10: % of time in write burst (baseline)",
-		Paper: "average 52.2% of execution time in write burst for the DIMM+chip baseline",
-		Run:   runFig10,
-	})
-}
-
 func runFig10(r *Runner) (*stats.Table, error) {
-	base := Variant{Label: "burst-fraction", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMChip }}
-	return r.MetricTable("Figure 10: fraction of execution cycles in write burst",
-		[]Variant{base},
-		func(res systemResult) float64 { return res.BurstFraction },
-		"mean", meanOf)
+	return r.tabulate("Figure 10: fraction of execution cycles in write burst",
+		[]column{{label: "burst-fraction", cfg: dimmChip}},
+		func(_, res system.Result) float64 { return res.BurstFraction }, "mean", meanOf)
 }

@@ -5,169 +5,99 @@ import (
 
 	"fpb/internal/sim"
 	"fpb/internal/stats"
+	"fpb/internal/system"
 )
 
-// gcpVariant builds a FPB-GCP configuration column.
-func gcpVariant(mapping sim.Mapping, eff float64) Variant {
-	return Variant{
-		Label: fmt.Sprintf("GCP-%v-%.2f", mapping, eff),
-		Mutate: func(c *sim.Config) {
-			c.Scheme = sim.SchemeGCP
-			c.CellMapping = mapping
-			c.GCPEff = eff
-		},
+// gcp is an FPB-GCP configuration.
+func gcp(mapping sim.Mapping, eff float64) func(*sim.Config) {
+	return func(c *sim.Config) {
+		c.Scheme = sim.SchemeGCP
+		c.CellMapping = mapping
+		c.GCPEff = eff
 	}
 }
 
-var dimmChip = Variant{Label: "DIMM+chip", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMChip }}
+// gcpColumn is an FPB-GCP column labeled by its mapping and efficiency.
+func gcpColumn(mapping sim.Mapping, eff float64) column {
+	return column{label: fmt.Sprintf("GCP-%v-%.2f", mapping, eff), cfg: gcp(mapping, eff)}
+}
 
 // Figure 11: FPB-GCP speedup over DIMM+chip for different GCP power
 // efficiencies, naive mapping. The paper: 0.95 → +36.3% (matching
 // DIMM-only), 0.70 → +23.7%, 0.50 → +2.8%.
-func init() {
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Figure 11: GCP speedup vs power efficiency",
-		Paper: "vs DIMM+chip: GCP-NE-0.95 +36.3% (=DIMM-only), GCP-NE-0.7 +23.7%, GCP-NE-0.5 +2.8%",
-		Run:   runFig11,
-	})
-}
-
 func runFig11(r *Runner) (*stats.Table, error) {
-	variants := []Variant{
-		{Label: "DIMM-only", Mutate: func(c *sim.Config) { c.Scheme = sim.SchemeDIMMOnly }},
-		gcpVariant(sim.MapNaive, 0.95),
-		gcpVariant(sim.MapNaive, 0.70),
-		gcpVariant(sim.MapNaive, 0.50),
-	}
-	return r.SpeedupTable("Figure 11: speedup vs DIMM+chip for GCP power efficiencies", dimmChip, variants)
+	return r.speedups("Figure 11: speedup vs DIMM+chip for GCP power efficiencies", dimmChip,
+		column{label: "DIMM-only", cfg: scheme(sim.SchemeDIMMOnly)},
+		gcpColumn(sim.MapNaive, 0.95),
+		gcpColumn(sim.MapNaive, 0.70),
+		gcpColumn(sim.MapNaive, 0.50),
+	)
 }
 
 // Figure 12: cell-mapping optimizations under the GCP. VIM/BIM at 70%
 // efficiency come within 2% / 1.4% of DIMM-only and stay effective at 50%.
-func init() {
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Figure 12: cell mapping optimizations",
-		Paper: "VIM/BIM-0.7 within 2%/1.4% of DIMM-only; VIM/BIM keep GCP effective at 0.5 efficiency",
-		Run:   runFig12,
-	})
-}
-
 func runFig12(r *Runner) (*stats.Table, error) {
-	variants := []Variant{
-		gcpVariant(sim.MapNaive, 0.70),
-		gcpVariant(sim.MapVIM, 0.70),
-		gcpVariant(sim.MapVIM, 0.50),
-		gcpVariant(sim.MapBIM, 0.70),
-		gcpVariant(sim.MapBIM, 0.50),
-	}
-	return r.SpeedupTable("Figure 12: speedup vs DIMM+chip for cell mappings", dimmChip, variants)
+	return r.speedups("Figure 12: speedup vs DIMM+chip for cell mappings", dimmChip,
+		gcpColumn(sim.MapNaive, 0.70),
+		gcpColumn(sim.MapVIM, 0.70),
+		gcpColumn(sim.MapVIM, 0.50),
+		gcpColumn(sim.MapBIM, 0.70),
+		gcpColumn(sim.MapBIM, 0.50),
+	)
 }
 
-// fig13Variants is the mapping × efficiency grid shared by Figures 13/14.
-func fig13Variants() []Variant {
-	return []Variant{
-		gcpVariant(sim.MapNaive, 0.70),
-		gcpVariant(sim.MapNaive, 0.50),
-		gcpVariant(sim.MapVIM, 0.70),
-		gcpVariant(sim.MapVIM, 0.50),
-		gcpVariant(sim.MapBIM, 0.70),
-		gcpVariant(sim.MapBIM, 0.50),
+// fig13Columns is the mapping × efficiency grid shared by Figures 13/14.
+func fig13Columns() []column {
+	return []column{
+		gcpColumn(sim.MapNaive, 0.70),
+		gcpColumn(sim.MapNaive, 0.50),
+		gcpColumn(sim.MapVIM, 0.70),
+		gcpColumn(sim.MapVIM, 0.50),
+		gcpColumn(sim.MapBIM, 0.70),
+		gcpColumn(sim.MapBIM, 0.50),
 	}
 }
 
 // Figure 13: maximum power tokens concurrently requested from the GCP —
 // this sizes the pump (Table 3). Paper maxima: NE 66, VIM 16, BIM 28.
-func init() {
-	register(Experiment{
-		ID:    "fig13",
-		Title: "Figure 13: max GCP tokens requested",
-		Paper: "max over workloads: NE 66, VIM 16, BIM 28 tokens",
-		Run:   runFig13,
-	})
+//
+// The pump-sizing criterion is the largest single chip segment the GCP ever
+// powered: the hot-chip shortfall the cell mapping leaves behind, which a
+// smaller pump could not have covered.
+func runFig13(r *Runner) (*stats.Table, error) {
+	return r.tabulate("Figure 13: maximum GCP tokens requested for one chip segment",
+		fig13Columns(), maxGCPSegment, "max", maxOf)
 }
 
-func runFig13(r *Runner) (*stats.Table, error) {
-	// The pump-sizing criterion is the largest single chip segment the
-	// GCP ever powered: the hot-chip shortfall the cell mapping leaves
-	// behind, which a smaller pump could not have covered.
-	return r.MetricTable("Figure 13: maximum GCP tokens requested for one chip segment",
-		fig13Variants(),
-		func(res systemResult) float64 { return res.MaxGCPSegment },
-		"max", maxOf)
-}
+// maxGCPSegment is the cell of Fig. 13 and Table 3.
+func maxGCPSegment(_, res system.Result) float64 { return res.MaxGCPSegment }
 
 // Figure 14: average GCP tokens requested per line write — proportional to
 // the energy wasted in the inefficient global pump. VIM/BIM cut waste by
 // 78.5%/64.4% vs NE at 0.7 efficiency.
-func init() {
-	register(Experiment{
-		ID:    "fig14",
-		Title: "Figure 14: average GCP tokens per write",
-		Paper: "VIM and BIM reduce GCP energy waste by 78.5% and 64.4% vs NE at 0.7 efficiency",
-		Run:   runFig14,
-	})
-}
-
 func runFig14(r *Runner) (*stats.Table, error) {
-	return r.MetricTable("Figure 14: average GCP output tokens requested per line write",
-		fig13Variants(),
-		func(res systemResult) float64 { return res.AvgGCPTokens },
-		"avg", meanOf)
+	return r.tabulate("Figure 14: average GCP output tokens requested per line write",
+		fig13Columns(), func(_, res system.Result) float64 { return res.AvgGCPTokens }, "avg", meanOf)
 }
 
 // Figure 15: BIM keeps the GCP effective as its efficiency decays toward
-// 10%, shown for astar, mcf and mix_1.
-func init() {
-	register(Experiment{
-		ID:    "fig15",
-		Title: "Figure 15: BIM speedup as GCP efficiency decreases",
-		Paper: "BIM stays effective down to ~0.2 efficiency on mix_1; speedup decays smoothly",
-		Run:   runFig15,
-	})
-}
-
+// 10%, shown for astar, mcf and mix_1: one row per efficiency, one column
+// per workload.
 func runFig15(r *Runner) (*stats.Table, error) {
 	effs := []float64{0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}
 	wls := []string{"ast_m", "mcf_m", "mix_1"}
-	cols := []string{"efficiency"}
-	cols = append(cols, wls...)
-	t := stats.NewTable("Figure 15: GCP-BIM speedup vs DIMM+chip as efficiency decreases", cols...)
-	var cfgs []sim.Config
-	base := r.cfgOf(dimmChip)
-	cfgs = append(cfgs, base)
-	for _, e := range effs {
-		cfgs = append(cfgs, r.cfgOf(gcpVariant(sim.MapBIM, e)))
+	cols := make([]column, len(effs))
+	for i, e := range effs {
+		cols[i] = column{cfg: gcp(sim.MapBIM, e), norm: dimmChip}
 	}
-	if err := r.Prewarm(cfgs, wls); err != nil {
+	vals, err := r.measure(cols, wls, system.Speedup)
+	if err != nil {
 		return nil, err
 	}
-	for _, e := range effs {
-		row := make([]float64, 0, len(wls))
-		for _, wl := range wls {
-			s, err := speedupOf(r, base, r.cfgOf(gcpVariant(sim.MapBIM, e)), wl)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
-		}
-		t.AddRow(fmt.Sprintf("%.1f", e), row...)
+	t := stats.NewTable("Figure 15: GCP-BIM speedup vs DIMM+chip as efficiency decreases",
+		append([]string{"efficiency"}, wls...)...)
+	for i, e := range effs {
+		t.AddRow(fmt.Sprintf("%.1f", e), vals[i]...)
 	}
 	return t, nil
-}
-
-func speedupOf(r *Runner, base, tech sim.Config, wl string) (float64, error) {
-	b, err := r.Run(base, wl)
-	if err != nil {
-		return 0, err
-	}
-	v, err := r.Run(tech, wl)
-	if err != nil {
-		return 0, err
-	}
-	if v.CPI == 0 {
-		return 0, nil
-	}
-	return b.CPI / v.CPI, nil
 }

@@ -5,170 +5,85 @@ import (
 
 	"fpb/internal/sim"
 	"fpb/internal/stats"
+	"fpb/internal/system"
 )
-
-// fpbFull is the combined FPB configuration of Section 6.4: IPM + MR3 with
-// BIM at 70% GCP efficiency.
-func fpbFull(c *sim.Config) {
-	c.Scheme = sim.SchemeGCPIPMMR
-	c.CellMapping = sim.MapBIM
-	c.GCPEff = 0.70
-	c.MultiResetSplit = 3
-}
 
 // sweepTable runs the Section 6.4 design-space pattern: for each parameter
 // value X, FPB and DIMM+chip are both run at X and the speedup is FPB(X) /
 // DIMM+chip(X) — "each bar is normalized to DIMM+chip that has the same X
 // value".
 func sweepTable(r *Runner, title string, labels []string, apply func(*sim.Config, int)) (*stats.Table, error) {
-	cols := []string{"workload"}
-	cols = append(cols, labels...)
-	t := stats.NewTable(title, cols...)
-
-	var cfgs []sim.Config
-	baseCfgs := make([]sim.Config, len(labels))
-	fpbCfgs := make([]sim.Config, len(labels))
-	for i := range labels {
-		b := r.BaseConfig()
-		b.Scheme = sim.SchemeDIMMChip
-		apply(&b, i)
-		baseCfgs[i] = b
-		f := r.BaseConfig()
-		fpbFull(&f)
-		apply(&f, i)
-		fpbCfgs[i] = f
-		cfgs = append(cfgs, b, f)
-	}
-	if err := r.Prewarm(cfgs, r.Opt().Workloads); err != nil {
-		return nil, err
-	}
-
-	perCol := make([][]float64, len(labels))
-	for _, wl := range r.Opt().Workloads {
-		row := make([]float64, 0, len(labels))
-		for i := range labels {
-			s, err := speedupOf(r, baseCfgs[i], fpbCfgs[i], wl)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
-			perCol[i] = append(perCol[i], s)
+	cols := make([]column, len(labels))
+	for i, label := range labels {
+		cols[i] = column{
+			label: label,
+			cfg:   func(c *sim.Config) { fpbFull(c); apply(c, i) },
+			norm:  func(c *sim.Config) { dimmChip(c); apply(c, i) },
 		}
-		t.AddRow(wl, row...)
 	}
-	g := make([]float64, len(labels))
-	for i := range perCol {
-		g[i] = stats.GeoMean(perCol[i])
-	}
-	t.AddRow("gmean", g...)
-	return t, nil
+	return r.tabulate(title, cols, system.Speedup, "gmean", stats.GeoMean)
 }
 
 // Figure 19: FPB speedup for 64/128/256 B memory line sizes. Paper:
 // +41.3%, +61.8%, +75.6%.
-func init() {
-	register(Experiment{
-		ID:    "fig19",
-		Title: "Figure 19: line size sensitivity",
-		Paper: "FPB gains +41.3%/+61.8%/+75.6% for 64B/128B/256B lines",
-		Run: func(r *Runner) (*stats.Table, error) {
-			sizes := []int{64, 128, 256}
-			return sweepTable(r, "Figure 19: FPB speedup vs DIMM+chip per line size",
-				[]string{"64B", "128B", "256B"},
-				func(c *sim.Config, i int) { c.L3LineB = sizes[i] })
-		},
-	})
+func runFig19(r *Runner) (*stats.Table, error) {
+	sizes := []int{64, 128, 256}
+	return sweepTable(r, "Figure 19: FPB speedup vs DIMM+chip per line size",
+		[]string{"64B", "128B", "256B"},
+		func(c *sim.Config, i int) { c.L3LineB = sizes[i] })
 }
 
 // Figure 20: last-level cache capacity sensitivity. Paper: +39.9% (8MB),
 // +62.1% (16MB), +75.6% (32MB), +23.4% (128MB).
-func init() {
-	register(Experiment{
-		ID:    "fig20",
-		Title: "Figure 20: LLC capacity sensitivity",
-		Paper: "FPB gains +39.9%/+62.1%/+75.6%/+23.4% for 8/16/32/128 MB per-core LLC",
-		Run: func(r *Runner) (*stats.Table, error) {
-			sizes := []int{8, 16, 32, 128}
-			return sweepTable(r, "Figure 20: FPB speedup vs DIMM+chip per LLC capacity",
-				[]string{"8M", "16M", "32M", "128M"},
-				func(c *sim.Config, i int) { c.L3SizeMB = sizes[i] })
-		},
-	})
+func runFig20(r *Runner) (*stats.Table, error) {
+	sizes := []int{8, 16, 32, 128}
+	return sweepTable(r, "Figure 20: FPB speedup vs DIMM+chip per LLC capacity",
+		[]string{"8M", "16M", "32M", "128M"},
+		func(c *sim.Config, i int) { c.L3SizeMB = sizes[i] })
 }
 
 // Figure 21: write queue size sensitivity. Paper: +75.6%/+85.2%/+88.1% for
 // 24/48/96 entries, saturating at 48.
-func init() {
-	register(Experiment{
-		ID:    "fig21",
-		Title: "Figure 21: write queue size sensitivity",
-		Paper: "FPB gains +75.6%/+85.2%/+88.1% for 24/48/96-entry write queues; saturates at 48",
-		Run: func(r *Runner) (*stats.Table, error) {
-			sizes := []int{24, 48, 96}
-			return sweepTable(r, "Figure 21: FPB speedup vs DIMM+chip per write queue size",
-				[]string{"24", "48", "96"},
-				func(c *sim.Config, i int) { c.WriteQueueEntries = sizes[i] })
-		},
-	})
+func runFig21(r *Runner) (*stats.Table, error) {
+	sizes := []int{24, 48, 96}
+	return sweepTable(r, "Figure 21: FPB speedup vs DIMM+chip per write queue size",
+		[]string{"24", "48", "96"},
+		func(c *sim.Config, i int) { c.WriteQueueEntries = sizes[i] })
 }
 
 // Figure 22: power token budget sensitivity (±1/8 of the DIMM budget —
 // one LCP's worth of area). Paper: FPB does better under tighter budgets.
-func init() {
-	register(Experiment{
-		ID:    "fig22",
-		Title: "Figure 22: power token budget sensitivity",
-		Paper: "FPB's advantage grows as the token budget tightens (466 > 532 > 598 relative gains)",
-		Run: func(r *Runner) (*stats.Table, error) {
-			tokens := []float64{466, 532, 598}
-			labels := make([]string, len(tokens))
-			for i, tk := range tokens {
-				labels[i] = fmt.Sprintf("%.0f", tk)
-			}
-			return sweepTable(r, "Figure 22: FPB speedup vs DIMM+chip per token budget",
-				labels,
-				func(c *sim.Config, i int) { c.DIMMTokens = tokens[i] })
-		},
-	})
+func runFig22(r *Runner) (*stats.Table, error) {
+	tokens := []float64{466, 532, 598}
+	labels := make([]string, len(tokens))
+	for i, tk := range tokens {
+		labels[i] = fmt.Sprintf("%.0f", tk)
+	}
+	return sweepTable(r, "Figure 22: FPB speedup vs DIMM+chip per token budget",
+		labels,
+		func(c *sim.Config, i int) { c.DIMMTokens = tokens[i] })
 }
 
 // Figure 23: FPB combined with write cancellation, write pausing and write
 // truncation (320-entry queues: 40 per bank). Paper: FPB+WC+WP+WT reaches
 // +175.8% over DIMM+chip, a 57% gain over FPB alone.
-func init() {
-	register(Experiment{
-		ID:    "fig23",
-		Title: "Figure 23: FPB with WC, WP and WT",
-		Paper: "FPB+WC+WP+WT +175.8% over DIMM+chip (+57% over FPB alone)",
-		Run:   runFig23,
-	})
-}
-
 func runFig23(r *Runner) (*stats.Table, error) {
-	bigQueues := func(c *sim.Config) {
-		c.ReadQueueEntries = 320
-		c.WriteQueueEntries = 320
+	// fpbWith is FPB with 320-entry queues, write cancellation and, at
+	// levels 2 and 3, write pausing and then write truncation.
+	fpbWith := func(level int) func(*sim.Config) {
+		return func(c *sim.Config) {
+			fpbFull(c)
+			c.ReadQueueEntries = 320
+			c.WriteQueueEntries = 320
+			c.WriteCancellation = true
+			c.WritePausing = level >= 2
+			c.WriteTruncation = level >= 3
+		}
 	}
-	variants := []Variant{
-		{Label: "FPB", Mutate: fpbFull},
-		{Label: "FPB+WC", Mutate: func(c *sim.Config) {
-			fpbFull(c)
-			bigQueues(c)
-			c.WriteCancellation = true
-		}},
-		{Label: "FPB+WC+WP", Mutate: func(c *sim.Config) {
-			fpbFull(c)
-			bigQueues(c)
-			c.WriteCancellation = true
-			c.WritePausing = true
-		}},
-		{Label: "FPB+WC+WP+WT", Mutate: func(c *sim.Config) {
-			fpbFull(c)
-			bigQueues(c)
-			c.WriteCancellation = true
-			c.WritePausing = true
-			c.WriteTruncation = true
-		}},
-	}
-	return r.SpeedupTable("Figure 23: FPB with read-latency schemes, speedup vs DIMM+chip", dimmChip, variants)
+	return r.speedups("Figure 23: FPB with read-latency schemes, speedup vs DIMM+chip", dimmChip,
+		column{label: "FPB", cfg: fpbFull},
+		column{label: "FPB+WC", cfg: fpbWith(1)},
+		column{label: "FPB+WC+WP", cfg: fpbWith(2)},
+		column{label: "FPB+WC+WP+WT", cfg: fpbWith(3)},
+	)
 }

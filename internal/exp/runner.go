@@ -11,7 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -135,9 +135,6 @@ func NewRunner(opt Options) *Runner {
 	}
 	return r
 }
-
-// Opt returns the effective options.
-func (r *Runner) Opt() Options { return r.opt }
 
 // BaseConfig is the Table 1 configuration at the runner's scale.
 func (r *Runner) BaseConfig() sim.Config {
@@ -268,105 +265,119 @@ func (r *Runner) Prewarm(cfgs []sim.Config, wls []string) error {
 	return firstErr
 }
 
-// systemResult shortens metric-closure signatures in the figure files.
-type systemResult = system.Result
-
-// Variant is one labeled configuration column of a figure.
-type Variant struct {
-	Label  string
-	Mutate func(*sim.Config)
+// column is one configuration column of a table: its label, the config it
+// simulates and, optionally, the norm (the config its cells are divided
+// by), each given as a change to the runner's base config.
+type column struct {
+	label string
+	cfg   func(*sim.Config)
+	norm  func(*sim.Config) // nil: the column has no norm
 }
 
-func (r *Runner) cfgOf(v Variant) sim.Config {
+// scheme is the change that selects scheme s.
+func scheme(s sim.Scheme) func(*sim.Config) { return func(c *sim.Config) { c.Scheme = s } }
+
+var (
+	dimmChip = scheme(sim.SchemeDIMMChip)
+	ideal    = scheme(sim.SchemeIdeal)
+)
+
+// config is the runner's base config with change applied.
+func (r *Runner) config(change func(*sim.Config)) sim.Config {
 	cfg := r.BaseConfig()
-	if v.Mutate != nil {
-		v.Mutate(&cfg)
-	}
+	change(&cfg)
 	return cfg
 }
 
-// SpeedupTable renders per-workload speedups of each variant over the norm
-// variant (Eq. 7: CPI_norm / CPI_variant), plus a gmean row — the layout of
-// every speedup figure in the paper.
-func (r *Runner) SpeedupTable(title string, norm Variant, variants []Variant) (*stats.Table, error) {
-	cfgs := []sim.Config{r.cfgOf(norm)}
-	for _, v := range variants {
-		cfgs = append(cfgs, r.cfgOf(v))
+// measure simulates every column's config and norm on wls and returns
+// cell(normResult, result) for each column and workload, indexed
+// [column][workload]; a column without a norm gets a zero normResult.
+// Prewarm receives every column config in column order, then each norm
+// not already listed.
+func (r *Runner) measure(cols []column, wls []string, cell func(norm, res system.Result) float64) ([][]float64, error) {
+	cfgs := make([]sim.Config, len(cols))
+	norms := make([]*sim.Config, len(cols))
+	batch := make([]sim.Config, 0, 2*len(cols))
+	listed := map[sim.Config]bool{}
+	list := func(c sim.Config) {
+		if !listed[c] {
+			listed[c] = true
+			batch = append(batch, c)
+		}
 	}
-	if err := r.Prewarm(cfgs, r.opt.Workloads); err != nil {
+	for i, c := range cols {
+		cfgs[i] = r.config(c.cfg)
+		list(cfgs[i])
+	}
+	for i, c := range cols {
+		if c.norm != nil {
+			n := r.config(c.norm)
+			norms[i] = &n
+			list(n)
+		}
+	}
+	if err := r.Prewarm(batch, wls); err != nil {
 		return nil, err
 	}
-
-	cols := []string{"workload"}
-	for _, v := range variants {
-		cols = append(cols, v.Label)
-	}
-	t := stats.NewTable(title, cols...)
-	perVariant := make([][]float64, len(variants))
-	for _, wl := range r.opt.Workloads {
-		base, err := r.Run(r.cfgOf(norm), wl)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(variants))
-		for i, v := range variants {
-			res, err := r.Run(r.cfgOf(v), wl)
+	vals := make([][]float64, len(cols))
+	for i := range cols {
+		for _, wl := range wls {
+			res, err := r.Run(cfgs[i], wl)
+			var norm system.Result
+			if err == nil && norms[i] != nil {
+				norm, err = r.Run(*norms[i], wl)
+			}
 			if err != nil {
 				return nil, err
 			}
-			s := system.Speedup(base, res)
-			row = append(row, s)
-			perVariant[i] = append(perVariant[i], s)
+			vals[i] = append(vals[i], cell(norm, res))
 		}
-		t.AddRow(wl, row...)
 	}
-	gmeans := make([]float64, len(variants))
-	for i := range variants {
-		gmeans[i] = stats.GeoMean(perVariant[i])
-	}
-	t.AddRow("gmean", gmeans...)
-	return t, nil
+	return vals, nil
 }
 
-// MetricTable renders an arbitrary per-workload metric for each variant,
-// with an aggregate row computed by agg (e.g. max for Fig. 13, mean for
-// Fig. 14).
-func (r *Runner) MetricTable(title string, variants []Variant,
-	metric func(system.Result) float64, aggLabel string,
-	agg func([]float64) float64) (*stats.Table, error) {
-	cfgs := make([]sim.Config, 0, len(variants))
-	for _, v := range variants {
-		cfgs = append(cfgs, r.cfgOf(v))
+// table renders vals from measure as one row per workload under the
+// columns' labels, closed by an aggregate row: agg of each column, labeled
+// aggLabel.
+func table(title string, cols []column, wls []string, vals [][]float64,
+	aggLabel string, agg func([]float64) float64) *stats.Table {
+	head := []string{"workload"}
+	for _, c := range cols {
+		head = append(head, c.label)
 	}
-	if err := r.Prewarm(cfgs, r.opt.Workloads); err != nil {
-		return nil, err
-	}
-
-	cols := []string{"workload"}
-	for _, v := range variants {
-		cols = append(cols, v.Label)
-	}
-	t := stats.NewTable(title, cols...)
-	perVariant := make([][]float64, len(variants))
-	for _, wl := range r.opt.Workloads {
-		row := make([]float64, 0, len(variants))
-		for i, v := range variants {
-			res, err := r.Run(r.cfgOf(v), wl)
-			if err != nil {
-				return nil, err
-			}
-			m := metric(res)
-			row = append(row, m)
-			perVariant[i] = append(perVariant[i], m)
+	t := stats.NewTable(title, head...)
+	row := make([]float64, len(cols))
+	for w, wl := range wls {
+		for i := range cols {
+			row[i] = vals[i][w]
 		}
 		t.AddRow(wl, row...)
 	}
-	aggs := make([]float64, len(variants))
-	for i := range perVariant {
-		aggs[i] = agg(perVariant[i])
+	for i := range cols {
+		row[i] = agg(vals[i])
 	}
-	t.AddRow(aggLabel, aggs...)
-	return t, nil
+	t.AddRow(aggLabel, row...)
+	return t
+}
+
+// tabulate measures cols on the runner's workloads and renders them with
+// table.
+func (r *Runner) tabulate(title string, cols []column, cell func(norm, res system.Result) float64,
+	aggLabel string, agg func([]float64) float64) (*stats.Table, error) {
+	vals, err := r.measure(cols, r.opt.Workloads, cell)
+	if err != nil {
+		return nil, err
+	}
+	return table(title, cols, r.opt.Workloads, vals, aggLabel, agg), nil
+}
+
+// speedups is the paper's speedup figure (Eq. 7: CPI_norm / CPI_column):
+// every column normalized to norm, closed by a gmean row.
+func (r *Runner) speedups(title string, norm func(*sim.Config), cols ...column) (*stats.Table, error) {
+	for i := range cols {
+		cols[i].norm = norm
+	}
+	return r.tabulate(title, cols, system.Speedup, "gmean", stats.GeoMean)
 }
 
 func maxOf(xs []float64) float64 {
@@ -390,46 +401,79 @@ func meanOf(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// registry is populated by the figure files' init functions.
-var registry []Experiment
-
-func register(e Experiment) { registry = append(registry, e) }
-
-// paperOrder fixes the presentation order independent of init order.
-var paperOrder = []string{
-	"fig2", "fig4", "fig10", "fig11", "fig12", "fig13", "tab3", "fig14",
-	"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
-	"fig22", "fig23", "abl-gcpsize", "abl-mrtrigger", "abl-setratio", "abl-halfstripe",
+// experiments lists every experiment in paper order.
+var experiments = []Experiment{
+	{ID: "fig2", Title: "Figure 2: cell changes per line write",
+		Paper: "2-bit MLC changes fewer cells than SLC; larger lines change more cells (~100-500 cells at 256B)",
+		Run:   runFig2},
+	{ID: "fig4", Title: "Figure 4: performance under power restrictions",
+		Paper: "vs Ideal: DIMM-only 0.67, DIMM+chip 0.49, PWL ~+2%, 1.5xlocal 0.80, 2xlocal ~DIMM-only, sche-X ~no gain",
+		Run:   runFig4},
+	{ID: "fig10", Title: "Figure 10: % of time in write burst (baseline)",
+		Paper: "average 52.2% of execution time in write burst for the DIMM+chip baseline",
+		Run:   runFig10},
+	{ID: "fig11", Title: "Figure 11: GCP speedup vs power efficiency",
+		Paper: "vs DIMM+chip: GCP-NE-0.95 +36.3% (=DIMM-only), GCP-NE-0.7 +23.7%, GCP-NE-0.5 +2.8%",
+		Run:   runFig11},
+	{ID: "fig12", Title: "Figure 12: cell mapping optimizations",
+		Paper: "VIM/BIM-0.7 within 2%/1.4% of DIMM-only; VIM/BIM keep GCP effective at 0.5 efficiency",
+		Run:   runFig12},
+	{ID: "fig13", Title: "Figure 13: max GCP tokens requested",
+		Paper: "max over workloads: NE 66, VIM 16, BIM 28 tokens",
+		Run:   runFig13},
+	{ID: "tab3", Title: "Table 3: charge pump area overhead",
+		Paper: "2xlocal 100%; GCP-NE-0.95 12.5%, NE-0.7 16.4%, VIM-0.95 3.1%, VIM-0.7 4.1%, BIM-0.95 5.4%, BIM-0.7 7.1%",
+		Run:   runTable3},
+	{ID: "fig14", Title: "Figure 14: average GCP tokens per write",
+		Paper: "VIM and BIM reduce GCP energy waste by 78.5% and 64.4% vs NE at 0.7 efficiency",
+		Run:   runFig14},
+	{ID: "fig15", Title: "Figure 15: BIM speedup as GCP efficiency decreases",
+		Paper: "BIM stays effective down to ~0.2 efficiency on mix_1; speedup decays smoothly",
+		Run:   runFig15},
+	{ID: "fig16", Title: "Figure 16: IPM and Multi-RESET speedup",
+		Paper: "vs DIMM+chip: IPM+MR +75.6% (within 12.2% of Ideal); IPM +26.9% over GCP-BIM; stable at E=0.5, drops at 0.3",
+		Run:   runFig16},
+	{ID: "fig17", Title: "Figure 17: Multi-RESET iteration split limit",
+		Paper: "best split is 3; 4 is ~2% worse due to added RESET latency",
+		Run:   runFig17},
+	{ID: "fig18", Title: "Figure 18: write throughput improvement",
+		Paper: "vs DIMM+chip: GCP 1.59x, GCP+IPM+MR 3.4x, Ideal 22% above FPB",
+		Run:   runFig18},
+	{ID: "fig19", Title: "Figure 19: line size sensitivity",
+		Paper: "FPB gains +41.3%/+61.8%/+75.6% for 64B/128B/256B lines",
+		Run:   runFig19},
+	{ID: "fig20", Title: "Figure 20: LLC capacity sensitivity",
+		Paper: "FPB gains +39.9%/+62.1%/+75.6%/+23.4% for 8/16/32/128 MB per-core LLC",
+		Run:   runFig20},
+	{ID: "fig21", Title: "Figure 21: write queue size sensitivity",
+		Paper: "FPB gains +75.6%/+85.2%/+88.1% for 24/48/96-entry write queues; saturates at 48",
+		Run:   runFig21},
+	{ID: "fig22", Title: "Figure 22: power token budget sensitivity",
+		Paper: "FPB's advantage grows as the token budget tightens (466 > 532 > 598 relative gains)",
+		Run:   runFig22},
+	{ID: "fig23", Title: "Figure 23: FPB with WC, WP and WT",
+		Paper: "FPB+WC+WP+WT +175.8% over DIMM+chip (+57% over FPB alone)",
+		Run:   runFig23},
+	{ID: "abl-gcpsize", Title: "Ablation: GCP output sizing",
+		Paper: "(extension) paper default sizes the GCP as one LCP; half/double explore the area-performance trade",
+		Run:   runAblGCPSize},
+	{ID: "abl-mrtrigger", Title: "Ablation: Multi-RESET trigger policy",
+		Paper: "(extension) paper uses greedy split-on-shortfall; always-split pays the latency unconditionally",
+		Run:   runAblMRTrigger},
+	{ID: "abl-setratio", Title: "Ablation: SET/RESET power ratio",
+		Paper: "(extension) IPM reclaims (C-1)/C of RESET tokens; a lower SET/RESET ratio means more reclamation",
+		Run:   runAblSetRatio},
+	{ID: "abl-halfstripe", Title: "Ablation: half-stripe two-round cell layout",
+		Paper: "(Section 2.1) the paper predicts doubled read/write latency harms performance; full stripe is the baseline",
+		Run:   runAblHalfStripe},
 }
 
-// All returns every experiment in paper order (unlisted experiments come
-// last in registration order).
-func All() []Experiment {
-	rank := make(map[string]int, len(paperOrder))
-	for i, id := range paperOrder {
-		rank[id] = i
-	}
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i].ID]
-		rj, jok := rank[out[j].ID]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		}
-		return false
-	})
-	return out
-}
+// All returns every experiment in paper order.
+func All() []Experiment { return slices.Clone(experiments) }
 
 // ByID finds one experiment.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range registry {
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, true
 		}

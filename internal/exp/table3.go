@@ -12,55 +12,30 @@ import (
 // tokens relative to the baseline DIMM (8 chips × 70 tokens = 560). The
 // GCP's size is the maximum output it was ever asked for (Figure 13's
 // data), divided by its efficiency.
-func init() {
-	register(Experiment{
-		ID:    "tab3",
-		Title: "Table 3: charge pump area overhead",
-		Paper: "2xlocal 100%; GCP-NE-0.95 12.5%, NE-0.7 16.4%, VIM-0.95 3.1%, VIM-0.7 4.1%, BIM-0.95 5.4%, BIM-0.7 7.1%",
-		Run:   runTable3,
-	})
-}
-
 func runTable3(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Table 3: charge pump overhead (input-referred power tokens)",
 		"scheme", "tokens", "overhead")
 	t.AddStringRow("Baseline (8 chips)", fmt.Sprintf("%.0f", power.BaselineChipTokens*8), "-")
 	t.AddStringRow("2xLocal (8 chips)", fmt.Sprintf("%.0f", power.BaselineChipTokens*16), "100.0%")
 
-	grid := []struct {
-		mapping sim.Mapping
-		eff     float64
-	}{
-		{sim.MapNaive, 0.95}, {sim.MapNaive, 0.70},
-		{sim.MapVIM, 0.95}, {sim.MapVIM, 0.70},
-		{sim.MapBIM, 0.95}, {sim.MapBIM, 0.70},
+	effs := []float64{0.95, 0.70}
+	var cols []column
+	for _, m := range []sim.Mapping{sim.MapNaive, sim.MapVIM, sim.MapBIM} {
+		for _, eff := range effs {
+			cols = append(cols, gcpColumn(m, eff))
+		}
 	}
-	var cfgs []sim.Config
-	for _, g := range grid {
-		cfgs = append(cfgs, r.cfgOf(gcpVariant(g.mapping, g.eff)))
-	}
-	if err := r.Prewarm(cfgs, r.Opt().Workloads); err != nil {
+	vals, err := r.measure(cols, r.opt.Workloads, maxGCPSegment)
+	if err != nil {
 		return nil, err
 	}
-	for _, g := range grid {
-		cfg := r.cfgOf(gcpVariant(g.mapping, g.eff))
+	for i, c := range cols {
 		// Size the pump by the largest single-write GCP demand seen
 		// across workloads (Figure 13's measurement).
-		maxTokens := 0.0
-		for _, wl := range r.Opt().Workloads {
-			res, err := r.Run(cfg, wl)
-			if err != nil {
-				return nil, err
-			}
-			if m := res.MaxGCPSegment; m > maxTokens {
-				maxTokens = m
-			}
-		}
-		overhead := power.PumpOverhead(maxTokens, g.eff, cfg.Chips)
-		t.AddStringRow(
-			fmt.Sprintf("GCP-%v-%.2f", g.mapping, g.eff),
-			fmt.Sprintf("%.0f/%.2f = %.0f", maxTokens, g.eff, maxTokens/g.eff),
-			fmt.Sprintf("%.1f%%", overhead*100),
+		maxTokens, eff := maxOf(vals[i]), effs[i%len(effs)]
+		t.AddStringRow(c.label,
+			fmt.Sprintf("%.0f/%.2f = %.0f", maxTokens, eff, maxTokens/eff),
+			fmt.Sprintf("%.1f%%", power.PumpOverhead(maxTokens, eff, r.BaseConfig().Chips)*100),
 		)
 	}
 	return t, nil

@@ -803,11 +803,6 @@ func (c *Controller) Endurance() (distinctLines int, maxWrites uint64) {
 	return len(c.lineWrites), c.maxLineWr
 }
 
-// QueueDepths reports current queue occupancies.
-func (c *Controller) QueueDepths() (rdq, fillq, wrq int) {
-	return len(c.rdq), len(c.fillq), len(c.wrq)
-}
-
 // Drained reports whether no work remains anywhere in the subsystem.
 func (c *Controller) Drained() bool {
 	if len(c.rdq)+len(c.fillq)+len(c.wrq)+len(c.waitingOps)+len(c.resumeOps) > 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -203,7 +204,7 @@ func (s *Server) registerMetrics() {
 		"serve.jobs.coalesced":     "requests coalesced onto an identical in-flight job",
 		"serve.jobs.rejected":      "jobs rejected with 429 (queue full)",
 		"serve.jobs.done":          "simulations completed successfully",
-		"serve.jobs.failed":        "simulations that returned an error",
+		"serve.jobs.failed":        "simulations that returned an error or panicked",
 		"serve.cache.hits":         "requests answered from the persistent result store",
 		"serve.cache.misses":       "requests that required a fresh simulation",
 		"serve.store.put_errors":   "persistence failures (results degraded to memory-only)",
@@ -259,7 +260,7 @@ func (s *Server) worker() {
 		s.log.Debug("job start", "job", j.id, "key", j.key,
 			"queue_wait_ms", durMs(queueWait))
 
-		res, err := s.cfg.Simulate(j.cfg, j.wl)
+		res, err := s.simulate(j)
 		simDur := time.Since(start)
 		s.hSim.Observe(durMs(simDur))
 		var storeDur time.Duration
@@ -302,6 +303,20 @@ func (s *Server) worker() {
 		}
 		close(j.done)
 	}
+}
+
+// simulate runs one job's simulation. A panic fails only this job: the
+// panic value becomes the job's error and its stack is logged with the job
+// ID, so the worker and the daemon keep serving.
+func (s *Server) simulate(j *job) (res system.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("simulation panicked: %v", p)
+			s.log.Error("job panicked", "job", j.id, "key", j.key,
+				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+		}
+	}()
+	return s.cfg.Simulate(j.cfg, j.wl)
 }
 
 // durMs converts a duration to fractional milliseconds (the unit of every

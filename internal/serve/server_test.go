@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -486,6 +487,73 @@ func TestFailedSimulationReports422(t *testing.T) {
 	}
 	if st.Error == "" {
 		t.Error("failure carried no error message")
+	}
+}
+
+// TestPanickingSimulationFailsOneJob: a simulation that panics fails its
+// own job (422, the panic value as the error, counted as failed, its stack
+// logged with the job ID) and the daemon keeps serving.
+func TestPanickingSimulationFailsOneJob(t *testing.T) {
+	logs := &syncWriter{}
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Logger:  slog.New(slog.NewTextHandler(logs, nil)),
+		Simulate: func(cfg sim.Config, wl string) (system.Result, error) {
+			if cfg.Seed == 5 {
+				panic("model invariant broken")
+			}
+			return fakeResult(cfg, wl), nil
+		},
+	})
+	code, st := postJob(t, ts.URL, spec(5), "")
+	if code != http.StatusUnprocessableEntity || st.State != StateFailed {
+		t.Fatalf("panicking sim: %d %+v", code, st)
+	}
+	if !strings.Contains(st.Error, "model invariant broken") {
+		t.Errorf("error %q does not carry the panic value", st.Error)
+	}
+	if got := getMetrics(t, ts.URL)["serve_jobs_failed"]; got != 1 {
+		t.Errorf("serve_jobs_failed = %v, want 1", got)
+	}
+	log := logs.String()
+	if !strings.Contains(log, "job panicked") || !strings.Contains(log, st.ID) ||
+		!strings.Contains(log, "TestPanickingSimulationFailsOneJob") {
+		t.Errorf("panic log lacks the job ID or the stack:\n%s", log)
+	}
+	assertServing(t, ts.URL)
+}
+
+// TestDeadlockSpecFailsOneJob: a spec that passes Validate but can never
+// admit a write (a one-token DIMM budget) trips the simulator's deadlock
+// panic; it must fail as one 422 job, not kill the daemon.
+func TestDeadlockSpecFailsOneJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cfg := sim.DefaultConfig()
+	cfg.DIMMTokens = 1
+	cfg.InstrPerCore = 2000
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("the deadlock spec no longer passes Validate: %v", err)
+	}
+	code, st := postJob(t, ts.URL, JobSpec{Workload: "mcf_m", Config: &cfg}, "")
+	if code != http.StatusUnprocessableEntity || !strings.Contains(st.Error, "deadlock") {
+		t.Fatalf("deadlock spec: %d %+v", code, st)
+	}
+	assertServing(t, ts.URL)
+}
+
+// assertServing checks that /healthz answers and a normal job completes.
+func assertServing(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %d", resp.StatusCode)
+	}
+	if code, st := postJob(t, url, spec(6), ""); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("normal job after a failure: %d %+v", code, st)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the measurement primitives used across the
-// simulator: streaming summaries (mean/max), histograms, geometric means for
+// simulator: streaming summaries (count, sum, mean), geometric means for
 // speedup aggregation, and fixed-width table rendering for the experiment
 // harness output.
 package stats
@@ -7,21 +7,16 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of float64 observations. NaN and ±Inf
 // observations are rejected (counted in Rejected): a single poisoned value
-// would otherwise silently propagate through sum/ssq into every derived
+// would otherwise silently propagate through the sum into every derived
 // metric of a run.
 type Summary struct {
 	n        uint64
 	rejected uint64
 	sum      float64
-	ssq      float64
-	min      float64
-	max      float64
-	last     float64
 }
 
 // Add records one observation; non-finite values are dropped.
@@ -30,20 +25,8 @@ func (s *Summary) Add(v float64) {
 		s.rejected++
 		return
 	}
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	s.n++
 	s.sum += v
-	s.ssq += v * v
-	s.last = v
 }
 
 // N returns the number of observations.
@@ -63,38 +46,6 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Last returns the most recent observation, or 0 for an empty summary.
-func (s *Summary) Last() float64 { return s.last }
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.ssq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0 // numerical noise
-	}
-	return math.Sqrt(v)
-}
-
 // GeoMean returns the geometric mean of xs, ignoring non-positive values
 // (which have no geometric mean); it returns 0 if no positive values exist.
 // The paper reports gmean speedups across workloads.
@@ -111,14 +62,6 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// Ratio returns a/b, or 0 when b is 0. Convenient for normalized metrics.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // Table renders labeled rows of numbers in a fixed-width layout matching the
@@ -248,15 +191,4 @@ func bar(n int) string {
 		b[i] = '#'
 	}
 	return string(b)
-}
-
-// SortedKeys returns map keys in sorted order; handy for deterministic
-// iteration when printing per-workload results.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -18,50 +18,15 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 4 {
 		t.Errorf("Mean = %g, want 4", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 6 {
-		t.Errorf("Min/Max = %g/%g, want 2/6", s.Min(), s.Max())
-	}
 	if s.Sum() != 12 {
 		t.Errorf("Sum = %g, want 12", s.Sum())
-	}
-	if s.Last() != 6 {
-		t.Errorf("Last = %g, want 6", s.Last())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.StdDev() != 0 {
+	if s.N() != 0 || s.Sum() != 0 || s.Mean() != 0 {
 		t.Error("empty summary must report zeros")
-	}
-}
-
-func TestSummaryStdDev(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if math.Abs(s.StdDev()-2) > 1e-9 {
-		t.Errorf("StdDev = %g, want 2", s.StdDev())
-	}
-}
-
-func TestSummaryMinMaxProperty(t *testing.T) {
-	err := quick.Check(func(vs []float64) bool {
-		var s Summary
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				continue // avoid float64 overflow in sum-of-squares
-			}
-			s.Add(v)
-		}
-		if s.N() == 0 {
-			return true
-		}
-		return s.Min() <= s.Mean()+1e-9 && s.Mean() <= s.Max()+1e-9
-	}, nil)
-	if err != nil {
-		t.Error(err)
 	}
 }
 
@@ -91,15 +56,6 @@ func TestGeoMeanScaleInvariance(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Error("Ratio(6,3) != 2")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Error("Ratio(x,0) must be 0")
 	}
 }
 
@@ -152,14 +108,6 @@ func TestBarChartAllZeros(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("SortedKeys = %v", keys)
-	}
-}
-
 func TestSummaryRejectsNonFinite(t *testing.T) {
 	var s Summary
 	s.Add(3)
@@ -176,10 +124,7 @@ func TestSummaryRejectsNonFinite(t *testing.T) {
 	if s.Mean() != 4 {
 		t.Errorf("Mean = %g, want 4", s.Mean())
 	}
-	if s.Min() != 3 || s.Max() != 5 {
-		t.Errorf("Min/Max = %g/%g, want 3/5", s.Min(), s.Max())
-	}
-	if math.IsNaN(s.StdDev()) || math.IsInf(s.StdDev(), 0) {
-		t.Errorf("StdDev = %g, want finite", s.StdDev())
+	if s.Sum() != 8 {
+		t.Errorf("Sum = %g, want 8", s.Sum())
 	}
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Daemon smoke test: builds fpbd and fpbtop, boots a daemon on a loopback
-# port, drives one job through the full lifecycle, and asserts that the
-# /metrics Prometheus text reflects it — the end-to-end proof behind the
-# serving + observability stack that unit tests can't give (real binary,
-# real HTTP, real store on disk).
+# Daemon smoke test: builds fpbd, fpbtop and fpbsim, boots a daemon on a
+# loopback port, drives one job through the full lifecycle, asserts that the
+# /metrics Prometheus text reflects it and that a panicking job fails alone
+# — the end-to-end proof behind the serving + observability stack that unit
+# tests can't give (real binary, real HTTP, real store on disk).
 #
 # Requires: go, curl. Exits non-zero on any failed assertion.
 set -eu
@@ -36,9 +36,10 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "smoke: building fpbd + fpbtop"
+echo "smoke: building fpbd, fpbtop, fpbsim"
 go build -o "$BIN/fpbd" ./cmd/fpbd
 go build -o "$BIN/fpbtop" ./cmd/fpbtop
+go build -o "$BIN/fpbsim" ./cmd/fpbsim
 
 echo "smoke: starting fpbd on :$PORT"
 "$BIN/fpbd" -addr "127.0.0.1:$PORT" -store "$TMP/store" \
@@ -92,6 +93,22 @@ echo "smoke: structured logs carry the job id"
 grep -q "$JOB_ID" "$LOG" || fail "job id $JOB_ID absent from daemon logs"
 grep -q '"msg":"job done"' "$LOG" || fail "no 'job done' log line"
 
+# A one-token DIMM budget passes Validate but can never admit a write, so
+# the simulator's deadlock guard panics: that must fail one job (422), not
+# the daemon.
+echo "smoke: a panicking simulation fails one job, not the daemon"
+if DL="$("$BIN/fpbsim" -workload mcf_m -scheme dimm+chip -mapping ne -tokens 1 -instr 2000 \
+    -remote "127.0.0.1:$PORT" 2>&1)"; then
+    fail "deadlock spec succeeded: $DL"
+fi
+echo "$DL" | grep -q '422: simulation panicked: system: deadlock' || fail "deadlock spec did not get a 422 naming the panic: $DL"
+curl -fsS "$BASE/healthz" >/dev/null || fail "daemon unhealthy after a panicking job"
+RESP3="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"workload":"mcf_m","scheme":"gcp","instr_per_core":2000}' "$BASE/v1/jobs")"
+echo "$RESP3" | grep -q '"state": *"done"' || fail "job after a panicking job did not finish: $RESP3"
+curl -fsS "$BASE/metrics" | grep -q '^serve_jobs_failed 1$' || fail "panicking job not counted in serve_jobs_failed"
+grep -q '"msg":"job panicked"' "$LOG" || fail "no 'job panicked' log line"
+
 echo "smoke: graceful shutdown"
 kill -TERM "$FPBD_PID"
 wait "$FPBD_PID" || fail "daemon exited non-zero"
@@ -104,10 +121,9 @@ FPBD_PID=""
 # exposes its ring/sweep metrics. FLEET_SMOKE=0 skips this section.
 # ---------------------------------------------------------------------------
 if [ "${FLEET_SMOKE:-1}" = 1 ]; then
-    echo "smoke: building fpbctl, fpbexp, fpbsim"
+    echo "smoke: building fpbctl, fpbexp"
     go build -o "$BIN/fpbctl" ./cmd/fpbctl
     go build -o "$BIN/fpbexp" ./cmd/fpbexp
-    go build -o "$BIN/fpbsim" ./cmd/fpbsim
 
     P1=$((PORT + 1))
     P2=$((PORT + 2))
