@@ -229,6 +229,65 @@ func (c *Cache) AccessBatch(n int, at func(i int) (addr uint64, write bool)) {
 	c.tick = tick0 + uint64(n)
 }
 
+// FillDistinct has exactly the effect of the n = len(order) calls
+// Access(line(order[i])) for i = 0, 1, ..., n-1 in that order on a cache
+// that has never been accessed, provided order is a permutation of 0..n-1
+// and line maps distinct k to distinct cache lines. It panics on a used
+// cache. Such a sequence is all misses: Access fills an empty set's ways
+// from W-1 down to 0 and then evicts them in the same rotation, so a set's
+// j-th insert lands in way W-1-(j mod W) and the set ends holding its last
+// W inserts, insert i with tick i+1. FillDistinct counts each set's inserts
+// in line order (the counts do not depend on the order, and ascending k
+// usually walks the sets in order), then walks order backwards and writes
+// each set's last W inserts straight into their ways, with no probe and no
+// sort. line must be a pure function of k: it is called twice per insert.
+func (c *Cache) FillDistinct(order []int, line func(k int) (addr uint64, write bool)) {
+	if c.tick != 0 {
+		panic("cache: FillDistinct on a cache that has been accessed")
+	}
+	n := len(order)
+	if int64(n) >= 1<<31 {
+		panic("cache: fill of 2^31 or more inserts")
+	}
+	// fill[s].left counts set s's inserts, then how many of its last W are
+	// still unwritten; fill[s].way is where the next of them (going back in
+	// time) lands.
+	type setFill struct{ left, way int32 }
+	fill := make([]setFill, c.sets)
+	for k := 0; k < n; k++ {
+		addr, _ := line(k)
+		fill[c.set(c.lineIndex(addr))].left++
+	}
+	ways := int32(c.ways)
+	for s := range fill {
+		if f := &fill[s]; f.left > 0 {
+			f.way = ways - 1 - (f.left-1)%ways
+			f.left = min(f.left, ways)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		addr, write := line(order[i])
+		lineIdx := c.lineIndex(addr)
+		s := c.set(lineIdx)
+		f := &fill[s]
+		if f.left == 0 {
+			continue
+		}
+		f.left--
+		meta := uint64(i+1)<<tickShift | wayValid
+		if write {
+			meta |= wayDirty
+		}
+		c.meta[s*c.ways+int(f.way)] = way{tag: lineIdx, meta: meta}
+		// The set's previous insert went one way further along the rotation.
+		if f.way++; f.way == ways {
+			f.way = 0
+		}
+	}
+	c.tick = uint64(n)
+	c.misses = uint64(n)
+}
+
 // Contains reports whether the line holding addr is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineIdx := c.lineIndex(addr)

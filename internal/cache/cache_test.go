@@ -180,3 +180,66 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestFillDistinctMatchesAccess checks FillDistinct against the same
+// inserts sent one by one through Access on a fresh cache: the whole cache
+// — metadata, tick, hit and miss counters — must come out identical. Each
+// sequence inserts distinct lines drawn from a pool smaller or larger than
+// the cache, in a random order, with mixed dirty bits and in-line offsets,
+// so some sets get fewer inserts than ways and others many more. Geometries
+// cover power-of-two and other set counts and line sizes, and n = 0.
+func TestFillDistinctMatchesAccess(t *testing.T) {
+	geoms := []struct{ sets, lineB, ways int }{
+		{16, 64, 4},
+		{10, 64, 3},
+		{7, 96, 2},
+		{64, 256, 8},
+		{1, 64, 4},
+	}
+	rng := sim.NewRNG(2)
+	for _, g := range geoms {
+		lines := g.sets * g.ways
+		for trial := 0; trial < 40; trial++ {
+			want := New(g.sets*g.lineB*g.ways, g.lineB, g.ways)
+			got := want.Clone()
+			n := 0
+			if trial > 0 {
+				n = rng.Intn(4*lines + 1)
+			}
+			// Line k is the pool's pick[k]-th line, so the n lines are
+			// distinct but neither contiguous nor in set order.
+			pool := n + rng.Intn(2*lines+1)
+			pick := make([]int, pool)
+			rng.Perm(pick)
+			base := rng.Uint64n(1<<40) * uint64(g.lineB)
+			addrs, writes := make([]uint64, n), make([]bool, n)
+			for k := range addrs {
+				addrs[k] = base + uint64(pick[k]*g.lineB) + rng.Uint64n(uint64(g.lineB))
+				writes[k] = rng.Intn(2) == 0
+			}
+			order := make([]int, n)
+			rng.Perm(order)
+			for _, k := range order {
+				want.Access(addrs[k], writes[k])
+			}
+			got.FillDistinct(order, func(k int) (uint64, bool) { return addrs[k], writes[k] })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d sets x %d ways, %d B lines, trial %d (%d inserts): fill state differs from sequential Access",
+					g.sets, g.ways, g.lineB, trial, n)
+			}
+		}
+	}
+}
+
+// TestFillDistinctPanicsOnUsedCache: the closed form assumes empty sets, so
+// a cache that has seen any access must be refused.
+func TestFillDistinctPanicsOnUsedCache(t *testing.T) {
+	c := New(1024, 64, 2)
+	c.Access(0x100, false)
+	defer func() {
+		if recover() == nil {
+			t.Error("FillDistinct on a used cache did not panic")
+		}
+	}()
+	c.FillDistinct([]int{0}, func(int) (uint64, bool) { return 0x200, false })
+}

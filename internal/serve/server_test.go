@@ -445,6 +445,7 @@ func TestSubmitValidation(t *testing.T) {
 		return string(b)
 	}
 	noWays := config(func(c *sim.Config) { c.L1Ways = 0 })
+	hugeL3 := config(func(c *sim.Config) { c.L3SizeMB = sim.MaxL3SizeMB + 1 })
 	// A config from a release that still had the warmup phase.
 	withWarmup := strings.Replace(config(func(*sim.Config) {}), `,"Seed":`, `,"WarmupCycles":1,"Seed":`, 1)
 	cases := []struct {
@@ -457,6 +458,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown field", `{"workload":"mcf_m","wat":1}`},
 		{"syntax", `{"workload":`},
 		{"zero L1 ways", `{"workload":"mcf_m","config":` + noWays + `}`},
+		{"L3 above the stream layout", `{"workload":"mcf_m","config":` + hugeL3 + `}`},
 		{"warmup_cycles", `{"workload":"mcf_m","warmup_cycles":1000}`},
 		{"warmup_scheme", `{"workload":"mcf_m","warmup_scheme":"dimm+chip"}`},
 		{"config.WarmupCycles", `{"workload":"mcf_m","config":` + withWarmup + `}`},
@@ -471,6 +473,12 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	// The largest L3 the layout allows is a valid spec.
+	cfg := sim.DefaultConfig()
+	cfg.L3SizeMB = sim.MaxL3SizeMB
+	if code, st := postJob(t, ts.URL, JobSpec{Workload: "mcf_m", Config: &cfg}, ""); code != http.StatusOK {
+		t.Errorf("L3SizeMB %d: status %d %+v, want 200", cfg.L3SizeMB, code, st)
 	}
 }
 

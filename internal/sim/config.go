@@ -315,6 +315,12 @@ func (c *Config) ReadCycles() Cycle {
 	return c.PCMReadCycles
 }
 
+// MaxL3SizeMB is the largest per-core L3 the workload address layout
+// supports: it places each core's streaming load and store regions 1 GB
+// apart, and a STREAM region spans twice the L3, so a larger L3 would make
+// the two regions overlap.
+const MaxL3SizeMB = 512
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
@@ -345,6 +351,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: IterMax must be at least 2, got %d", c.IterMax)
 	case c.ReadQueueEntries <= 0 || c.WriteQueueEntries <= 0:
 		return fmt.Errorf("config: queue entries must be positive")
+	case c.L3SizeMB > MaxL3SizeMB:
+		return fmt.Errorf("config: L3SizeMB %d above %d: the workload layout puts the load and store stream regions, each twice the L3, 1 GB apart",
+			c.L3SizeMB, MaxL3SizeMB)
 	}
 	if _, ok := schemeNames[c.Scheme]; !ok {
 		return fmt.Errorf("config: unknown Scheme %d", int(c.Scheme))

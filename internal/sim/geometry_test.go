@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"fpb/internal/cache"
@@ -44,6 +45,22 @@ func TestValidateMatchesCacheGeometry(t *testing.T) {
 		} else if !panics(func() { cache.NewHierarchy(&cfg) }) {
 			t.Errorf("%s: cache.NewHierarchy builds a geometry Validate refuses", tc.name)
 		}
+	}
+}
+
+// TestValidateBoundsL3ByStreamLayout: the workload layout keeps the load
+// and store stream regions apart only while a STREAM region (twice the L3)
+// fits in the 1 GB between them, so Validate accepts a 512 MB L3 and
+// refuses 513 MB, naming the layout.
+func TestValidateBoundsL3ByStreamLayout(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.L3SizeMB = sim.MaxL3SizeMB
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("L3SizeMB %d: %v", cfg.L3SizeMB, err)
+	}
+	cfg.L3SizeMB++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "1 GB apart") {
+		t.Errorf("L3SizeMB %d: Validate() = %v, want an error naming the stream layout", cfg.L3SizeMB, err)
 	}
 }
 

@@ -52,10 +52,11 @@ func TestGoldenResults(t *testing.T) {
 
 // TestGoldenPrefill pins the exact warm cache state prefill leaves in every
 // core of three workloads at the default geometry, plus one core at a 128 MB
-// L3 (the stream footprint fits, so the warm-up re-inserts resident lines)
-// and one at 128 B L3 lines. Every measured run starts from this state, so
-// it must not change under a refactor either. Each hierarchy is pinned by
-// its Digest. Regenerate only with
+// L3 (the stream footprint fits, so the warm-up re-inserts resident lines),
+// one at 128 B L3 lines, and one at 192 B lines and a 64 MB L3 (the stream
+// laps a region whose span is not a power of two). Every measured run
+// starts from this state, so it must not change under a refactor either.
+// Each hierarchy is pinned by its Digest. Regenerate only with
 //
 //	go test ./internal/system -run TestGoldenPrefill -update
 //
@@ -89,6 +90,9 @@ func TestGoldenPrefill(t *testing.T) {
 	wide := sim.DefaultConfig()
 	wide.L3LineB = 128
 	digest("L3LineB=128/", wide, "mcf_m", 1)
+	odd := sim.DefaultConfig()
+	odd.L3LineB, odd.L3SizeMB = 192, 64
+	digest("L3LineB=192,L3SizeMB=64/", odd, "mcf_m", 1)
 	checkGolden(t, goldenPrefillFile, got)
 }
 

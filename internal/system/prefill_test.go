@@ -1,0 +1,89 @@
+package system
+
+import (
+	"testing"
+
+	"fpb/internal/cache"
+	"fpb/internal/sim"
+	"fpb/internal/workload"
+)
+
+// TestBehindWraps pins the stream-line arithmetic prefill inserts by: the
+// line k steps behind cursor line cur-1 is (cur-1-k) mod span, also when
+// k reaches a span that is not a power of two (a lapping stream at a
+// 192 B line), where a wrapped unsigned subtraction is off. Below span the
+// result must not depend on the laps flag.
+func TestBehindWraps(t *testing.T) {
+	cases := []struct{ cur, span, k, want uint64 }{
+		{3, 10, 0, 2},
+		{3, 10, 2, 0},
+		{3, 10, 3, 9},
+		{3, 10, 12, 0},
+		{3, 10, 13, 9},
+		{0, 10, 10, 9},
+		{9, 10, 25, 3},
+		{0, 3, 7, 1},
+		{5, 4096, 5000, 3196},
+		{10316, 349525, 361323, 348042},
+	}
+	for _, tc := range cases {
+		if got := behind(tc.cur, tc.span, tc.k, true); got != tc.want {
+			t.Errorf("behind(cur %d, span %d, k %d) = %d, want %d", tc.cur, tc.span, tc.k, got, tc.want)
+		}
+		if tc.k < tc.span {
+			if got := behind(tc.cur, tc.span, tc.k, false); got != tc.want {
+				t.Errorf("behind(cur %d, span %d, k %d) without laps = %d, want %d", tc.cur, tc.span, tc.k, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestPrefillPathsAgree: on the real default-geometry inserts of a STREAM
+// app (cop_m) and a fixed-footprint app (mcf_m), the closed-form fill and
+// the set-by-set replay leave the same hierarchy.
+func TestPrefillPathsAgree(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	for _, name := range []string{"cop_m", "mcf_m"} {
+		wl, err := workload.ByName(name, cfg.Cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := wl.Cores[0]
+		gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+		fill, replay := cache.NewHierarchy(&cfg), cache.NewHierarchy(&cfg)
+		order, line, distinct := streamInserts(fill, gen, prof)
+		if !distinct {
+			t.Fatalf("%s: default-geometry inserts are not distinct", name)
+		}
+		fill.L3().FillDistinct(order, line)
+		replay.L3().AccessBatch(len(order), func(i int) (uint64, bool) { return line(order[i]) })
+		if fill.Digest() != replay.Digest() {
+			t.Errorf("%s: FillDistinct and AccessBatch leave different caches", name)
+		}
+		fill.Release()
+		replay.Release()
+	}
+}
+
+// TestStreamInsertsNeedDisjointRegions: above 256 KB L3 lines the
+// generator's 4096-line minimum span outgrows the 1 GB between the load
+// and store regions, so their lines may coincide and prefill must replay
+// the inserts instead of writing them in closed form.
+func TestStreamInsertsNeedDisjointRegions(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.L3LineB = 512 << 10
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.ByName("mcf_m", cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := wl.Cores[0]
+	gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+	h := cache.NewHierarchy(&cfg)
+	defer h.Release()
+	if _, _, distinct := streamInserts(h, gen, prof); distinct {
+		t.Error("inserts over overlapping stream regions reported distinct")
+	}
+}

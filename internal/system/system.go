@@ -219,42 +219,19 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 // ratio, inserted oldest-first ending right behind each stream cursor —
 // and the hot region is resident in L2/L3. Capacity writebacks and
 // streaming misses then behave from instruction 0 exactly as they would
-// after a multi-hundred-million-instruction cold phase.
+// after a multi-hundred-million-instruction cold phase. When the stream
+// inserts are distinct lines they all miss, and the L3 state they leave is
+// written in closed form (FillDistinct); otherwise they are replayed one
+// set at a time (AccessBatch). Both leave exactly the state of inserting
+// the lines one by one.
 func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) {
-	lineB := uint64(h.L3().LineBytes())
 	if prof.RPKI > 0 {
-		rStart, _ := gen.StreamReadRegion()
-		wStart, _ := gen.StreamWriteRegion()
-		span := gen.SpanLines()
-		wFrac := prof.WPKI / prof.RPKI
-		// Insert twice the capacity so that, despite the shuffled
-		// order's binomial spread of inserts per set, every set ends
-		// completely full (an underfilled set would absorb its first
-		// few fills without evicting, suppressing early writebacks).
-		total := uint64(h.L3CapacityLines()) * 2
-		nW := uint64(float64(total) * wFrac)
-		nR := total - nW
-		// The resident set is the lines just behind each stream cursor,
-		// dirty for the store stream. Insertion order is shuffled so
-		// per-set LRU ages are independent of the cursors' relative
-		// phase: early-eviction victims are then dirty with the true
-		// steady-state probability (wFrac) for every seed, instead of
-		// whatever the arbitrary phase alignment would dictate. Insert k
-		// of the first nR is the k-th load-region line behind the read
-		// cursor, insert nR+k the k-th store-region line behind the write
-		// cursor. The batch replays the shuffled sequence one L3 set at a
-		// time, which leaves exactly the state of inserting it one by one.
-		rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
-		rng := sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
-		perm := make([]int, nR+nW)
-		rng.Perm(perm)
-		h.L3().AccessBatch(len(perm), func(i int) (uint64, bool) {
-			k := uint64(perm[i])
-			if k < nR {
-				return rStart + (rCur+span-1-k)%span*lineB, false
-			}
-			return wStart + (wCur+span-1-(k-nR))%span*lineB, true
-		})
+		order, line, distinct := streamInserts(h, gen, prof)
+		if distinct {
+			h.L3().FillDistinct(order, line)
+		} else {
+			h.L3().AccessBatch(len(order), func(i int) (uint64, bool) { return line(order[i]) })
+		}
 	}
 	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
 	hotStart, hotSpan := gen.HotRegion()
@@ -262,6 +239,69 @@ func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProf
 		h.Access(addr, false)
 	}
 	h.ResetStats()
+}
+
+// streamInserts returns prefill's L3 inserts for a core with RPKI > 0:
+// insert i is line(order[i]). distinct reports that no line repeats, which
+// holds when neither stream laps its region and the two regions are
+// disjoint.
+func streamInserts(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) (order []int, line func(k int) (addr uint64, write bool), distinct bool) {
+	lineB := uint64(h.L3().LineBytes())
+	rStart, rBytes := gen.StreamReadRegion()
+	wStart, wBytes := gen.StreamWriteRegion()
+	span := gen.SpanLines()
+	wFrac := prof.WPKI / prof.RPKI
+	// Insert twice the capacity so that, despite the shuffled order's
+	// binomial spread of inserts per set, every set ends completely full
+	// (an underfilled set would absorb its first few fills without
+	// evicting, suppressing early writebacks).
+	total := uint64(h.L3CapacityLines()) * 2
+	nW := uint64(float64(total) * wFrac)
+	nR := total - nW
+	// The resident set is the lines just behind each stream cursor, dirty
+	// for the store stream. Insertion order is shuffled so per-set LRU
+	// ages are independent of the cursors' relative phase: early-eviction
+	// victims are then dirty with the true steady-state probability
+	// (wFrac) for every seed, instead of whatever the arbitrary phase
+	// alignment would dictate. Line k of the first nR is the k-th
+	// load-region line behind the read cursor, line nR+k the k-th
+	// store-region line behind the write cursor.
+	rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
+	rng := sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
+	order = make([]int, nR+nW)
+	rng.Perm(order)
+	// A stream laps its region when the L3 holds more than the region (a
+	// 128 MB L3 and a fixed-footprint app).
+	laps := nR > span || nW > span
+	line = func(k int) (uint64, bool) {
+		if k := uint64(k); k < nR {
+			return rStart + behind(rCur, span, k, laps)*lineB, false
+		}
+		return wStart + behind(wCur, span, uint64(k)-nR, laps)*lineB, true
+	}
+	// The regions are disjoint under Validate's L3SizeMB bound, which
+	// keeps two STREAM regions (each twice the L3) within the 1 GB between
+	// their bases; the check below fails only for L3 lines above 256 KB,
+	// whose 4096-line minimum span outgrows that gap.
+	disjoint := rStart+rBytes <= wStart || wStart+wBytes <= rStart
+	return order, line, !laps && disjoint
+}
+
+// behind returns the line k steps behind line cur-1 of a stream region
+// span lines long, wrapping at the region's start: (cur-1-k) mod span, for
+// cur < span. k may reach span only if laps is set. The flag is fixed per
+// prefill, so a stream that does not lap skips the division, and one that
+// does pays it without a branch that depends on k, which would mispredict
+// in shuffled order.
+func behind(cur, span, k uint64, laps bool) uint64 {
+	if laps {
+		k %= span
+	}
+	l := cur + span - 1 - k
+	if l >= span {
+		l -= span
+	}
+	return l
 }
 
 // registerSystemMetrics adds machine-level series to the hub registry.
@@ -317,17 +357,16 @@ func (s *System) EnableProbes(interval sim.Cycle, w io.Writer) *obs.Prober {
 }
 
 // Run executes until every core retires its budget (or the event heap
-// drains, which indicates a deadlock and panics). It returns the collected
-// metrics.
+// drains, which indicates a deadlock and panics with the controller's state
+// after the first line). It returns the collected metrics.
 func (s *System) Run() Result {
 	for _, c := range s.Cores {
 		c.Start()
 	}
 	for s.finished < len(s.Cores) {
 		if !s.Eng.Step() {
-			s.MC.DumpState()
-			panic(fmt.Sprintf("system: deadlock — %d/%d cores finished, no events pending",
-				s.finished, len(s.Cores)))
+			panic(fmt.Sprintf("system: deadlock — %d/%d cores finished, no events pending\n%s",
+				s.finished, len(s.Cores), s.MC.DumpState()))
 		}
 	}
 	if s.probeEv != nil {

@@ -2,6 +2,9 @@ package system
 
 import (
 	"crypto/sha256"
+	"io"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -257,5 +260,44 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	}
 	if sum != c.bytes {
 		t.Errorf("snapshot cache counts %d bytes, its entries hold %d", c.bytes, sum)
+	}
+}
+
+// TestDeadlockPanicCarriesState: a spec that can never admit a write (a
+// one-token DIMM budget) trips Run's deadlock guard. The panic value keeps
+// its first line and carries the controller's state after it, and nothing
+// is written to stdout, which a daemon uses for its structured log.
+func TestDeadlockPanicCarriesState(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.DIMMTokens = 1
+	cfg.InstrPerCore = 2000
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r) // the pipe is closed below
+		printed <- b
+	}()
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		RunWorkload(cfg, "mcf_m")
+	}()
+	os.Stdout = stdout
+	w.Close()
+	if out := <-printed; len(out) > 0 {
+		t.Errorf("the deadlock wrote %d bytes to stdout:\n%s", len(out), out)
+	}
+	msg, _ := p.(string)
+	first, state, _ := strings.Cut(msg, "\n")
+	if !strings.HasPrefix(first, "system: deadlock — ") || !strings.HasSuffix(first, "cores finished, no events pending") {
+		t.Fatalf("panic %q, want the deadlock guard's", first)
+	}
+	if !strings.Contains(state, "wrq=") || !strings.Contains(state, "DIMM avail=") {
+		t.Errorf("panic lacks the controller state:\n%s", msg)
 	}
 }
