@@ -186,16 +186,8 @@ func main() {
 		fail("writing probes: %v", prober.Err())
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		werr := sys.Obs.Registry().WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail("writing metrics: %v", werr)
+		if err := writeMetricsFile(*metricsOut, res.Metrics); err != nil {
+			fail("writing metrics: %v", err)
 		}
 	}
 
@@ -230,8 +222,9 @@ func printResult(res system.Result, cfg sim.Config, m sim.Mapping, gcpEff float6
 	}
 }
 
-// writeMetricsFile dumps a remote result's metrics snapshot in the same
-// deterministic encoding the local path uses.
+// writeMetricsFile dumps a result's metrics snapshot (the registry's
+// counters and gauges at the end of the run) in the deterministic encoding
+// of stored results; local and -remote runs both write it.
 func writeMetricsFile(path string, metrics map[string]float64) error {
 	f, err := os.Create(path)
 	if err != nil {

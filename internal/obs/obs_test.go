@@ -61,10 +61,10 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	// predates them.
 	h.Histogram("c.h", []float64{1}).Observe(1)
 	var buf1, buf2 bytes.Buffer
-	if err := h.Registry().WriteJSON(&buf1); err != nil {
+	if err := EncodeSeries(&buf1, h.Registry().Values()); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Registry().WriteJSON(&buf2); err != nil {
+	if err := EncodeSeries(&buf2, h.Registry().Values()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {

@@ -2,10 +2,11 @@
 // metrics registry (counters, gauges and histograms components register
 // into by name), an event tracer streaming component transitions as JSONL
 // and Chrome trace_event JSON, and time-series probes sampling every gauge
-// at a fixed cycle interval into CSV. Registries export both a
-// byte-deterministic JSON encoding (WriteJSON, unchanged across releases so
-// stored sim results stay stable) and the Prometheus text exposition format
-// (WritePrometheus) for scraping daemons.
+// at a fixed cycle interval into CSV. A registry's counters and gauges
+// (Values) encode as byte-deterministic JSON (EncodeSeries, unchanged across
+// releases so stored sim results stay stable), and the whole registry in
+// the Prometheus text exposition format (WritePrometheus) for scraping
+// daemons.
 //
 // The package is zero-dependency (stdlib only) and engine-agnostic: it never
 // imports internal/sim. Timestamps come from a clock callback the owning
@@ -146,8 +147,7 @@ func (r *Registry) Gauge(name string, read func() float64) {
 // the tail. Retrieval ignores bounds, so all registrants of one name must
 // agree on them. Histograms are exposed through Snapshot (observation
 // count), HistogramSnapshots and the Prometheus exposition; they do not
-// enter Values()/WriteJSON, whose key set predates them and must stay
-// byte-stable.
+// enter Values(), whose key set predates them and must stay byte-stable.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -284,16 +284,10 @@ type NamedHistogram struct {
 	Snapshot HistogramSnapshot
 }
 
-// WriteJSON dumps the registry's counters and gauges as one
-// flat JSON object, keys sorted, in a byte-deterministic encoding. This is
-// the encoding of stored sim results and of metrics files; its byte format
-// is frozen (see TestEncodeSeriesGolden).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return EncodeSeries(w, r.Values())
-}
-
-// EncodeSeries writes a name->value map as a sorted, deterministic JSON
-// object. Shared by the registry dump and the experiment harness.
+// EncodeSeries writes a name->value map, such as a registry's Values(), as
+// a sorted, byte-deterministic JSON object. This is the encoding of stored
+// sim results and of metrics files; its byte format is frozen (see
+// TestEncodeSeriesGolden).
 func EncodeSeries(w io.Writer, series map[string]float64) error {
 	names := make([]string, 0, len(series))
 	for n := range series {

@@ -33,7 +33,7 @@ func TestCounterConcurrent(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			r.Snapshot()
 			var buf bytes.Buffer
-			_ = r.WriteJSON(&buf)
+			_ = EncodeSeries(&buf, r.Values())
 			_, _ = r.Value("hammered")
 		}
 	}()

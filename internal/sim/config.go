@@ -315,11 +315,15 @@ func (c *Config) ReadCycles() Cycle {
 	return c.PCMReadCycles
 }
 
-// MaxL3SizeMB is the largest per-core L3 the workload address layout
-// supports: it places each core's streaming load and store regions 1 GB
-// apart, and a STREAM region spans twice the L3, so a larger L3 would make
-// the two regions overlap.
-const MaxL3SizeMB = 512
+// The workload address layout places each core's streaming load and store
+// regions 1 GB apart. A region spans twice the L3 (STREAM apps) and at
+// least 4096 L3 lines, so these bounds keep the two regions disjoint.
+const (
+	// MaxL3SizeMB is the largest per-core L3: 2 x 512 MB fills the 1 GB.
+	MaxL3SizeMB = 512
+	// MaxL3LineB is the largest L3 line: 4096 lines of 256 KiB fill it.
+	MaxL3LineB = 256 << 10
+)
 
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
@@ -354,6 +358,9 @@ func (c *Config) Validate() error {
 	case c.L3SizeMB > MaxL3SizeMB:
 		return fmt.Errorf("config: L3SizeMB %d above %d: the workload layout puts the load and store stream regions, each twice the L3, 1 GB apart",
 			c.L3SizeMB, MaxL3SizeMB)
+	case c.L3LineB > MaxL3LineB:
+		return fmt.Errorf("config: L3LineB %d above %d: the workload layout puts the load and store stream regions, each at least 4096 lines, 1 GB apart",
+			c.L3LineB, MaxL3LineB)
 	}
 	if _, ok := schemeNames[c.Scheme]; !ok {
 		return fmt.Errorf("config: unknown Scheme %d", int(c.Scheme))

@@ -1,5 +1,5 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// other package in this repository: a deterministic calendar/heap event
+// other package in this repository: a deterministic binary-heap event
 // queue keyed on a cycle clock, and a seedable pseudo-random number
 // generator.
 //
@@ -24,56 +24,19 @@ type Cycle uint64
 // engine recycles the Event through its free list and the handle must be
 // dropped. Every caller that keeps a handle across dispatch must clear it
 // in the callback, as the memory controller does with its phase events.
-// Long-lived components that re-schedule the same logical timer should
-// instead embed an Event and use Arm/ArmAt — caller-owned events are never
-// pooled, so their handles stay valid indefinitely.
 type Event struct {
 	when   Cycle
 	seq    uint64 // tie-breaker: FIFO among events at the same cycle
 	fn     func()
-	next   *Event // bucket FIFO / free-list link
-	index  int    // heap index; idxBucket in a bucket, idxIdle when not queued
+	next   *Event // free-list link
+	queued bool   // in the event queue (possibly cancelled)
 	cancel bool
-	owned  bool // caller-owned via Arm: never returned to the pool
 }
-
-// When reports the cycle the event is scheduled for.
-func (e *Event) When() Cycle { return e.when }
 
 // Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e != nil && e.index != idxIdle && !e.cancel }
+func (e *Event) Scheduled() bool { return e != nil && e.queued && !e.cancel }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = idxIdle
-	*h = old[:n-1]
-	return e
-}
-
-// Engine is a discrete-event simulator. The zero value is not usable; call
-// NewEngine.
+// Engine is a discrete-event simulator; create one with NewEngine.
 type Engine struct {
 	now   Cycle
 	seq   uint64
@@ -88,11 +51,7 @@ type Engine struct {
 type DispatchHook func(now Cycle, ran uint64)
 
 // NewEngine returns an empty engine positioned at cycle 0.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.queue.init()
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -102,29 +61,23 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 
 // Pending reports how many events are waiting in the queue (including
 // cancelled events that have not yet been collected).
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // alloc pops the free list or allocates a fresh Event.
 func (e *Engine) alloc() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{index: idxIdle}
+		return &Event{}
 	}
 	e.free = ev.next
 	ev.next = nil
 	return ev
 }
 
-// recycle resets a finished pool event and pushes it onto the free list.
-// Caller-owned events are only detached, never pooled.
+// recycle resets a finished event and pushes it onto the free list.
 func (e *Engine) recycle(ev *Event) {
-	ev.index = idxIdle
 	ev.fn = nil
 	ev.cancel = false
-	if ev.owned {
-		ev.next = nil
-		return
-	}
 	ev.next = e.free
 	e.free = ev
 }
@@ -149,34 +102,10 @@ func (e *Engine) After(delay Cycle, fn func()) *Event {
 	return e.At(e.now+delay, fn)
 }
 
-// ArmAt schedules a caller-owned event at the absolute cycle when. The
-// event must not be pending; arming a pending event panics. Caller-owned
-// events are never recycled into the engine's pool, so components that fire
-// the same logical timer repeatedly (one embedded Event per operation)
-// schedule without touching the allocator or racing stale handles.
-func (e *Engine) ArmAt(ev *Event, when Cycle, fn func()) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now %d", when, e.now))
-	}
-	if ev.index != idxIdle {
-		panic("sim: ArmAt on an event that is still pending")
-	}
-	ev.when, ev.seq, ev.fn = when, e.seq, fn
-	ev.cancel = false
-	ev.owned = true
-	e.seq++
-	e.queue.push(ev)
-}
-
-// Arm schedules a caller-owned event delay cycles from now; see ArmAt.
-func (e *Engine) Arm(ev *Event, delay Cycle, fn func()) {
-	e.ArmAt(ev, e.now+delay, fn)
-}
-
 // Cancel prevents a pending event from running. Cancelling a nil, already
 // run, or already cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index == idxIdle {
+	if ev == nil || !ev.queued {
 		return
 	}
 	ev.cancel = true
@@ -187,13 +116,26 @@ func (e *Engine) Cancel(ev *Event) {
 // cost without a hook is one nil check per event.
 func (e *Engine) SetDispatchHook(h DispatchHook) { e.hook = h }
 
+// next returns the earliest live event without removing it, or nil when
+// none remain. Cancelled events that reach the top are collected.
+func (e *Engine) next() *Event {
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
+		if !ev.cancel {
+			return ev
+		}
+		e.recycle(e.queue.pop())
+	}
+	return nil
+}
+
 // Step runs the next pending event, advancing the clock to its timestamp.
 // It reports false when no events remain.
 func (e *Engine) Step() bool {
-	ev := e.queue.pop(e.now, e.recycle)
-	if ev == nil {
+	if e.next() == nil {
 		return false
 	}
+	ev := e.queue.pop()
 	e.now = ev.when
 	e.ran++
 	fn := ev.fn
@@ -226,16 +168,10 @@ func (e *Engine) Run(limit uint64) uint64 {
 // early).
 func (e *Engine) RunUntil(deadline Cycle) {
 	for {
-		next := e.queue.peek(e.now, e.recycle)
-		if next == nil || next.when > deadline {
+		ev := e.next()
+		if ev == nil || ev.when > deadline {
 			return
 		}
 		e.Step()
-	}
-}
-
-// RunWhile executes events while cond() returns true and events remain.
-func (e *Engine) RunWhile(cond func() bool) {
-	for cond() && e.Step() {
 	}
 }

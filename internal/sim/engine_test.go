@@ -105,18 +105,6 @@ func TestEngineRunLimit(t *testing.T) {
 	}
 }
 
-func TestEngineRunWhile(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := Cycle(1); i <= 10; i++ {
-		e.At(i, func() { count++ })
-	}
-	e.RunWhile(func() bool { return count < 3 })
-	if count != 3 {
-		t.Fatalf("RunWhile stopped at count %d, want 3", count)
-	}
-}
-
 func TestEngineSelfRescheduling(t *testing.T) {
 	e := NewEngine()
 	ticks := 0

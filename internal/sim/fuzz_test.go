@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// FuzzEventOrder feeds both kernels (calendar-queue Engine and reference
-// heap) the op stream encoded by the fuzz input and requires identical
+// FuzzEventOrder feeds both kernels (the Engine and the container/heap
+// reference) the op stream encoded by the fuzz input and requires identical
 // dispatch order and identical Cancel semantics. Each input byte pair is
 // one op: the low bits of the first byte pick schedule-delay class /
 // cancel-last / nested spawn, the second parameterizes it.

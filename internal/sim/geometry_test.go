@@ -49,18 +49,31 @@ func TestValidateMatchesCacheGeometry(t *testing.T) {
 }
 
 // TestValidateBoundsL3ByStreamLayout: the workload layout keeps the load
-// and store stream regions apart only while a STREAM region (twice the L3)
-// fits in the 1 GB between them, so Validate accepts a 512 MB L3 and
-// refuses 513 MB, naming the layout.
+// and store stream regions apart only while a region (twice the L3, and
+// at least 4096 L3 lines) fits in the 1 GB between them, so Validate
+// accepts a 512 MB L3 and 256 KiB lines and refuses 513 MB and 512 KiB,
+// naming the layout.
 func TestValidateBoundsL3ByStreamLayout(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.L3SizeMB = sim.MaxL3SizeMB
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("L3SizeMB %d: %v", cfg.L3SizeMB, err)
+	cases := []struct {
+		name string
+		mut  func(*sim.Config)
+		ok   bool
+	}{
+		{"L3SizeMB 512", func(c *sim.Config) { c.L3SizeMB = sim.MaxL3SizeMB }, true},
+		{"L3SizeMB 513", func(c *sim.Config) { c.L3SizeMB = sim.MaxL3SizeMB + 1 }, false},
+		{"L3LineB 256 KiB", func(c *sim.Config) { c.L3LineB = sim.MaxL3LineB }, true},
+		{"L3LineB 512 KiB", func(c *sim.Config) { c.L3LineB = 2 * sim.MaxL3LineB }, false},
 	}
-	cfg.L3SizeMB++
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "1 GB apart") {
-		t.Errorf("L3SizeMB %d: Validate() = %v, want an error naming the stream layout", cfg.L3SizeMB, err)
+	for _, tc := range cases {
+		cfg := sim.DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "1 GB apart")):
+			t.Errorf("%s: Validate() = %v, want an error naming the stream layout", tc.name, err)
+		}
 	}
 }
 

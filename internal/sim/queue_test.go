@@ -5,29 +5,65 @@ import (
 	"testing"
 )
 
-// refEngine is the pre-calendar-queue kernel: a single binary heap ordered
-// by (when, seq). It is kept here as the ordering oracle the calendar queue
-// must match event for event.
+// refEngine is the reference kernel: a container/heap binary heap ordered
+// by (when, seq), with no free list. It is the ordering oracle the engine's
+// hand-written heap must match event for event.
 type refEngine struct {
 	now    Cycle
 	seq    uint64
 	events eventHeap
 }
 
-type refEvent = Event
+type refEvent struct {
+	when   Cycle
+	seq    uint64
+	fn     func()
+	index  int // position in the heap; -1 once popped
+	cancel bool
+}
+
+// eventHeap adapts the reference events to container/heap.
+type eventHeap []*refEvent
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].when != h[j].when {
+		return h[i].when < h[j].when
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	e := x.(*refEvent)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.index = -1
+	*h = old[:n-1]
+	return e
+}
 
 func (e *refEngine) at(when Cycle, fn func()) *refEvent {
 	if when < e.now {
 		panic("ref: scheduling in the past")
 	}
-	ev := &Event{when: when, seq: e.seq, fn: fn, index: idxIdle}
+	ev := &refEvent{when: when, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.events, ev)
 	return ev
 }
 
 func (e *refEngine) cancel(ev *refEvent) {
-	if ev == nil || ev.index == idxIdle {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	ev.cancel = true
@@ -35,7 +71,7 @@ func (e *refEngine) cancel(ev *refEvent) {
 
 func (e *refEngine) step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := heap.Pop(&e.events).(*refEvent)
 		if ev.cancel {
 			continue
 		}
@@ -65,8 +101,9 @@ func storm(seed uint64, schedule func(delay Cycle, fn func()) any, cancel func(h
 	spawn = func(depth int) {
 		myID := id
 		id++
-		// Mix of near (bucket), far (overflow heap), and same-cycle
-		// delays so every queue tier and the migration path is hit.
+		// Mix of same-cycle, near (cache and PCM latencies) and far
+		// (probe interval) delays, so same-cycle FIFO order and events
+		// overtaking earlier-scheduled far ones are both exercised.
 		var delay Cycle
 		switch rng.Intn(4) {
 		case 0:
@@ -74,9 +111,9 @@ func storm(seed uint64, schedule func(delay Cycle, fn func()) any, cancel func(h
 		case 1:
 			delay = Cycle(rng.Intn(64))
 		case 2:
-			delay = Cycle(rng.Intn(numBuckets))
+			delay = Cycle(rng.Intn(4096))
 		default:
-			delay = Cycle(numBuckets + rng.Intn(4*numBuckets))
+			delay = Cycle(4096 + rng.Intn(4*4096))
 		}
 		h := schedule(delay, func() {
 			order = append(order, myID)
@@ -100,8 +137,8 @@ func storm(seed uint64, schedule func(delay Cycle, fn func()) any, cancel func(h
 	return order
 }
 
-// TestEngineQueueMatchesReferenceHeap cross-checks the calendar queue
-// against the reference binary heap on seeded random event storms: both
+// TestEngineQueueMatchesReferenceHeap cross-checks the engine's heap
+// against the container/heap reference on seeded random event storms: both
 // kernels must dispatch the exact same events in the exact same order.
 func TestEngineQueueMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
@@ -135,8 +172,8 @@ func TestEngineQueueMatchesReferenceHeap(t *testing.T) {
 // TestEngineStaleHandleCancelAfterRecycleHitsPoolEvent pins the sharp edge
 // of event pooling: a handle held past its dispatch and cancelled later can
 // alias a recycled Event and kill an unrelated pending callback. Callers
-// must clear handles at dispatch (as mem.Controller does with its phase
-// events) or use caller-owned Arm events, which are never pooled.
+// must clear handles at dispatch, as mem.Controller does with its phase
+// events.
 func TestEngineStaleHandleCancelAfterRecycleHitsPoolEvent(t *testing.T) {
 	e := NewEngine()
 	stale := e.At(1, func() {})
@@ -153,68 +190,18 @@ func TestEngineStaleHandleCancelAfterRecycleHitsPoolEvent(t *testing.T) {
 	}
 }
 
-// TestEngineArmReuse exercises the caller-owned fast path: one embedded
-// event re-armed across dispatches, with cancel/re-arm interleaving.
-func TestEngineArmReuse(t *testing.T) {
-	e := NewEngine()
-	var ev Event
-	ev.index = idxIdle
-	count := 0
-	var fire func()
-	fire = func() {
-		count++
-		if count < 5 {
-			e.Arm(&ev, 10, fire)
-		}
-	}
-	e.Arm(&ev, 10, fire)
-	e.Run(0)
-	if count != 5 {
-		t.Fatalf("armed event fired %d times, want 5", count)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("Now() = %d, want 50", e.Now())
-	}
-
-	// Cancel then re-arm: the cancelled instance must not fire.
-	e.Arm(&ev, 5, func() { t.Fatal("cancelled armed event fired") })
-	e.Cancel(&ev)
-	e.Run(0)
-	fired := false
-	e.Arm(&ev, 5, func() { fired = true })
-	e.Run(0)
-	if !fired {
-		t.Fatal("re-armed event did not fire")
-	}
-	if ev.Scheduled() {
-		t.Fatal("dispatched armed event still reports Scheduled")
-	}
-
-	// Arming a pending event must panic.
-	e.Arm(&ev, 5, func() {})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double Arm did not panic")
-			}
-		}()
-		e.Arm(&ev, 6, func() {})
-	}()
-}
-
-// TestEngineWindowMigration pins the far-heap-to-bucket migration: events
-// beyond the calendar window must dispatch in exact (when, seq) order
-// relative to near events, including same-cycle FIFO across the boundary.
+// TestEngineWindowMigration: an event scheduled far ahead, then a near one,
+// then a second far event at the same cycle as the first and one a cycle
+// later must dispatch in exact (when, seq) order, the two same-cycle far
+// events FIFO. (The name dates from a calendar queue that migrated far
+// events into its near window; the order it pinned is unchanged.)
 func TestEngineWindowMigration(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	// Far event first (goes to overflow heap), then near events, then
-	// another far event at the same cycle as the first: seq order must
-	// hold at that cycle after migration.
-	e.At(Cycle(3*numBuckets), func() { order = append(order, 0) })
+	e.At(12288, func() { order = append(order, 0) })
 	e.At(5, func() { order = append(order, 1) })
-	e.At(Cycle(3*numBuckets), func() { order = append(order, 2) })
-	e.At(Cycle(3*numBuckets)+1, func() { order = append(order, 3) })
+	e.At(12288, func() { order = append(order, 2) })
+	e.At(12289, func() { order = append(order, 3) })
 	e.Run(0)
 	want := []int{1, 0, 2, 3}
 	for i := range want {

@@ -82,26 +82,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of trials up to and including the first
-// success (support {1, 2, ...}). p must be in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		panic("sim: Geometric with non-positive p")
-	}
-	n := 1
-	for !r.Bernoulli(p) {
-		n++
-		if n > 1<<20 { // safety bound; unreachable for sane p
-			break
-		}
-	}
-	return n
-}
-
 // Normal returns a sample from N(mean, stddev) via the Irwin–Hall
 // approximation (sum of 12 uniforms), which is plenty for the ±4σ range the
 // simulator uses and avoids math.Log in the hot path.

@@ -66,32 +66,6 @@ func TestRNGIntnUniformish(t *testing.T) {
 	}
 }
 
-func TestRNGGeometricMean(t *testing.T) {
-	r := NewRNG(5)
-	const p, draws = 0.25, 50000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Geometric(p)
-	}
-	mean := float64(sum) / draws
-	if math.Abs(mean-1/p) > 0.15 {
-		t.Errorf("Geometric(%g) mean = %g, want ~%g", p, mean, 1/p)
-	}
-}
-
-func TestRNGGeometricEdge(t *testing.T) {
-	r := NewRNG(1)
-	if g := r.Geometric(1); g != 1 {
-		t.Errorf("Geometric(1) = %d, want 1", g)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Geometric(0) did not panic")
-		}
-	}()
-	r.Geometric(0)
-}
-
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(3)
 	out := make([]int, 32)

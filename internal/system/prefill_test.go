@@ -65,16 +65,15 @@ func TestPrefillPathsAgree(t *testing.T) {
 	}
 }
 
-// TestStreamInsertsNeedDisjointRegions: above 256 KB L3 lines the
+// TestStreamInsertsNeedDisjointRegions: above 256 KiB L3 lines the
 // generator's 4096-line minimum span outgrows the 1 GB between the load
 // and store regions, so their lines may coincide and prefill must replay
-// the inserts instead of writing them in closed form.
+// the inserts instead of writing them in closed form. Validate refuses
+// such lines (sim.MaxL3LineB); the check keeps streamInserts safe on its
+// own.
 func TestStreamInsertsNeedDisjointRegions(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.L3LineB = 512 << 10
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	wl, err := workload.ByName("mcf_m", cfg.Cores)
 	if err != nil {
 		t.Fatal(err)

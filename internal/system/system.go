@@ -279,10 +279,10 @@ func streamInserts(h *cache.Hierarchy, gen *workload.Generator, prof workload.Co
 		}
 		return wStart + behind(wCur, span, uint64(k)-nR, laps)*lineB, true
 	}
-	// The regions are disjoint under Validate's L3SizeMB bound, which
-	// keeps two STREAM regions (each twice the L3) within the 1 GB between
-	// their bases; the check below fails only for L3 lines above 256 KB,
-	// whose 4096-line minimum span outgrows that gap.
+	// The regions are disjoint under Validate's L3SizeMB and L3LineB
+	// bounds, which keep each region (twice the L3, at least 4096 lines)
+	// within the 1 GB between their bases; the check below keeps prefill
+	// correct for a config that skipped Validate.
 	disjoint := rStart+rBytes <= wStart || wStart+wBytes <= rStart
 	return order, line, !laps && disjoint
 }

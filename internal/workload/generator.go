@@ -12,8 +12,9 @@ import (
 const (
 	coreSpaceShift = 38 // 256 GB per core
 	hotBase        = 0x0000_0000
-	// The stream regions are 1 GB apart; a STREAM region spans twice the
-	// L3, which sim.MaxL3SizeMB bounds so that the two never overlap.
+	// The stream regions are 1 GB apart. A region spans twice the L3
+	// (STREAM apps) and at least 4096 lines, and sim.MaxL3SizeMB and
+	// sim.MaxL3LineB bound both so that the two never overlap.
 	streamReadBase = 0x4000_0000 // 1 GB into the core's space
 	streamWriteB   = 0x8000_0000 // 2 GB in
 	hotSpanBytes   = 1 << 20     // 1 MB: fits comfortably in L2

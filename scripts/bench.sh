@@ -63,7 +63,7 @@ fi
 # diff, change count, iteration draw), power manager, cache, cache prefill
 # (one core's warm-up, the bulk of building a system), dispatch guards.
 # Five runs each: the snapshot records their median and range.
-MICRO='BenchmarkEngineScheduleAndRun|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
+MICRO='BenchmarkEngineScheduleAndRun|BenchmarkEngineReschedule|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
