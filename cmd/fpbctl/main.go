@@ -58,7 +58,7 @@ func getJSON(hc *http.Client, url string, v any) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return httpError(resp.StatusCode, body)
+		return responseError(resp.StatusCode, body)
 	}
 	return json.Unmarshal(body, v)
 }
@@ -82,12 +82,12 @@ func postJSON(hc *http.Client, url string, req, v any) error {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return httpError(resp.StatusCode, raw)
+		return responseError(resp.StatusCode, raw)
 	}
 	return json.Unmarshal(raw, v)
 }
 
-func httpError(code int, body []byte) error {
+func responseError(code int, body []byte) error {
 	var ae struct {
 		Error string `json:"error"`
 	}

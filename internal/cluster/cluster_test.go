@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fpb/internal/exp"
 	"fpb/internal/serve"
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -569,5 +570,140 @@ func TestSweepRetriesLocalPushback(t *testing.T) {
 	}
 	if v, _ := reg.Value("cluster.jobs.retried"); v < 1 {
 		t.Errorf("cluster.jobs.retried = %v, want >= 1", v)
+	}
+}
+
+// TestPanickingSweepFailsEveryUnitAlike is the fault-containment check: on a
+// 3-node fleet whose simulations panic, a sweep over every workload fails
+// each unit with the same 422, whether the ring placed it on the posting
+// node or on a peer. No attempt fails over, no failure is timed as an
+// answer, and afterwards every node still serves.
+func TestPanickingSweepFailsEveryUnitAlike(t *testing.T) {
+	const badSeed = 13
+	h := startFleet(t, 3, func(int) serve.SimulateFunc {
+		return func(cfg sim.Config, wl string) (system.Result, error) {
+			if cfg.Seed == badSeed {
+				panic("boom")
+			}
+			return fakeResult(cfg, wl), nil
+		}
+	})
+	defer h.stop(nil)
+	spec := SweepSpec{Schemes: []string{"fpb"}, Workloads: exp.Workloads, Seed: badSeed, InstrPerCore: 500}
+	units, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Post to a node that owns some units while a peer owns others, so the
+	// sweep takes both the local and the remote path.
+	ring := h.nodes[0].Coordinator().Ring()
+	owned := make(map[string]int)
+	for _, u := range units {
+		owned[ring.Owner(u.Key)]++
+	}
+	coord := -1
+	for i, a := range h.addrs {
+		if owned[a] > 0 && owned[a] < len(units) {
+			coord = i
+			break
+		}
+	}
+	if coord < 0 {
+		t.Fatalf("no node owns some but not all units: %v", owned)
+	}
+
+	st := postSweep(t, h.addrs[coord], spec, true)
+	if st.State != SweepFailed || st.Failed != len(units) || st.Completed != 0 {
+		t.Fatalf("sweep: state %s, failed %d, completed %d of %d", st.State, st.Failed, st.Completed, len(units))
+	}
+	want := st.Jobs[0].Error
+	if !strings.Contains(want, "422: simulation panicked") {
+		t.Fatalf("unit error %q, want a 422 simulation panic", want)
+	}
+	for _, jo := range st.Jobs {
+		if jo.State != serve.StateFailed || jo.Error != want {
+			t.Errorf("unit %s (owner %s): state %s, error %q, want failed with %q",
+				jo.Workload, ring.Owner(jo.Key), jo.State, jo.Error, want)
+		}
+	}
+	reg := h.nodes[coord].Server().Registry()
+	if v, _ := reg.Value("cluster.jobs.failovers"); v != 0 {
+		t.Errorf("cluster.jobs.failovers = %v, want 0", v)
+	}
+	if v, _ := reg.Value("cluster.sweep.job_ms"); v != 0 {
+		t.Errorf("cluster.sweep.job_ms counted %v units, want 0", v)
+	}
+
+	for _, a := range h.addrs {
+		resp, err := http.Get(a + "/healthz")
+		if err != nil {
+			t.Fatalf("%s /healthz: %v", a, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /healthz: %s", a, resp.Status)
+		}
+		resp, err = http.Post(a+"/v1/jobs", "application/json",
+			strings.NewReader(`{"workload":"mcf_m","seed":7,"instr_per_core":500}`))
+		if err != nil {
+			t.Fatalf("%s job: %v", a, err)
+		}
+		var js serve.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&js)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || js.State != serve.StateDone {
+			t.Fatalf("%s job after the panics: %s, state %s, error %q (%v)", a, resp.Status, js.State, js.Error, err)
+		}
+	}
+}
+
+// TestCancelledSweepSettlesWhileLocalUnitsRun: cancelling a sweep whose
+// units are simulating on the coordinating node itself settles it at once;
+// it does not wait for the simulations, which run on for the store.
+func TestCancelledSweepSettlesWhileLocalUnitsRun(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	started := make(chan struct{}, 2)
+	h := startFleet(t, 1, func(int) serve.SimulateFunc {
+		return func(cfg sim.Config, wl string) (system.Result, error) {
+			started <- struct{}{}
+			<-gate
+			return fakeResult(cfg, wl), nil
+		}
+	})
+	defer func() { release(); h.stop(nil) }()
+	addr := h.addrs[0]
+
+	st := postSweep(t, addr, SweepSpec{Schemes: []string{"fpb", "ideal"}, Workloads: []string{"mcf_m"}, Seed: 5}, false)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of 2 simulations started", i)
+		}
+	}
+	resp, err := http.Post(addr+"/v1/sweeps/"+st.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	final := pollSweep(t, addr, st.ID, 2*time.Second)
+	if final.State != SweepCancelled {
+		t.Fatalf("state after cancel: %s, want cancelled", final.State)
+	}
+	// The gate is still closed: both simulations are still running.
+	resp, err = http.Get(addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz struct {
+		Busy int `json:"busy"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil || hz.Busy != 2 {
+		t.Fatalf("/healthz busy = %d (%v), want the 2 gated simulations", hz.Busy, err)
 	}
 }

@@ -19,51 +19,6 @@ import (
 	"fpb/internal/serve/client"
 )
 
-// CoordinatorConfig sizes the sweep coordinator of one node.
-type CoordinatorConfig struct {
-	// Self is this node's ring identity (normalized address). Units owned
-	// by Self execute through the local serve.Server directly — no
-	// loopback HTTP.
-	Self string
-	// Members is the full ring member set, Self included.
-	Members []string
-	// Replicas is the replication factor R: each completed unit is pushed
-	// to the first R ring owners of its key (default 2, clamped to the
-	// fleet size). R=1 means no cross-node copies.
-	Replicas int
-	// VNodes per member (default ring.DefaultVirtualNodes). All fleet
-	// participants must agree.
-	VNodes int
-	// PerNodeInflight bounds concurrently dispatched units per target node
-	// (default 4) so one sweep cannot bury a node's queue and starve
-	// interactive jobs into 429s.
-	PerNodeInflight int
-	// Cooldown is the down-node skip window (default ring.DefaultCooldown).
-	Cooldown time.Duration
-	// ProbeInterval enables background health probing of down members.
-	ProbeInterval time.Duration
-	// Local runs a unit on this node (wired to serve.Server.RunLocal).
-	Local func(spec serve.JobSpec) (serve.JobStatus, bool, error)
-	// Logger receives structured sweep lifecycle logs (nil discards).
-	Logger *slog.Logger
-}
-
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = ring.DefaultVirtualNodes
-	}
-	if c.PerNodeInflight <= 0 {
-		c.PerNodeInflight = 4
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return c
-}
-
 // maxSweeps bounds retained sweep records; the oldest finished records are
 // evicted first.
 const maxSweeps = 64
@@ -126,7 +81,8 @@ func (sr *sweepRun) status() SweepStatus {
 // to the servers' singleflight + store dedupe. Placement, member health,
 // the down-node prober and the failover walk all come from its client.Fleet.
 type Coordinator struct {
-	cfg   CoordinatorConfig
+	cfg   NodeConfig // defaults applied by NewNode
+	srv   *serve.Server
 	fleet *client.Fleet
 	hc    *http.Client
 	log   *slog.Logger
@@ -148,14 +104,13 @@ type Coordinator struct {
 	perNodeDone                                           map[string]*obs.Counter
 }
 
-// NewCoordinator builds a coordinator. Members are normalized; Self must be
-// among them (it is added if missing).
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
-	cfg.Self = client.Normalize(cfg.Self)
+// newCoordinator builds the coordinator of the node whose defaulted config
+// is cfg and whose server is srv: units the ring places on cfg.Self run
+// through srv.RunLocal, everyone else's through one HTTP submit.
+func newCoordinator(cfg NodeConfig, srv *serve.Server) (*Coordinator, error) {
 	// Not instrumented: the client.* series would describe this node's
 	// own dispatch as if it were a remote caller.
-	fleet, err := client.NewFleet(append([]string{cfg.Self}, cfg.Members...), client.FleetConfig{
+	fleet, err := client.NewFleet(append([]string{cfg.Self}, cfg.Peers...), client.FleetConfig{
 		VNodes:        cfg.VNodes,
 		Cooldown:      cfg.Cooldown,
 		ProbeInterval: cfg.ProbeInterval,
@@ -165,9 +120,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:    cfg,
+		srv:    srv,
 		fleet:  fleet,
 		hc:     &http.Client{},
-		log:    cfg.Logger,
+		log:    srv.Logger(),
 		sems:   make(map[string]chan struct{}),
 		sweeps: make(map[string]*sweepRun),
 	}
@@ -471,10 +427,8 @@ func (co *Coordinator) runUnit(ctx context.Context, sr *sweepRun, u Unit) {
 }
 
 // dispatch makes one attempt of u on member under the member's in-flight
-// semaphore: the local fast path for Self, a single HTTP submit for everyone
-// else. Local errors map onto the walk's classes: queue-full pushback is a
-// *client.BusyError, draining counts as a down member, and any other failure
-// is a terminal 4xx.
+// semaphore — srv.RunLocal for Self, a single HTTP submit for everyone else
+// — and hands the answer to the walk untouched: both paths answer alike.
 func (co *Coordinator) dispatch(ctx context.Context, sr *sweepRun, u Unit, member string) (st serve.JobStatus, err error) {
 	select {
 	case co.sems[member] <- struct{}{}:
@@ -483,26 +437,22 @@ func (co *Coordinator) dispatch(ctx context.Context, sr *sweepRun, u Unit, membe
 	}
 	defer func() { <-co.sems[member] }()
 	co.cJobsDispatched.Inc()
-	if member == co.cfg.Self && co.cfg.Local != nil {
-		st, _, err = co.cfg.Local(u.spec)
-		switch {
-		case errors.Is(err, serve.ErrBusy):
-			err = &client.BusyError{Node: member, Msg: err.Error()}
-		case err != nil && !errors.Is(err, serve.ErrDraining):
-			err = &client.StatusError{Code: http.StatusUnprocessableEntity, Msg: err.Error()}
-		}
+	if member == co.cfg.Self {
+		st, err = co.srv.RunLocal(ctx, u.cfg, u.Workload)
 	} else {
-		st, err = co.fleet.Submit(ctx, member, u.spec)
+		st, err = co.fleet.Submit(ctx, member, serve.JobSpec{Workload: u.Workload, Config: &u.cfg})
 	}
-	var busy *client.BusyError
-	if err != nil && ctx.Err() == nil && !errors.As(err, &busy) {
+	var se *serve.StatusError
+	busy := errors.As(err, &se) && se.Code == http.StatusTooManyRequests
+	if err != nil && ctx.Err() == nil && !busy {
 		co.log.Warn("unit attempt failed", "sweep", sr.id, "key", u.Key[:8],
 			"member", member, "err", err)
 	}
 	return st, err
 }
 
-// recordUnit settles one unit's outcome in the sweep record.
+// recordUnit settles one unit's outcome in the sweep record: the walk's
+// error fails it, and without one the unit is done.
 func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.JobStatus, attempts int, err error) {
 	sr.mu.Lock()
 	o := &sr.outcomes[u.Index]
@@ -511,7 +461,7 @@ func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.
 		o.State = serve.StateFailed
 		o.Error = err.Error()
 		sr.failed++
-	} else if st.State == serve.StateDone {
+	} else {
 		o.State = serve.StateDone
 		o.Node = member
 		o.Cached = st.Cached
@@ -520,14 +470,9 @@ func (co *Coordinator) recordUnit(sr *sweepRun, u Unit, member string, st serve.
 		}
 		sr.completed++
 		sr.perNode[member]++
-	} else {
-		o.State = serve.StateFailed
-		o.Error = fmt.Sprintf("unexpected job state %s: %s", st.State, st.Error)
-		sr.failed++
 	}
-	failed := o.State == serve.StateFailed
 	sr.mu.Unlock()
-	if failed {
+	if err != nil {
 		co.cJobsFailed.Inc()
 	} else {
 		co.cJobsDone.Inc()
@@ -561,9 +506,7 @@ func (co *Coordinator) replicate(ctx context.Context, sr *sweepRun, u Unit, exec
 	}
 }
 
-// pushReplica POSTs one result to target's /v1/replicate. Self-pushes go
-// through HTTP too only when Local is unset; with Local they are skipped by
-// the caller (the executing node already stored the result).
+// pushReplica POSTs one result to target's /v1/replicate.
 func (co *Coordinator) pushReplica(ctx context.Context, target string, rp ReplicaPut) error {
 	body, err := json.Marshal(rp)
 	if err != nil {

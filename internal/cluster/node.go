@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"time"
 
+	"fpb/internal/cluster/ring"
 	"fpb/internal/serve"
+	"fpb/internal/serve/client"
 )
 
 // NodeConfig assembles one fleet member: the local serve.Server plus the
@@ -25,13 +27,21 @@ type NodeConfig struct {
 	// must be configured with the same member set (Self ∪ Peers) — the
 	// ring is static per process; membership changes are a restart.
 	Peers []string
-	// Replicas / VNodes / PerNodeInflight / Cooldown / ProbeInterval
-	// forward to CoordinatorConfig.
-	Replicas        int
-	VNodes          int
+	// Replicas is the replication factor R: each completed unit is pushed
+	// to the first R ring owners of its key (default 2, clamped to the
+	// fleet size). R=1 means no cross-node copies.
+	Replicas int
+	// VNodes per member (default ring.DefaultVirtualNodes). All fleet
+	// participants must agree.
+	VNodes int
+	// PerNodeInflight bounds concurrently dispatched units per target node
+	// (default 4) so one sweep cannot bury a node's queue and starve
+	// interactive jobs into 429s.
 	PerNodeInflight int
-	Cooldown        time.Duration
-	ProbeInterval   time.Duration
+	// Cooldown is the down-node skip window (default ring.DefaultCooldown).
+	Cooldown time.Duration
+	// ProbeInterval enables background health probing of down members.
+	ProbeInterval time.Duration
 }
 
 // Node is one fpbd process in a fleet: an http.Handler layering the cluster
@@ -51,8 +61,9 @@ type Node struct {
 	mux *http.ServeMux
 }
 
-// NewNode builds the server, the coordinator on top of it, and the combined
-// route table, and registers the cluster metrics into the server's registry.
+// NewNode applies the config's defaults, then builds the server, the
+// coordinator on top of it, and the combined route table, and registers the
+// cluster metrics into the server's registry.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Self == "" {
 		if len(cfg.Peers) > 0 {
@@ -60,27 +71,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		cfg.Self = "self"
 	}
+	cfg.Self = client.Normalize(cfg.Self)
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 2
+	}
+	if cfg.VNodes <= 0 {
+		cfg.VNodes = ring.DefaultVirtualNodes
+	}
+	if cfg.PerNodeInflight <= 0 {
+		cfg.PerNodeInflight = 4
+	}
 	srv, err := serve.New(cfg.Serve)
 	if err != nil {
 		return nil, err
 	}
-	co, err := NewCoordinator(CoordinatorConfig{
-		Self:            cfg.Self,
-		Members:         cfg.Peers,
-		Replicas:        cfg.Replicas,
-		VNodes:          cfg.VNodes,
-		PerNodeInflight: cfg.PerNodeInflight,
-		Cooldown:        cfg.Cooldown,
-		ProbeInterval:   cfg.ProbeInterval,
-		Logger:          srv.Logger(),
-		Local: func(spec serve.JobSpec) (serve.JobStatus, bool, error) {
-			cfg, wl, err := spec.Resolve()
-			if err != nil {
-				return serve.JobStatus{}, false, err
-			}
-			return srv.RunLocal(cfg, wl)
-		},
-	})
+	co, err := newCoordinator(cfg, srv)
 	if err != nil {
 		srv.Drain()
 		return nil, err

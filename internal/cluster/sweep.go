@@ -57,8 +57,8 @@ type SweepSpec struct {
 	IncludeResults bool `json:"include_results,omitempty"`
 }
 
-// Unit is one expanded job of a sweep: its spec, its content key (the ring
-// placement key), and the labels it came from.
+// Unit is one expanded job of a sweep: its resolved config, its content key
+// (the ring placement key), and the labels it came from.
 type Unit struct {
 	Index    int    `json:"index"`
 	Key      string `json:"key"`
@@ -66,7 +66,7 @@ type Unit struct {
 	Scheme   string `json:"scheme"`
 	Mapping  string `json:"mapping,omitempty"`
 
-	spec serve.JobSpec
+	cfg sim.Config
 }
 
 // Expand produces the sweep's units in deterministic order (scheme-major,
@@ -106,7 +106,7 @@ func (s SweepSpec) Expand() ([]Unit, error) {
 					Workload: wl,
 					Scheme:   scheme,
 					Mapping:  mapping,
-					spec:     spec,
+					cfg:      cfg,
 				})
 			}
 		}

@@ -6,7 +6,7 @@
 // never sees synchronized retry storms) when every node is busy. Fleet.Run
 // matches exp.Backend, so fpbexp can offload whole figure runs. This file
 // holds the per-node transport underneath: one HTTP attempt per call, with
-// the answer classified into the errors the walk acts on.
+// a non-200 answer decoded into the *serve.StatusError the walk acts on.
 package client
 
 import (
@@ -53,33 +53,6 @@ func (f *Fleet) health(ctx context.Context, member string) error {
 	return nil
 }
 
-// BusyError is 429 pushback from a daemon whose job queue is full. After
-// carries the server's exact Retry-After value (0 when absent/unparseable).
-// It is retryable: on the same node after waiting, or immediately on the
-// next replica (what the walk does).
-type BusyError struct {
-	Node  string
-	After time.Duration
-	Msg   string
-}
-
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("server busy (429): %s", e.Msg)
-}
-
-// StatusError is a terminal non-2xx response (bad spec, failed simulation,
-// draining node, internal error). Code classifies it: 5xx/503 suggest the
-// node itself is unhealthy (the walk fails over), 4xx means the request
-// itself is bad and would fail identically on every replica.
-type StatusError struct {
-	Code int
-	Msg  string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("client: %d: %s", e.Code, e.Msg)
-}
-
 // defaultRetryDelay is used when a 429 carries no parseable Retry-After.
 const defaultRetryDelay = 500 * time.Millisecond
 
@@ -120,12 +93,12 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// Submit posts spec to one member exactly once — no retries, no waiting.
-// Queue-full pushback returns a *BusyError carrying the parsed Retry-After;
-// any other non-OK response returns a *StatusError; transport failures
-// return the wrapped net/http error. The walk builds replica failover on
-// this: it wants the 429 immediately so it can try the next ring owner
-// instead of camping on a saturated node.
+// Submit posts spec to one member exactly once — no retries, no waiting —
+// and answers as Server.RunLocal does: the decoded body, with a nil error
+// for 200 or a *serve.StatusError carrying the code and the parsed
+// Retry-After; transport failures return the wrapped net/http error.
+// The walk builds replica failover on this: it wants the 429 immediately
+// so it can try the next ring owner instead of camping on a saturated node.
 func (f *Fleet) Submit(ctx context.Context, member string, spec serve.JobSpec) (serve.JobStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -146,23 +119,20 @@ func (f *Fleet) Submit(ctx context.Context, member string, spec serve.JobSpec) (
 		return serve.JobStatus{}, fmt.Errorf("client: reading response: %w", err)
 	}
 	var st serve.JobStatus
-	if jerr := json.Unmarshal(raw, &st); jerr != nil && resp.StatusCode == http.StatusOK {
-		return serve.JobStatus{}, fmt.Errorf("client: decoding response: %w", jerr)
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	jerr := json.Unmarshal(raw, &st)
+	if resp.StatusCode == http.StatusOK {
+		if jerr != nil {
+			return serve.JobStatus{}, fmt.Errorf("client: decoding response: %w", jerr)
+		}
 		return st, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
-		return serve.JobStatus{}, &BusyError{
-			Node:  member,
-			After: parseRetryAfter(resp.Header.Get("Retry-After")),
-			Msg:   st.Error,
-		}
-	default:
-		msg := st.Error
-		if msg == "" {
-			msg = strings.TrimSpace(string(raw))
-		}
-		return serve.JobStatus{}, &StatusError{Code: resp.StatusCode, Msg: msg}
+	}
+	msg := st.Error
+	if msg == "" {
+		msg = strings.TrimSpace(string(raw))
+	}
+	return st, &serve.StatusError{
+		Code:  resp.StatusCode,
+		Msg:   msg,
+		After: parseRetryAfter(resp.Header.Get("Retry-After")),
 	}
 }

@@ -176,8 +176,9 @@ func (f *Fleet) probeDown(ctx context.Context) {
 }
 
 // Attempt tries a job once on one member. Its error classifies the answer
-// for the walk: a *BusyError is pushback, a *StatusError below 500 is
-// terminal, and anything else means the member looks dead.
+// for the walk: a *serve.StatusError with code 429 is pushback, one with
+// any other code below 500 is terminal, and anything else means the member
+// looks dead.
 type Attempt func(ctx context.Context, member string) (serve.JobStatus, error)
 
 // WalkStats reports what one walk did.
@@ -224,22 +225,21 @@ func (f *Fleet) Walk(ctx context.Context, key string, attempt Attempt) (serve.Jo
 				return serve.JobStatus{}, ws, ctx.Err()
 			}
 			lastErr = err
-			var busy *BusyError
-			var status *StatusError
+			var se *serve.StatusError
 			switch {
-			case errors.As(err, &busy):
-				ws.Busy++
-				sawBusy = true
-				if busy.After > 0 && (busyWait == 0 || busy.After < busyWait) {
-					busyWait = busy.After
-				}
-			case errors.As(err, &status) && status.Code < 500:
-				return serve.JobStatus{}, ws, err
-			default:
+			case !errors.As(err, &se) || se.Code >= 500:
 				f.tracker.MarkDown(m)
 				if i < len(order)-1 {
 					ws.Failovers++
 				}
+			case se.Code == http.StatusTooManyRequests:
+				ws.Busy++
+				sawBusy = true
+				if se.After > 0 && (busyWait == 0 || se.After < busyWait) {
+					busyWait = se.After
+				}
+			default:
+				return serve.JobStatus{}, ws, err
 			}
 		}
 		if pass > 0 && !sawBusy {

@@ -119,12 +119,12 @@ func TestServerAdvertisesExactRetryAfter(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 99
 	_, err = f.Submit(context.Background(), Normalize(ts.URL), serve.JobSpec{Workload: "mix_1", Config: &cfg})
-	busy, ok := err.(*BusyError)
-	if !ok {
-		t.Fatalf("expected BusyError from saturated daemon, got %v", err)
+	busy, ok := err.(*serve.StatusError)
+	if !ok || busy.Code != http.StatusTooManyRequests {
+		t.Fatalf("expected a 429 StatusError from saturated daemon, got %v", err)
 	}
 	if busy.After != 250*time.Millisecond {
-		t.Fatalf("BusyError.After = %v, want exactly 250ms", busy.After)
+		t.Fatalf("StatusError.After = %v, want exactly 250ms", busy.After)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,9 +36,6 @@ type Config struct {
 	StoreDir string
 	// RetryAfter is advertised on 429 responses (default 1s).
 	RetryAfter time.Duration
-	// MaxJobRecords bounds completed job records kept for async polling
-	// (default 1024); the oldest finished records are evicted first.
-	MaxJobRecords int
 	// Simulate overrides the simulation function (default
 	// system.RunWorkload). Used by tests.
 	Simulate SimulateFunc
@@ -61,14 +59,15 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.MaxJobRecords <= 0 {
-		c.MaxJobRecords = 1024
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return c
 }
+
+// maxJobRecords bounds the job records kept for async polling; the oldest
+// finished records are evicted first.
+const maxJobRecords = 1024
 
 // job is one accepted unit of work. Its fields past done are written by the
 // completing worker before done is closed and are read-only afterwards.
@@ -336,60 +335,43 @@ func formatRetryAfter(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
 }
 
+// RunLocal pushes one job through the server's full pipeline — store
+// lookup, singleflight dedupe, queue, worker pool, persistence — and waits
+// for it as the sync POST /v1/jobs handler does, answering what that handler
+// writes: the body, with a nil error for 200 or a *StatusError carrying any
+// other code (422 failed simulation, 429 queue full with Config.RetryAfter
+// in After, 503 draining, 500 store error). When ctx ends first it returns
+// ctx.Err(); the job runs on for coalesced waiters and the store.
+func (s *Server) RunLocal(ctx context.Context, cfg sim.Config, wl string) (JobStatus, error) {
+	j, cached, serr := s.submit(cfg, wl)
+	if serr != nil {
+		return JobStatus{State: StateFailed, Error: serr.Msg}, serr
+	}
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		s.log.Debug("waiter left before completion", "job", j.id)
+		return JobStatus{}, ctx.Err()
+	}
+	st := j.status() // done => fields are frozen, no lock needed
+	st.Cached = cached
+	if st.State == StateFailed {
+		return st, &StatusError{Code: http.StatusUnprocessableEntity, Msg: st.Error}
+	}
+	return st, nil
+}
+
 // submit resolves a request to a job: a store hit returns an already-done
 // synthetic job, an identical in-flight job coalesces, and otherwise a new
-// job is enqueued — or rejected when the queue is full (coalesced=false,
-// job=nil, httpErr carries the status to send).
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-// Sentinel errors RunLocal maps the HTTP pushback statuses onto, so embedded
-// callers (the cluster coordinator running a job on its own node) can
-// distinguish "try again / try elsewhere" from a genuine failure without
-// going through a loopback socket.
-var (
-	// ErrBusy is queue-full pushback (the 429 path).
-	ErrBusy = errors.New("serve: job queue is full")
-	// ErrDraining means the server is shutting down (the 503 path).
-	ErrDraining = errors.New("serve: draining")
-)
-
-// RunLocal pushes one job through the server's full pipeline — store
-// lookup, singleflight dedupe, queue, worker pool, persistence — and blocks
-// until it finishes. It is exactly the sync POST /v1/jobs path minus HTTP:
-// same backpressure (ErrBusy when the queue is full, ErrDraining during
-// shutdown), same lifecycle records, same metrics. cached reports a store
-// hit or coalesced join, like JobStatus.Cached.
-func (s *Server) RunLocal(cfg sim.Config, wl string) (st JobStatus, cached bool, err error) {
-	j, cached, herr := s.submit(cfg, wl)
-	if herr != nil {
-		switch herr.status {
-		case http.StatusTooManyRequests:
-			return JobStatus{}, false, ErrBusy
-		case http.StatusServiceUnavailable:
-			return JobStatus{}, false, ErrDraining
-		default:
-			return JobStatus{}, false, errors.New(herr.msg)
-		}
-	}
-	<-j.done
-	st = j.status() // done => fields frozen, no lock needed
-	st.Cached = cached
-	return st, cached, nil
-}
-
-func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *httpError) {
+// job is enqueued — or refused (job=nil) with the status to answer.
+func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *StatusError) {
 	key := system.Key(cfg, wl)
 
 	// Store lookup happens outside mu (it is disk IO); the worst case of
 	// racing a concurrent completion is a duplicate-free extra read.
 	if s.store != nil {
 		if res, ok, serr := s.store.Get(key); serr != nil {
-			return nil, false, &httpError{http.StatusInternalServerError, serr.Error()}
+			return nil, false, &StatusError{Code: http.StatusInternalServerError, Msg: serr.Error()}
 		} else if ok {
 			s.mu.Lock()
 			s.cHits.Inc()
@@ -406,7 +388,7 @@ func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *ht
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, false, &httpError{http.StatusServiceUnavailable, "server is draining"}
+		return nil, false, &StatusError{Code: http.StatusServiceUnavailable, Msg: "server is draining"}
 	}
 	if j, ok := s.inflight[key]; ok {
 		s.cCoalesced.Inc()
@@ -425,7 +407,7 @@ func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *ht
 		s.cRejected.Inc()
 		s.mu.Unlock()
 		s.log.Warn("job rejected", "key", key, "workload", wl, "reason", "queue full")
-		return nil, false, &httpError{http.StatusTooManyRequests, "job queue is full"}
+		return nil, false, &StatusError{Code: http.StatusTooManyRequests, Msg: "job queue is full", After: s.cfg.RetryAfter}
 	}
 	j.lc.Outcome = OutcomeFresh
 	s.inflight[key] = j
@@ -458,9 +440,9 @@ func (s *Server) newJobLocked(key string, cfg sim.Config, wl string) *job {
 	return j
 }
 
-// evictLocked drops the oldest finished job records above MaxJobRecords.
+// evictLocked drops the oldest finished job records above maxJobRecords.
 func (s *Server) evictLocked() {
-	for len(s.jobs) > s.cfg.MaxJobRecords && len(s.order) > 0 {
+	for len(s.jobs) > maxJobRecords && len(s.order) > 0 {
 		evicted := false
 		for i, id := range s.order {
 			j, ok := s.jobs[id]
@@ -521,16 +503,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, cached, herr := s.submit(cfg, wl)
-	if herr != nil {
-		if herr.status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", formatRetryAfter(s.cfg.RetryAfter))
-		}
-		s.writeJSON(w, herr.status, JobStatus{State: StateFailed, Error: herr.msg})
-		return
-	}
-
 	if r.URL.Query().Get("async") == "1" {
+		j, cached, serr := s.submit(cfg, wl)
+		if serr != nil {
+			s.writeAnswer(w, JobStatus{State: StateFailed, Error: serr.Msg}, serr)
+			return
+		}
 		s.mu.Lock()
 		st := j.status()
 		s.mu.Unlock()
@@ -543,19 +521,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// The client went away; the job keeps running for any coalesced
-		// waiters and for the store.
-		s.log.Debug("client disconnected before completion", "job", j.id)
-		return
+	st, err := s.RunLocal(r.Context(), cfg, wl)
+	var serr *StatusError
+	if err != nil && !errors.As(err, &serr) {
+		return // the client went away
 	}
-	st := j.status() // done => fields are frozen, no lock needed
-	st.Cached = cached
+	s.writeAnswer(w, st, serr)
+}
+
+// writeAnswer writes one attempt's answer: st with 200 when serr is nil,
+// else with serr's code, and a 429 with its Retry-After.
+func (s *Server) writeAnswer(w http.ResponseWriter, st JobStatus, serr *StatusError) {
 	code := http.StatusOK
-	if st.State == StateFailed {
-		code = http.StatusUnprocessableEntity
+	if serr != nil {
+		code = serr.Code
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", formatRetryAfter(serr.After))
+		}
 	}
 	s.writeJSON(w, code, st)
 }

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"fpb/internal/sim"
 	"fpb/internal/system"
@@ -141,3 +142,17 @@ type JobStatus struct {
 	// tracking it (outcome known).
 	Lifecycle *Lifecycle `json:"lifecycle,omitempty"`
 }
+
+// StatusError is a job attempt's answer other than 200, the same whether
+// the job ran in process (Server.RunLocal) or over HTTP
+// (client.Fleet.Submit): Code is the status POST /v1/jobs writes (422 failed
+// simulation, 429 queue full, 503 draining, 500 store error, 400 bad spec),
+// Msg the error its body carries, and After the advertised Retry-After (0
+// when absent).
+type StatusError struct {
+	Code  int
+	Msg   string
+	After time.Duration
+}
+
+func (e *StatusError) Error() string { return fmt.Sprintf("%d: %s", e.Code, e.Msg) }

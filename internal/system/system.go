@@ -32,9 +32,10 @@ type System struct {
 	// time-series probes (EnableProbes).
 	Obs *obs.Hub
 
-	finished int
-	prober   *obs.Prober
-	probeEv  *sim.Event
+	finished  int
+	prober    *obs.Prober
+	probeNext sim.Cycle // the next interval boundary to sample
+	probeStep sim.Cycle
 }
 
 // Result carries the metrics of one run.
@@ -327,38 +328,23 @@ func (s *System) EnableTrace(t *obs.Tracer) {
 
 // EnableProbes samples every registered series to w as CSV every interval
 // cycles, starting at the first interval boundary after Run begins. Call
-// before Run. The probe event keeps the heap occupied, so it watches event
-// progress: if nothing but the probe itself ran for three intervals it
-// stops rescheduling, preserving Run's drained-heap deadlock detection.
+// before Run. Run takes the samples between events, so probing schedules
+// nothing and leaves the simulation untouched.
 func (s *System) EnableProbes(interval sim.Cycle, w io.Writer) *obs.Prober {
 	if interval == 0 || w == nil {
 		return nil
 	}
 	s.prober = obs.NewProber(s.Obs.Registry(), w)
-	var lastRan uint64
-	idle := 0
-	var tick func()
-	tick = func() {
-		s.probeEv = nil
-		ran := s.Eng.EventsRun()
-		if ran-lastRan <= 1 {
-			idle++
-		} else {
-			idle = 0
-		}
-		lastRan = ran
-		s.prober.Sample(uint64(s.Eng.Now()))
-		if idle < 3 && s.finished < len(s.Cores) {
-			s.probeEv = s.Eng.After(interval, tick)
-		}
-	}
-	s.probeEv = s.Eng.After(interval, tick)
+	s.probeStep = interval
+	s.probeNext = s.Eng.Now() + interval
 	return s.prober
 }
 
 // Run executes until every core retires its budget (or the event heap
 // drains, which indicates a deadlock and panics with the controller's state
-// after the first line). It returns the collected metrics.
+// after the first line). It returns the collected metrics. With probes
+// enabled, each event that reaches an interval boundary is followed by one
+// probe row per boundary reached, labelled with that boundary.
 func (s *System) Run() Result {
 	for _, c := range s.Cores {
 		c.Start()
@@ -368,10 +354,10 @@ func (s *System) Run() Result {
 			panic(fmt.Sprintf("system: deadlock — %d/%d cores finished, no events pending\n%s",
 				s.finished, len(s.Cores), s.MC.DumpState()))
 		}
-	}
-	if s.probeEv != nil {
-		s.Eng.Cancel(s.probeEv)
-		s.probeEv = nil
+		for s.prober != nil && s.Eng.Now() >= s.probeNext {
+			s.prober.Sample(uint64(s.probeNext))
+			s.probeNext += s.probeStep
+		}
 	}
 	return s.collect()
 }

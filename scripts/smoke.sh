@@ -72,13 +72,8 @@ echo "smoke: checking metrics"
 MBARE="$(curl -fsS "$BASE/metrics")"
 echo "$MBARE" | grep -q '^serve_jobs_done 1$' || fail "serve_jobs_done != 1 in bare /metrics: $MBARE"
 echo "$MBARE" | grep -q '^serve_cache_hits 1$' || fail "serve_cache_hits != 1 in bare /metrics: $MBARE"
-
-echo "smoke: checking Prometheus metrics"
-MPROM="$(curl -fsS "$BASE/metrics?format=prometheus")"
-echo "$MPROM" | grep -q '^serve_jobs_done 1$' || fail "serve_jobs_done != 1 in Prometheus text"
-echo "$MPROM" | grep -q '^serve_cache_hits 1$' || fail "serve_cache_hits != 1 in Prometheus text"
-echo "$MPROM" | grep -q '^# TYPE serve_job_sim_ms histogram$' || fail "missing sim_ms histogram TYPE"
-echo "$MPROM" | grep -q '^serve_job_sim_ms_count 1$' || fail "sim_ms histogram did not record the job"
+echo "$MBARE" | grep -q '^# TYPE serve_job_sim_ms histogram$' || fail "missing sim_ms histogram TYPE"
+echo "$MBARE" | grep -q '^serve_job_sim_ms_count 1$' || fail "sim_ms histogram did not record the job"
 
 echo "smoke: checking the /metrics content type"
 CT="$(curl -fsS -o /dev/null -w '%{content_type}' "$BASE/metrics")"
@@ -187,8 +182,8 @@ if [ "${FLEET_SMOKE:-1}" = 1 ]; then
     T1="$(date +%s)"
     [ $((T1 - T0)) -le 5 ] || fail "fpbsim -remote at a dead daemon took $((T1 - T0))s to fail (want <= 5s)"
 
-    echo "smoke: Prometheus fleet metrics"
-    MFLEET="$(curl -fsS "http://$A1/metrics?format=prometheus")"
+    echo "smoke: fleet metrics"
+    MFLEET="$(curl -fsS "http://$A1/metrics")"
     echo "$MFLEET" | grep -q '^cluster_ring_members 3$' || fail "missing cluster_ring_members"
     echo "$MFLEET" | grep -q '^cluster_sweeps_done [1-9]' || fail "missing cluster_sweeps_done"
     echo "$MFLEET" | grep -q '^cluster_jobs_done [1-9]' || fail "missing cluster_jobs_done"
