@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,7 +127,7 @@ func main() {
 			}
 		}
 		fmt.Printf("remote              %s (job %s, cached %v)\n", *remote, st.ID, st.Cached)
-		printResult(res, cfg, m, *gcpEff, *wc, *wp)
+		printResult(os.Stdout, res, cfg, m, *gcpEff, *wc, *wp)
 		return
 	}
 
@@ -191,34 +192,42 @@ func main() {
 		}
 	}
 
-	printResult(res, cfg, m, *gcpEff, *wc, *wp)
+	printResult(os.Stdout, res, cfg, m, *gcpEff, *wc, *wp)
 }
 
-// printResult renders one run's metrics; shared by the local and -remote
-// paths so offloaded runs read identically.
-func printResult(res system.Result, cfg sim.Config, m sim.Mapping, gcpEff float64, wc, wp bool) {
-	fmt.Printf("workload            %s\n", res.Workload)
-	fmt.Printf("scheme              %s (%v, GCP eff %.2f)\n", res.Scheme, m, gcpEff)
-	fmt.Printf("instructions        %d\n", res.Instrs)
-	fmt.Printf("cycles              %d\n", res.Cycles)
-	fmt.Printf("CPI                 %.3f\n", res.CPI)
-	fmt.Printf("PCM reads           %d (RPKI %.3f)\n", res.DemandReads, res.MeasRPKI)
-	fmt.Printf("PCM writes          %d (WPKI %.3f)\n", res.Writes, res.MeasWPKI)
-	fmt.Printf("avg cell changes    %.1f per line write\n", res.AvgCellChanges)
-	fmt.Printf("avg read latency    %.0f cycles\n", res.AvgReadLatency)
-	fmt.Printf("write latency       p50 %.0f / p95 %.0f / p99 %.0f cycles\n",
+// printResult renders one run's metrics to w; shared by the local and
+// -remote paths so offloaded runs read identically. Next to the PCM writes
+// the cores made it prints how many the controller completed
+// (mem.writes.done): a short run can end with most of its writes still
+// queued, and its CPI and throughput then leave out their cost.
+func printResult(w io.Writer, res system.Result, cfg sim.Config, m sim.Mapping, gcpEff float64, wc, wp bool) {
+	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+	p("workload            %s\n", res.Workload)
+	p("scheme              %s (%v, GCP eff %.2f)\n", res.Scheme, m, gcpEff)
+	p("instructions        %d\n", res.Instrs)
+	p("cycles              %d\n", res.Cycles)
+	p("CPI                 %.3f\n", res.CPI)
+	p("PCM reads           %d (RPKI %.3f)\n", res.DemandReads, res.MeasRPKI)
+	p("PCM writes          %d (WPKI %.3f)", res.Writes, res.MeasWPKI)
+	if done, ok := res.Metrics["mem.writes.done"]; ok {
+		p(", %d completed, %d not completed", uint64(done), int64(res.Writes)-int64(done))
+	}
+	p("\n")
+	p("avg cell changes    %.1f per line write\n", res.AvgCellChanges)
+	p("avg read latency    %.0f cycles\n", res.AvgReadLatency)
+	p("write latency       p50 %.0f / p95 %.0f / p99 %.0f cycles\n",
 		res.WriteLatP50, res.WriteLatP95, res.WriteLatP99)
-	fmt.Printf("write throughput    %.1f line writes / Mcycle\n", res.WriteThroughput)
-	fmt.Printf("write-burst time    %.1f%%\n", res.BurstFraction*100)
-	fmt.Printf("GCP max/avg tokens  %.1f / %.2f\n", res.MaxGCPTokens, res.AvgGCPTokens)
-	fmt.Printf("multi-RESET admits  %d\n", res.MRAdmissions)
-	fmt.Printf("multi-round writes  %d\n", res.MultiRound)
-	fmt.Printf("avg write energy    %.1f pJ (%.2f nJ per 64B)\n",
+	p("write throughput    %.1f line writes / Mcycle\n", res.WriteThroughput)
+	p("write-burst time    %.1f%%\n", res.BurstFraction*100)
+	p("GCP max/avg tokens  %.1f / %.2f\n", res.MaxGCPTokens, res.AvgGCPTokens)
+	p("multi-RESET admits  %d\n", res.MRAdmissions)
+	p("multi-round writes  %d\n", res.MultiRound)
+	p("avg write energy    %.1f pJ (%.2f nJ per 64B)\n",
 		res.AvgWriteEnergyPJ, res.AvgWriteEnergyPJ/float64(cfg.L3LineB/64)/1000)
-	fmt.Printf("wear                %d distinct lines, hottest written %d times\n",
+	p("wear                %d distinct lines, hottest written %d times\n",
 		res.DistinctLines, res.MaxLineWrites)
 	if wc || wp {
-		fmt.Printf("WC cancels / WP pauses  %d / %d\n", res.WCCancels, res.WPPauses)
+		p("WC cancels / WP pauses  %d / %d\n", res.WCCancels, res.WPPauses)
 	}
 }
 

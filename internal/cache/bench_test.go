@@ -16,6 +16,18 @@ func BenchmarkCacheAccessHit(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessHitChild is BenchmarkCacheAccessHit on a child that
+// owns the set: the cost of the owned-bit test on the hot path.
+func BenchmarkCacheAccessHitChild(b *testing.B) {
+	c := New(32*1024, 64, 4).Child()
+	c.Access(0x1000, false)
+	for i := 0; i < b.N; i++ {
+		if hit, _, _ := c.Access(0x1000, false); !hit {
+			b.Fatal("miss")
+		}
+	}
+}
+
 func BenchmarkCacheAccessStreamingMiss(b *testing.B) {
 	c := New(32*1024, 64, 4)
 	b.ReportAllocs()

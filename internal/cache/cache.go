@@ -8,6 +8,7 @@ package cache
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -21,8 +22,8 @@ type Victim struct {
 // contiguous run of memory per set instead of gathering from parallel
 // slices. Access is the hottest function in the whole simulator (every
 // instruction of every core goes through up to three of these probes), and
-// prefilled hierarchies are snapshot-cloned wholesale, so the layout is
-// packed to 16 bytes: valid and dirty live in the low bits of the LRU word.
+// children copy their parent's sets whole, so the layout is packed to 16
+// bytes: valid and dirty live in the low bits of the LRU word.
 type way struct {
 	tag  uint64 // line index
 	meta uint64 // LRU tick << 2 | dirty << 1 | valid
@@ -35,6 +36,13 @@ const (
 )
 
 // Cache is one set-associative write-back, write-allocate cache level.
+//
+// A plain cache (New) holds every set in place, set s at meta[s*ways:].
+// Two kinds hold some sets elsewhere until an access first touches them:
+//   - a child (Child) reads each set through to its frozen parent, then
+//     copies it into its own ways and marks it owned;
+//   - a filled cache (NewFilled) builds each set from the closed form of its
+//     inserts, keeping the sets its own accesses built in a compact store.
 type Cache struct {
 	lineB     int
 	lineShift uint // log2(lineB) when lineB is a power of two
@@ -43,15 +51,40 @@ type Cache struct {
 	sets      int
 	setMask   uint64 // sets-1 when sets is a power of two (the common case)
 	setPow2   bool
-	meta      []way // sets*ways, set-major
+	meta      []way // sets*ways, set-major; a filled cache's built sets
 	tick      uint64
 	hits      uint64
 	misses    uint64
+
+	// owned has bit s set when set s is the cache's own at meta[s*ways:].
+	// It is nil in a plain cache, whose Access skips the check, and all
+	// zero in a filled cache.
+	owned  []uint64
+	parent *Cache      // a child's parent
+	fill   *streamFill // a filled cache's closed form
+}
+
+// Stream is a walk of N distinct lines backwards through a region of Span
+// lines whose first line has index Base: its k-th line is
+// Base + (Cur-1-k) mod Span, for k < N <= Span and Cur < Span, so it
+// starts just behind line Cur and wraps from the region's first line to
+// its last. Dirty marks every line of the walk dirty.
+type Stream struct {
+	Base, Cur, Span, N uint64
+	Dirty              bool
+}
+
+// streamFill is a filled cache's closed form: its inserts, and where in
+// meta the sets it has built sit.
+type streamFill struct {
+	pos     []int32 // pos[k] is the insert index of stream line k
+	streams []Stream
+	slot    []int32 // slot[s] is 1 + set s's index in meta, 0 if unbuilt
 }
 
 // metaPools recycles way arrays by length. A full figure sweep builds
 // hundreds of hierarchies (megabytes of metadata each); reusing released
-// arrays keeps clones on warm pages instead of fault-zeroing fresh ones.
+// arrays keeps children on warm pages instead of fault-zeroing fresh ones.
 var metaPools sync.Map // len -> *sync.Pool of []way
 
 func newMeta(n int, zero bool) []way {
@@ -70,6 +103,14 @@ func newMeta(n int, zero bool) []way {
 // associativity. Sizes that do not divide evenly are rounded down to whole
 // sets; a cache smaller than one set panics.
 func New(sizeBytes, lineB, ways int) *Cache {
+	c := newGeometry(sizeBytes, lineB, ways)
+	c.meta = newMeta(c.sets*c.ways, true)
+	return c
+}
+
+// newGeometry returns an empty cache of the geometry New builds, without
+// its way array.
+func newGeometry(sizeBytes, lineB, ways int) *Cache {
 	if lineB <= 0 || ways <= 0 {
 		panic("cache: line size and ways must be positive")
 	}
@@ -77,12 +118,7 @@ func New(sizeBytes, lineB, ways int) *Cache {
 	if sets <= 0 {
 		panic("cache: capacity below one set")
 	}
-	c := &Cache{
-		lineB: lineB,
-		ways:  ways,
-		sets:  sets,
-		meta:  newMeta(sets*ways, true),
-	}
+	c := &Cache{lineB: lineB, ways: ways, sets: sets}
 	if lineB&(lineB-1) == 0 {
 		c.lineShift = uint(bits.TrailingZeros(uint(lineB)))
 		c.linePow2 = true
@@ -94,32 +130,72 @@ func New(sizeBytes, lineB, ways int) *Cache {
 	return c
 }
 
+// NewFilled returns a cache in exactly the state New(sizeBytes, lineB,
+// ways) reaches after n = len(pos) calls Access, where insert i is the
+// stream line k with pos[k] = i — tags, dirty bits, LRU ticks, way
+// positions, tick and counters alike. The streams' lines are numbered in
+// order, so line k of streams[1] is line k + streams[0].N. pos must be a
+// permutation of 0..n-1 and the streams' lines distinct.
+//
+// Such inserts all miss: Access fills an empty set's ways from W-1 down to
+// 0 and then evicts them in the same rotation, so a set's j-th insert lands
+// in way W-1-(j mod W) and the set ends holding its last W inserts, insert
+// i with tick i+1. NewFilled writes no set; each is built from that closed
+// form when first read. The cache keeps pos and the sets its own accesses
+// built. Once those are half its sets, which with pos take about as much
+// memory as a plain cache, it builds the rest and becomes a plain cache.
+func NewFilled(sizeBytes, lineB, ways int, pos []int32, streams ...Stream) *Cache {
+	c := newGeometry(sizeBytes, lineB, ways)
+	var n uint64
+	for _, st := range streams {
+		if st.N > st.Span || st.Cur >= st.Span {
+			panic("cache: stream needs N <= Span and Cur < Span")
+		}
+		n += st.N
+	}
+	if n != uint64(len(pos)) {
+		panic("cache: pos does not number the stream lines")
+	}
+	c.fill = &streamFill{pos: pos, streams: streams, slot: make([]int32, c.sets)}
+	c.owned = make([]uint64, (c.sets+63)/64)
+	c.tick, c.misses = n, n
+	return c
+}
+
 // LineBytes reports the cache's line size.
 func (c *Cache) LineBytes() int { return c.lineB }
 
 // Stats reports accumulated demand hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Clone returns an independent deep copy — same tags, dirty bits, LRU state
-// and statistics. Used to snapshot prefilled hierarchies.
-func (c *Cache) Clone() *Cache {
-	cp := *c
-	cp.meta = newMeta(len(c.meta), false)
-	copy(cp.meta, c.meta)
-	return &cp
+// Child returns a copy-on-write copy of c — same tags, dirty bits, LRU
+// state and statistics — whose cost does not grow with c's contents: it
+// reads each set through to c until it first accesses that set, then copies
+// the set into its own ways. c must not change afterwards and must not be
+// a child itself; children on any goroutine then read it without locks.
+func (c *Cache) Child() *Cache {
+	if c.parent != nil {
+		panic("cache: child of a child")
+	}
+	ch := *c
+	ch.meta = newMeta(c.sets*c.ways, false) // read only where owned
+	ch.owned = make([]uint64, (c.sets+63)/64)
+	ch.parent, ch.fill = c, nil
+	return &ch
 }
 
-// Release returns the cache's metadata array to the pool. The cache must
-// not be used afterwards; callers release only when they own the last
-// reference (e.g. a finished simulation tearing down).
+// Release returns the cache's way array to the pool. The cache must not be
+// used afterwards; callers release only when they own the last reference
+// (e.g. a finished simulation tearing down), and never a child's parent.
 func (c *Cache) Release() {
 	if c.meta == nil {
 		return
 	}
-	p, _ := metaPools.LoadOrStore(len(c.meta), &sync.Pool{})
-	m := c.meta
+	if c.fill == nil {
+		p, _ := metaPools.LoadOrStore(len(c.meta), &sync.Pool{})
+		p.(*sync.Pool).Put(c.meta)
+	}
 	c.meta = nil
-	p.(*sync.Pool).Put(m)
 }
 
 func (c *Cache) lineIndex(addr uint64) uint64 {
@@ -142,7 +218,11 @@ func (c *Cache) set(lineIdx uint64) int {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	lineIdx := c.lineIndex(addr)
 	c.tick++
-	base := c.set(lineIdx) * c.ways
+	s := c.set(lineIdx)
+	base := s * c.ways
+	if c.owned != nil && c.owned[s>>6]&(1<<(s&63)) == 0 {
+		base = c.locate(s)
+	}
 	set := c.meta[base : base+c.ways]
 	var lruWay, invalidWay = -1, -1
 	var lruTick uint64 = ^uint64(0)
@@ -180,6 +260,118 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 	}
 	set[w] = way{tag: lineIdx, meta: c.tick<<tickShift | flags}
 	return false, victim, evicted
+}
+
+// locate returns where set s's ways start in meta after making them the
+// cache's own: a child copies the set from its parent and marks it owned,
+// and a filled cache builds it into its compact store the first time.
+func (c *Cache) locate(s int) int {
+	f := c.fill
+	if f == nil {
+		base := s * c.ways
+		dst := c.meta[base : base+c.ways]
+		copy(dst, c.parent.readSet(s, dst))
+		c.owned[s>>6] |= 1 << (s & 63)
+		return base
+	}
+	if i := f.slot[s]; i != 0 {
+		return int(i-1) * c.ways
+	}
+	base := len(c.meta)
+	if 2*base >= c.sets*c.ways {
+		c.materialize()
+		return s * c.ways
+	}
+	if base+c.ways > cap(c.meta) {
+		c.meta = slices.Grow(c.meta, max(c.ways, base)) // doubling
+	}
+	c.meta = c.meta[:base+c.ways]
+	c.build(s, c.meta[base:])
+	f.slot[s] = int32(base/c.ways + 1)
+	return base
+}
+
+// materialize builds every set of a filled cache in place, making it a
+// plain cache.
+func (c *Cache) materialize() {
+	meta := newMeta(c.sets*c.ways, false)
+	for s := 0; s < c.sets; s++ {
+		dst := meta[s*c.ways : (s+1)*c.ways]
+		copy(dst, c.readSet(s, dst))
+	}
+	c.meta, c.owned, c.fill = meta, nil, nil
+}
+
+// readSet returns set s's ways without touching them: the cache's own, its
+// parent's, or, for a set a filled cache has not built, dst (len ways)
+// built from the closed form. The result must not be written through.
+func (c *Cache) readSet(s int, dst []way) []way {
+	switch {
+	case c.owned == nil || c.owned[s>>6]&(1<<(s&63)) != 0:
+		return c.meta[s*c.ways : (s+1)*c.ways]
+	case c.parent != nil:
+		return c.parent.readSet(s, dst)
+	case c.fill.slot[s] != 0:
+		base := int(c.fill.slot[s]-1) * c.ways
+		return c.meta[base : base+c.ways]
+	}
+	c.build(s, dst)
+	return dst
+}
+
+// build writes set s of a filled cache, as its inserts leave it, into dst
+// (len ways). The set's inserts are the stream lines in it; within a
+// stream's region they form two arithmetic progressions of step sets, one
+// on each side of the cursor's wrap. build keeps the newest W of them in
+// dst, ascending by tick after any invalid ways, then puts each in the way
+// the closed form gives it.
+func (c *Cache) build(s int, dst []way) {
+	clear(dst)
+	sets := uint64(c.sets)
+	var m, k0 uint64 // the set's inserts so far; the stream's first line number
+	for _, st := range c.fill.streams {
+		flags := uint64(wayValid)
+		if st.Dirty {
+			flags |= wayDirty
+		}
+		// Region line l is in set s when l = r (mod sets). Stream line k
+		// is region line Cur-1-k before the wrap and Cur-1-k+Span after.
+		r := (uint64(s) + sets - st.Base%sets) % sets
+		before := min(st.N, st.Cur)
+		m += c.insertRun(dst, st.Base, r, st.Cur-before, st.Cur, k0+st.Cur-1, flags)
+		if st.N > st.Cur {
+			m += c.insertRun(dst, st.Base, r, st.Span-(st.N-st.Cur), st.Span, k0+st.Cur-1+st.Span, flags)
+		}
+		k0 += st.N
+	}
+	// Insert j of the set's m lands in way W-1-(j mod W). dst[q] holds
+	// insert m-W+q (an invalid way when that is negative), so way
+	// W-1-((m+q) mod W): the ways below W - m mod W take dst's head
+	// reversed, and the rest its tail reversed.
+	q := len(dst) - int(m%uint64(len(dst)))
+	slices.Reverse(dst[:q])
+	slices.Reverse(dst[q:])
+}
+
+// insertRun offers build's newest-W selection in dst the stream lines of
+// region lines l in [lo, hi) with l = r (mod sets), stream line kTop-l for
+// region line l, and returns how many it offered.
+func (c *Cache) insertRun(dst []way, base, r, lo, hi, kTop, flags uint64) uint64 {
+	sets := uint64(c.sets)
+	var n uint64
+	for l := lo + (r+sets-lo%sets)%sets; l < hi; l += sets {
+		n++
+		meta := (uint64(c.fill.pos[kTop-l])+1)<<tickShift | flags
+		if meta < dst[0].meta {
+			continue
+		}
+		w := 0
+		for ; w+1 < len(dst) && dst[w+1].meta < meta; w++ {
+			dst[w] = dst[w+1]
+		}
+		dst[w] = way{tag: base + l, meta: meta}
+	}
+	return n
 }
 
 // AccessBatch has exactly the effect of the n calls Access(at(i)) for
@@ -229,87 +421,24 @@ func (c *Cache) AccessBatch(n int, at func(i int) (addr uint64, write bool)) {
 	c.tick = tick0 + uint64(n)
 }
 
-// FillDistinct has exactly the effect of the n = len(order) calls
-// Access(line(order[i])) for i = 0, 1, ..., n-1 in that order on a cache
-// that has never been accessed, provided order is a permutation of 0..n-1
-// and line maps distinct k to distinct cache lines. It panics on a used
-// cache. Such a sequence is all misses: Access fills an empty set's ways
-// from W-1 down to 0 and then evicts them in the same rotation, so a set's
-// j-th insert lands in way W-1-(j mod W) and the set ends holding its last
-// W inserts, insert i with tick i+1. FillDistinct counts each set's inserts
-// in line order (the counts do not depend on the order, and ascending k
-// usually walks the sets in order), then walks order backwards and writes
-// each set's last W inserts straight into their ways, with no probe and no
-// sort. line must be a pure function of k: it is called twice per insert.
-func (c *Cache) FillDistinct(order []int, line func(k int) (addr uint64, write bool)) {
-	if c.tick != 0 {
-		panic("cache: FillDistinct on a cache that has been accessed")
-	}
-	n := len(order)
-	if int64(n) >= 1<<31 {
-		panic("cache: fill of 2^31 or more inserts")
-	}
-	// fill[s].left counts set s's inserts, then how many of its last W are
-	// still unwritten; fill[s].way is where the next of them (going back in
-	// time) lands.
-	type setFill struct{ left, way int32 }
-	fill := make([]setFill, c.sets)
-	for k := 0; k < n; k++ {
-		addr, _ := line(k)
-		fill[c.set(c.lineIndex(addr))].left++
-	}
-	ways := int32(c.ways)
-	for s := range fill {
-		if f := &fill[s]; f.left > 0 {
-			f.way = ways - 1 - (f.left-1)%ways
-			f.left = min(f.left, ways)
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		addr, write := line(order[i])
-		lineIdx := c.lineIndex(addr)
-		s := c.set(lineIdx)
-		f := &fill[s]
-		if f.left == 0 {
-			continue
-		}
-		f.left--
-		meta := uint64(i+1)<<tickShift | wayValid
-		if write {
-			meta |= wayDirty
-		}
-		c.meta[s*c.ways+int(f.way)] = way{tag: lineIdx, meta: meta}
-		// The set's previous insert went one way further along the rotation.
-		if f.way++; f.way == ways {
-			f.way = 0
-		}
-	}
-	c.tick = uint64(n)
-	c.misses = uint64(n)
-}
-
 // Contains reports whether the line holding addr is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
-	lineIdx := c.lineIndex(addr)
-	base := c.set(lineIdx) * c.ways
-	set := c.meta[base : base+c.ways]
-	for w := range set {
-		if set[w].meta&wayValid != 0 && set[w].tag == lineIdx {
-			return true
-		}
-	}
-	return false
+	_, ok := c.lookup(addr)
+	return ok
 }
 
 // IsDirty reports whether the line holding addr is cached dirty.
 func (c *Cache) IsDirty(addr uint64) bool {
+	w, ok := c.lookup(addr)
+	return ok && w.meta&wayDirty != 0
+}
+
+func (c *Cache) lookup(addr uint64) (way, bool) {
 	lineIdx := c.lineIndex(addr)
-	base := c.set(lineIdx) * c.ways
-	set := c.meta[base : base+c.ways]
-	for w := range set {
-		if set[w].meta&wayValid != 0 && set[w].tag == lineIdx {
-			return set[w].meta&wayDirty != 0
+	for _, w := range c.readSet(c.set(lineIdx), make([]way, c.ways)) {
+		if w.meta&wayValid != 0 && w.tag == lineIdx {
+			return w, true
 		}
 	}
-	return false
+	return way{}, false
 }

@@ -165,7 +165,7 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 					want.Access(draw())
 				}
 			}
-			got := want.Clone()
+			got := deepCopy(want)
 			n := rng.Intn(4*lines + 1)
 			addrs, writes := make([]uint64, n), make([]bool, n)
 			for i := range addrs {
@@ -181,8 +181,9 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 	}
 }
 
-// TestFillDistinctMatchesAccess checks FillDistinct against the same
-// inserts sent one by one through Access on a fresh cache: the whole cache
+// TestFillDistinctMatchesAccess checks fillDistinct, the eager reference
+// for NewFilled, against the same inserts sent one by one through Access on
+// a fresh cache: the whole cache
 // — metadata, tick, hit and miss counters — must come out identical. Each
 // sequence inserts distinct lines drawn from a pool smaller or larger than
 // the cache, in a random order, with mixed dirty bits and in-line offsets,
@@ -201,7 +202,7 @@ func TestFillDistinctMatchesAccess(t *testing.T) {
 		lines := g.sets * g.ways
 		for trial := 0; trial < 40; trial++ {
 			want := New(g.sets*g.lineB*g.ways, g.lineB, g.ways)
-			got := want.Clone()
+			got := deepCopy(want)
 			n := 0
 			if trial > 0 {
 				n = rng.Intn(4*lines + 1)
@@ -222,24 +223,11 @@ func TestFillDistinctMatchesAccess(t *testing.T) {
 			for _, k := range order {
 				want.Access(addrs[k], writes[k])
 			}
-			got.FillDistinct(order, func(k int) (uint64, bool) { return addrs[k], writes[k] })
+			fillDistinct(got, order, func(k int) (uint64, bool) { return addrs[k], writes[k] })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%d sets x %d ways, %d B lines, trial %d (%d inserts): fill state differs from sequential Access",
 					g.sets, g.ways, g.lineB, trial, n)
 			}
 		}
 	}
-}
-
-// TestFillDistinctPanicsOnUsedCache: the closed form assumes empty sets, so
-// a cache that has seen any access must be refused.
-func TestFillDistinctPanicsOnUsedCache(t *testing.T) {
-	c := New(1024, 64, 2)
-	c.Access(0x100, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("FillDistinct on a used cache did not panic")
-		}
-	}()
-	c.FillDistinct([]int{0}, func(int) (uint64, bool) { return 0x200, false })
 }

@@ -45,31 +45,42 @@ type Hierarchy struct {
 	cfg        *sim.Config
 }
 
-// NewHierarchy builds the per-core hierarchy from the configuration.
+// NewHierarchy builds the per-core hierarchy from the configuration, every
+// level empty.
 func NewHierarchy(cfg *sim.Config) *Hierarchy {
+	return newHierarchy(cfg, New(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways))
+}
+
+// NewFilledHierarchy is NewHierarchy with the L3 that
+// NewFilled(pos, streams...) returns: one that holds what the streams'
+// distinct inserts leave and builds each set when first read.
+func NewFilledHierarchy(cfg *sim.Config, pos []int32, streams ...Stream) *Hierarchy {
+	return newHierarchy(cfg, NewFilled(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways, pos, streams...))
+}
+
+func newHierarchy(cfg *sim.Config, l3 *Cache) *Hierarchy {
 	return &Hierarchy{
 		l1:  New(cfg.L1SizeKB*1024, cfg.L1LineB, cfg.L1Ways),
 		l2:  New(cfg.L2SizeKB*1024, cfg.L2LineB, cfg.L2Ways),
-		l3:  New(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways),
+		l3:  l3,
 		cfg: cfg,
 	}
 }
 
-// Clone returns an independent deep copy of the hierarchy bound to cfg
-// (pass the original's Cfg to keep sharing it). Used by the workload
-// harness to snapshot a prefilled hierarchy once and stamp out copies for
-// every scheme instead of re-running the multi-hundred-thousand-access
-// prefill per scheme.
-func (h *Hierarchy) Clone(cfg *sim.Config) *Hierarchy {
+// Child returns a copy-on-write copy of the hierarchy bound to cfg: each
+// level is a Child of h's, so creating it copies no sets. The workload
+// harness prefills a hierarchy once per distinct warm-up and hands every
+// simulation of it a child. h must not change afterwards.
+func (h *Hierarchy) Child(cfg *sim.Config) *Hierarchy {
 	return &Hierarchy{
-		l1:  h.l1.Clone(),
-		l2:  h.l2.Clone(),
-		l3:  h.l3.Clone(),
+		l1:  h.l1.Child(),
+		l2:  h.l2.Child(),
+		l3:  h.l3.Child(),
 		cfg: cfg,
 	}
 }
 
-// Release returns all three levels' metadata arrays to the pool; see
+// Release returns all three levels' way arrays to the pool; see
 // Cache.Release. The hierarchy must not be used afterwards.
 func (h *Hierarchy) Release() {
 	h.l1.Release()
@@ -77,33 +88,51 @@ func (h *Hierarchy) Release() {
 	h.l3.Release()
 }
 
-// MetaBytes reports the size of the hierarchy's metadata arrays: what a
-// Clone copies and a snapshot of it keeps resident.
+// MetaBytes reports the bytes of metadata the hierarchy itself holds — way
+// arrays, owned bits, and a filled L3's insert positions and set slots —
+// not counting a child's parent: what a prefill snapshot keeps resident.
 func (h *Hierarchy) MetaBytes() int {
-	return (len(h.l1.meta) + len(h.l2.meta) + len(h.l3.meta)) * int(unsafe.Sizeof(way{}))
+	return h.l1.metaBytes() + h.l2.metaBytes() + h.l3.metaBytes()
 }
 
-// Digest returns the SHA-256 of everything a Clone copies: per level, the
+func (c *Cache) metaBytes() int {
+	n := cap(c.meta)*int(unsafe.Sizeof(way{})) + len(c.owned)*8
+	if f := c.fill; f != nil {
+		n += (len(f.pos) + len(f.slot)) * 4
+	}
+	return n
+}
+
+// Digest returns the SHA-256 of the hierarchy's cache state: per level, the
 // line size, associativity, set count, LRU tick and hit/miss counters, then
-// every way's tag and metadata word, all little-endian. Equal digests mean
-// equal cache state; golden tests pin prefill with it.
+// every way's tag and metadata word in set order, all little-endian. Sets a
+// level has not made its own are read through to its parent or built.
+// Equal digests mean equal cache state; golden tests pin prefill with it.
 func (h *Hierarchy) Digest() [sha256.Size]byte {
 	d := sha256.New()
 	var buf []byte
 	for _, c := range []*Cache{h.l1, h.l2, h.l3} {
-		buf = buf[:0]
-		for _, v := range []uint64{uint64(c.lineB), uint64(c.ways), uint64(c.sets), c.tick, c.hits, c.misses} {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-		for _, w := range c.meta {
-			buf = binary.LittleEndian.AppendUint64(buf, w.tag)
-			buf = binary.LittleEndian.AppendUint64(buf, w.meta)
-		}
+		buf = c.appendState(buf[:0])
 		d.Write(buf)
 	}
 	var sum [sha256.Size]byte
 	d.Sum(sum[:0])
 	return sum
+}
+
+// appendState appends the cache's state to buf as Digest hashes it.
+func (c *Cache) appendState(buf []byte) []byte {
+	for _, v := range []uint64{uint64(c.lineB), uint64(c.ways), uint64(c.sets), c.tick, c.hits, c.misses} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	scratch := make([]way, c.ways)
+	for s := 0; s < c.sets; s++ {
+		for _, w := range c.readSet(s, scratch) {
+			buf = binary.LittleEndian.AppendUint64(buf, w.tag)
+			buf = binary.LittleEndian.AppendUint64(buf, w.meta)
+		}
+	}
+	return buf
 }
 
 // L1 returns the L1 cache (tests and telemetry).
@@ -164,11 +193,6 @@ func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64, out *Outcome) 
 		out.FillReads = append(out.FillReads,
 			victimAddr/uint64(h.cfg.L3LineB)*uint64(h.cfg.L3LineB))
 	}
-}
-
-// L3CapacityLines returns how many lines the L3 holds.
-func (h *Hierarchy) L3CapacityLines() int {
-	return h.cfg.L3SizeMB * 1024 * 1024 / h.cfg.L3LineB
 }
 
 // ResetStats zeroes every level's hit/miss counters (after warm-up).

@@ -65,9 +65,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxJobRecords bounds the job records kept for async polling; the oldest
-// finished records are evicted first.
+// maxJobRecords bounds the job records kept for async polling, whose oldest
+// finished records are evicted first, and the panicked specs remembered,
+// oldest forgotten first.
 const maxJobRecords = 1024
+
+// panicError is the error of a simulation that panicked.
+type panicError string
+
+func (e panicError) Error() string { return string(e) }
 
 // job is one accepted unit of work. Its fields past done are written by the
 // completing worker before done is closed and are read-only afterwards.
@@ -124,13 +130,18 @@ type Server struct {
 	order    []string        // job ids in acceptance order, for eviction
 	nextID   uint64
 	busy     int // workers currently simulating
+	// panicked maps the key of each spec whose simulation panicked to its
+	// error, so a repeat fails at once instead of panicking again;
+	// panickedOrder holds the keys oldest first.
+	panicked      map[string]panicError
+	panickedOrder []string
 
 	// Metrics. Counters and histograms are individually thread-safe
 	// (sync/atomic); gauge closures read mu-guarded fields WITHOUT
 	// locking, so every registry snapshot happens under mu (see
 	// registerMetrics).
 	cAccepted, cCoalesced, cRejected *obs.Counter
-	cDone, cFailed                   *obs.Counter
+	cDone, cFailed, cPanicRepeats    *obs.Counter
 	cHits, cMisses                   *obs.Counter
 	cStoreErrors                     *obs.Counter
 	hQueueWait, hSim, hStore         *obs.Histogram // lifecycle stage histograms, ms
@@ -146,6 +157,7 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		inflight: make(map[string]*job),
 		jobs:     make(map[string]*job),
+		panicked: make(map[string]panicError),
 	}
 	if cfg.StoreDir != "" {
 		st, err := OpenStore(cfg.StoreDir)
@@ -187,6 +199,7 @@ func (s *Server) registerMetrics() {
 	s.cRejected = s.reg.Counter("serve.jobs.rejected")
 	s.cDone = s.reg.Counter("serve.jobs.done")
 	s.cFailed = s.reg.Counter("serve.jobs.failed")
+	s.cPanicRepeats = s.reg.Counter("serve.jobs.panic_repeats")
 	s.cHits = s.reg.Counter("serve.cache.hits")
 	s.cMisses = s.reg.Counter("serve.cache.misses")
 	s.cStoreErrors = s.reg.Counter("serve.store.put_errors")
@@ -204,6 +217,7 @@ func (s *Server) registerMetrics() {
 		"serve.jobs.rejected":      "jobs rejected with 429 (queue full)",
 		"serve.jobs.done":          "simulations completed successfully",
 		"serve.jobs.failed":        "simulations that returned an error or panicked",
+		"serve.jobs.panic_repeats": "requests for a spec that already panicked, failed without simulating",
 		"serve.cache.hits":         "requests answered from the persistent result store",
 		"serve.cache.misses":       "requests that required a fresh simulation",
 		"serve.store.put_errors":   "persistence failures (results degraded to memory-only)",
@@ -281,6 +295,10 @@ func (s *Server) worker() {
 		if err != nil {
 			j.state, j.err = StateFailed, err
 			s.cFailed.Inc()
+			var perr panicError
+			if errors.As(err, &perr) {
+				s.rememberPanicLocked(j.key, perr)
+			}
 		} else {
 			j.state, j.res = StateDone, res
 			s.cDone.Inc()
@@ -305,17 +323,31 @@ func (s *Server) worker() {
 }
 
 // simulate runs one job's simulation. A panic fails only this job: the
-// panic value becomes the job's error and its stack is logged with the job
-// ID, so the worker and the daemon keep serving.
+// panic value becomes the job's error (a panicError) and its stack is
+// logged with the job ID, so the worker and the daemon keep serving.
 func (s *Server) simulate(j *job) (res system.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation panicked: %v", p)
+			err = panicError(fmt.Sprintf("simulation panicked: %v", p))
 			s.log.Error("job panicked", "job", j.id, "key", j.key,
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 		}
 	}()
 	return s.cfg.Simulate(j.cfg, j.wl)
+}
+
+// rememberPanicLocked records that the spec with this key panicked, forgetting
+// the oldest record above maxJobRecords; mu held.
+func (s *Server) rememberPanicLocked(key string, err panicError) {
+	if _, ok := s.panicked[key]; ok {
+		return
+	}
+	s.panicked[key] = err
+	s.panickedOrder = append(s.panickedOrder, key)
+	if len(s.panickedOrder) > maxJobRecords {
+		delete(s.panicked, s.panickedOrder[0])
+		s.panickedOrder = s.panickedOrder[1:]
+	}
 }
 
 // durMs converts a duration to fractional milliseconds (the unit of every
@@ -362,7 +394,8 @@ func (s *Server) RunLocal(ctx context.Context, cfg sim.Config, wl string) (JobSt
 }
 
 // submit resolves a request to a job: a store hit returns an already-done
-// synthetic job, an identical in-flight job coalesces, and otherwise a new
+// synthetic job, a spec that already panicked an already-failed one with
+// the same error, an identical in-flight job coalesces, and otherwise a new
 // job is enqueued — or refused (job=nil) with the status to answer.
 func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *StatusError) {
 	key := system.Key(cfg, wl)
@@ -386,6 +419,16 @@ func (s *Server) submit(cfg sim.Config, wl string) (j *job, cached bool, err *St
 	}
 
 	s.mu.Lock()
+	if perr, ok := s.panicked[key]; ok {
+		s.cPanicRepeats.Inc()
+		j := s.newJobLocked(key, cfg, wl)
+		j.state, j.err = StateFailed, perr
+		j.lc.Outcome = OutcomeKnownPanic
+		s.mu.Unlock()
+		close(j.done)
+		s.log.Info("job known to panic", "job", j.id, "key", key, "workload", wl)
+		return j, true, nil
+	}
 	if s.draining {
 		s.mu.Unlock()
 		return nil, false, &StatusError{Code: http.StatusServiceUnavailable, Msg: "server is draining"}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -531,6 +533,67 @@ func TestPanickingSimulationFailsOneJob(t *testing.T) {
 		t.Errorf("panic log lacks the job ID or the stack:\n%s", log)
 	}
 	assertServing(t, ts.URL)
+}
+
+// TestPanickedSpecRunsOnce: the server remembers a spec whose simulation
+// panicked, so repeats of it — through RunLocal, the sync POST /v1/jobs and
+// an async POST, whose record GET /v1/jobs/{id} serves — fail at once with
+// the identical 422 error instead of running into the same panic again.
+func TestPanickedSpecRunsOnce(t *testing.T) {
+	var calls atomic.Int32
+	srv, ts := newTestServer(t, Config{
+		Workers: 1,
+		Simulate: func(sim.Config, string) (system.Result, error) {
+			calls.Add(1)
+			panic("model invariant broken")
+		},
+	})
+	code, first := postJob(t, ts.URL, spec(5), "")
+	if code != http.StatusUnprocessableEntity || first.State != StateFailed ||
+		!strings.Contains(first.Error, "model invariant broken") {
+		t.Fatalf("panicking sim: %d %+v", code, first)
+	}
+
+	cfg, wl, err := spec(5).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.RunLocal(context.Background(), cfg, wl)
+	var serr *StatusError
+	if !errors.As(err, &serr) || serr.Code != http.StatusUnprocessableEntity ||
+		serr.Msg != first.Error || st.State != StateFailed || st.Error != first.Error {
+		t.Errorf("RunLocal repeat: %+v, %v; want the first 422 %q", st, err, first.Error)
+	}
+	code, again := postJob(t, ts.URL, spec(5), "")
+	if code != http.StatusUnprocessableEntity || again.State != StateFailed || again.Error != first.Error {
+		t.Errorf("sync repeat: %d %+v; want the first 422 %q", code, again, first.Error)
+	}
+	if again.Lifecycle == nil || again.Lifecycle.Outcome != OutcomeKnownPanic {
+		t.Errorf("sync repeat lifecycle %+v, want outcome %q", again.Lifecycle, OutcomeKnownPanic)
+	}
+	code, async := postJob(t, ts.URL, spec(5), "?async=1")
+	if code != http.StatusOK || async.State != StateFailed || async.Error != first.Error {
+		t.Errorf("async repeat: %d %+v; want a failed record with %q", code, async, first.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + async.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&rec)
+	resp.Body.Close()
+	if err != nil || rec.State != StateFailed || rec.Error != first.Error {
+		t.Errorf("async record: %+v, %v; want failed with %q", rec, err, first.Error)
+	}
+
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the panicking spec simulated %d times, want once", n)
+	}
+	m := getMetrics(t, ts.URL)
+	if m["serve_jobs_failed"] != 1 || m["serve_jobs_panic_repeats"] != 3 {
+		t.Errorf("serve_jobs_failed %v, serve_jobs_panic_repeats %v; want 1 and 3",
+			m["serve_jobs_failed"], m["serve_jobs_panic_repeats"])
+	}
 }
 
 // TestDeadlockSpecFailsOneJob: a spec that passes Validate but can never

@@ -106,6 +106,9 @@ const (
 	OutcomeFresh = "fresh"
 	// OutcomeCacheHit: the job was answered from the persistent store.
 	OutcomeCacheHit = "cache-hit"
+	// OutcomeKnownPanic: an earlier simulation of the same spec panicked,
+	// so the job failed with its error without simulating.
+	OutcomeKnownPanic = "known-panic"
 )
 
 // Lifecycle is the per-job trace record, keyed by the job's correlation ID.
@@ -114,7 +117,7 @@ const (
 // observability data only — it never feeds the content-addressed key or the
 // stored result, so identical specs still dedupe regardless of timing.
 type Lifecycle struct {
-	// Outcome is OutcomeFresh or OutcomeCacheHit.
+	// Outcome is OutcomeFresh, OutcomeCacheHit or OutcomeKnownPanic.
 	Outcome string `json:"outcome"`
 	// Coalesced counts additional requests that attached to this job
 	// while it was in flight.

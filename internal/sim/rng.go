@@ -103,3 +103,29 @@ func (r *RNG) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
+
+// InvPerm fills pos with the inverse of the permutation Perm would draw
+// from the same state, pos[out[i]] = i, making the same draws. Perm swaps
+// position i with a draw j_i <= i for i = n-1 down to 1, so its
+// permutation is the product of those transpositions and the inverse is
+// the same swaps applied in ascending order of i. InvPerm stores the draws
+// in pos first, then runs that pass in place: before step i, pos[:i] holds
+// the product of the swaps below i, which leaves i fixed.
+func (r *RNG) InvPerm(pos []int32) {
+	n := len(pos)
+	if int64(n) > 1<<31 {
+		panic("sim: InvPerm of more than 2^31 elements")
+	}
+	for i := n - 1; i > 0; i-- {
+		pos[i] = int32(r.Intn(i + 1))
+	}
+	if n > 0 {
+		pos[0] = 0
+	}
+	for i := 1; i < n; i++ {
+		if j := pos[i]; int(j) < i {
+			pos[i] = pos[j]
+			pos[j] = int32(i)
+		}
+	}
+}

@@ -79,6 +79,26 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestRNGInvPermInvertsPerm: from the same state, InvPerm returns the
+// inverse of Perm's permutation and leaves the stream where Perm does.
+func TestRNGInvPermInvertsPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 4096} {
+		a, b := NewRNG(uint64(n)+5), NewRNG(uint64(n)+5)
+		out := make([]int, n)
+		a.Perm(out)
+		pos := make([]int32, n)
+		b.InvPerm(pos)
+		for i, k := range out {
+			if int(pos[k]) != i {
+				t.Fatalf("n=%d: pos[out[%d]] = %d, want %d", n, i, pos[k], i)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("n=%d: InvPerm drew differently from Perm", n)
+		}
+	}
+}
+
 func TestRNGDeriveIndependent(t *testing.T) {
 	a := NewRNG(42).Derive(1)
 	b := NewRNG(42).Derive(2)

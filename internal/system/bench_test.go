@@ -3,7 +3,6 @@ package system
 import (
 	"testing"
 
-	"fpb/internal/cache"
 	"fpb/internal/sim"
 	"fpb/internal/workload"
 )
@@ -56,8 +55,34 @@ func benchPrefill(b *testing.B, cfg sim.Config) {
 	gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h := cache.NewHierarchy(&cfg)
-		prefill(h, gen, prof)
+		prefill(&cfg, gen, prof).Release()
+	}
+}
+
+// BenchmarkPrefilledChild measures what a simulation pays for its warm
+// caches once the snapshot exists: a copy-on-write child of one mcf_m core's
+// default-geometry prefill, touching 1% of its L3 sets and 8% of its L2 sets
+// (what a 20k-instruction run touches), then released.
+func BenchmarkPrefilledChild(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	wl, err := workload.ByName("mcf_m", cfg.Cores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := wl.Cores[0]
+	gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+	parent := prefill(&cfg, gen, prof)
+	l2Sets := cfg.L2SizeKB * 1024 / (cfg.L2LineB * cfg.L2Ways)
+	l3Sets := cfg.L3SizeMB * 1024 * 1024 / (cfg.L3LineB * cfg.L3Ways)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := parent.Child(&cfg)
+		for s := 0; s < l3Sets; s += 100 {
+			h.L3().Access(uint64(s*cfg.L3LineB), false)
+		}
+		for s := 0; s < l2Sets; s += 12 {
+			h.L2().Access(uint64(s*cfg.L2LineB), false)
+		}
 		h.Release()
 	}
 }

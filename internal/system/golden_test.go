@@ -9,7 +9,6 @@ import (
 	"os"
 	"testing"
 
-	"fpb/internal/cache"
 	"fpb/internal/sim"
 	"fpb/internal/workload"
 )
@@ -73,8 +72,7 @@ func TestGoldenPrefill(t *testing.T) {
 		for i := 0; i < cores; i++ {
 			prof := wl.Cores[i]
 			gen := workload.NewGenerator(prof, &cfg, i, root.Derive(uint64(1000+i)).Derive(1))
-			h := cache.NewHierarchy(&cfg)
-			prefill(h, gen, prof)
+			h := prefill(&cfg, gen, prof)
 			sum := h.Digest()
 			got[fmt.Sprintf("%s%s/core%d", label, wlName, i)] = hex.EncodeToString(sum[:])
 			h.Release()

@@ -39,8 +39,8 @@ func TestBehindWraps(t *testing.T) {
 }
 
 // TestPrefillPathsAgree: on the real default-geometry inserts of a STREAM
-// app (cop_m) and a fixed-footprint app (mcf_m), the closed-form fill and
-// the set-by-set replay leave the same hierarchy.
+// app (cop_m) and a fixed-footprint app (mcf_m), the L3 built on demand from
+// the closed form and the set-by-set replay hold the same state.
 func TestPrefillPathsAgree(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	for _, name := range []string{"cop_m", "mcf_m"} {
@@ -50,18 +50,24 @@ func TestPrefillPathsAgree(t *testing.T) {
 		}
 		prof := wl.Cores[0]
 		gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
-		fill, replay := cache.NewHierarchy(&cfg), cache.NewHierarchy(&cfg)
-		order, line, distinct := streamInserts(fill, gen, prof)
+		streams, rng, laps, distinct := streamInserts(&cfg, gen, prof)
 		if !distinct {
 			t.Fatalf("%s: default-geometry inserts are not distinct", name)
 		}
-		fill.L3().FillDistinct(order, line)
-		replay.L3().AccessBatch(len(order), func(i int) (uint64, bool) { return line(order[i]) })
-		if fill.Digest() != replay.Digest() {
-			t.Errorf("%s: FillDistinct and AccessBatch leave different caches", name)
+		n := streams[0].N + streams[1].N
+		order := make([]int, n)
+		rng.Perm(order)
+		pos := make([]int32, n)
+		for i, k := range order {
+			pos[k] = int32(i)
 		}
-		fill.Release()
-		replay.Release()
+		fill := cache.NewFilledHierarchy(&cfg, pos, streams[:]...)
+		replayed := cache.NewHierarchy(&cfg)
+		replay(replayed.L3(), streams, order, laps)
+		if fill.Digest() != replayed.Digest() {
+			t.Errorf("%s: the filled and the replayed L3 differ", name)
+		}
+		replayed.Release()
 	}
 }
 
@@ -80,9 +86,7 @@ func TestStreamInsertsNeedDisjointRegions(t *testing.T) {
 	}
 	prof := wl.Cores[0]
 	gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
-	h := cache.NewHierarchy(&cfg)
-	defer h.Release()
-	if _, _, distinct := streamInserts(h, gen, prof); distinct {
+	if _, _, _, distinct := streamInserts(&cfg, gen, prof); distinct {
 		t.Error("inserts over overlapping stream regions reported distinct")
 	}
 }

@@ -132,11 +132,28 @@ type prefillKey struct {
 	l3MB, l3Line, l3Ways int
 }
 
-// maxPrefillSnapshotBytes bounds the snapshot cache by the summed metadata
-// size of its snapshots. A snapshot is one core's three cache levels: 2.5
-// MiB at the default geometry, so ~200 fit, more than the distinct
-// (profile, core-slot) pairs of a full figure sweep (Fig. 18 has 86, 216
-// MiB); at Fig. 20's 128 MB L3 a snapshot is 8.5 MiB and ~60 fit.
+func newPrefillKey(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) prefillKey {
+	rStart, _ := gen.StreamReadRegion()
+	wStart, _ := gen.StreamWriteRegion()
+	hotStart, hotSpan := gen.HotRegion()
+	return prefillKey{
+		rStart: rStart, wStart: wStart, span: gen.SpanLines(),
+		rCur: gen.ReadCursor(), wCur: gen.WriteCursor(),
+		hotStart: hotStart, hotSpan: hotSpan,
+		rpki: prof.RPKI, wpki: prof.WPKI,
+		l1KB: cfg.L1SizeKB, l1Line: cfg.L1LineB, l1Ways: cfg.L1Ways,
+		l2KB: cfg.L2SizeKB, l2Line: cfg.L2LineB, l2Ways: cfg.L2Ways,
+		l3MB: cfg.L3SizeMB, l3Line: cfg.L3LineB, l3Ways: cfg.L3Ways,
+	}
+}
+
+// maxPrefillSnapshotBytes bounds the snapshot cache by the summed MetaBytes
+// of its snapshots. A snapshot is one core's prefilled hierarchy, the
+// parent of every simulation's copy-on-write child. At the default geometry
+// it is about 2.1 MiB (L1 and L2, the L3's insert positions and the L3 sets
+// the hot pass built), so ~240 fit, more than the distinct (profile,
+// core-slot) pairs of a full figure sweep (Fig. 18 has 86); at Fig. 20's
+// 128 MB L3 a replayed snapshot is 8.5 MiB and ~60 fit.
 const maxPrefillSnapshotBytes = 512 << 20
 
 var prefillSnapshots struct {
@@ -147,42 +164,34 @@ var prefillSnapshots struct {
 }
 
 type prefillSnapshot struct {
-	hier *cache.Hierarchy
+	hier *cache.Hierarchy // never changes once published
 	used uint64
 }
 
-// prefilledHierarchy returns a freshly prefilled hierarchy for the core,
-// serving it from the snapshot cache when an identical warm-up has already
-// run (the usual case: every scheme of a figure re-simulates the same
-// workloads). Cached or computed, the returned hierarchy is bit-identical —
-// prefill is a pure function of prefillKey — and exclusively owned by the
-// caller.
+// prefilledHierarchy returns a prefilled hierarchy for the core that the
+// caller owns: a copy-on-write child of the snapshot for its prefillKey,
+// prefilling and publishing that snapshot first if no identical warm-up has
+// run (the usual case is that one has: every scheme of a figure
+// re-simulates the same workloads). Prefill is a pure function of
+// prefillKey, so the child is bit-identical either way. A published
+// snapshot never changes, so children on any goroutine read it without
+// locks.
 func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
-	rStart, _ := gen.StreamReadRegion()
-	wStart, _ := gen.StreamWriteRegion()
-	hotStart, hotSpan := gen.HotRegion()
-	k := prefillKey{
-		rStart: rStart, wStart: wStart, span: gen.SpanLines(),
-		rCur: gen.ReadCursor(), wCur: gen.WriteCursor(),
-		hotStart: hotStart, hotSpan: hotSpan,
-		rpki: prof.RPKI, wpki: prof.WPKI,
-		l1KB: cfg.L1SizeKB, l1Line: cfg.L1LineB, l1Ways: cfg.L1Ways,
-		l2KB: cfg.L2SizeKB, l2Line: cfg.L2LineB, l2Ways: cfg.L2Ways,
-		l3MB: cfg.L3SizeMB, l3Line: cfg.L3LineB, l3Ways: cfg.L3Ways,
-	}
+	k := newPrefillKey(cfg, gen, prof)
 	c := &prefillSnapshots
 	c.Lock()
 	if e, ok := c.m[k]; ok {
 		c.stamp++
 		e.used = c.stamp
-		h := e.hier.Clone(cfg)
 		c.Unlock()
-		return h
+		return e.hier.Child(cfg)
 	}
 	c.Unlock()
 
-	h := cache.NewHierarchy(cfg)
-	prefill(h, gen, prof)
+	// The snapshot gets its own copy of the config, so it does not keep
+	// this machine alive.
+	own := *cfg
+	h := prefill(&own, gen, prof)
 
 	c.Lock()
 	defer c.Unlock()
@@ -191,7 +200,7 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		// A concurrent build prefilled the same key first; its snapshot
 		// holds the identical content.
 		e.used = c.stamp
-		return h
+		return e.hier.Child(cfg)
 	}
 	if c.m == nil {
 		c.m = make(map[prefillKey]*prefillSnapshot)
@@ -206,33 +215,40 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 				oldest = kk
 			}
 		}
+		// Children of the evicted snapshot keep it alive until they finish.
 		c.bytes -= c.m[oldest].hier.MetaBytes()
 		delete(c.m, oldest)
 	}
-	c.m[k] = &prefillSnapshot{hier: h.Clone(cfg), used: c.stamp}
+	c.m[k] = &prefillSnapshot{hier: h, used: c.stamp}
 	c.bytes += size
-	return h
+	return h.Child(cfg)
 }
 
-// prefill warms one core's caches to the measurement steady state
+// prefill returns one core's caches warmed to the measurement steady state
 // (DESIGN.md §3): the L3 holds the lines the stream walks touched just
 // before the window — interleaved load/store-region lines in their access
 // ratio, inserted oldest-first ending right behind each stream cursor —
 // and the hot region is resident in L2/L3. Capacity writebacks and
 // streaming misses then behave from instruction 0 exactly as they would
 // after a multi-hundred-million-instruction cold phase. When the stream
-// inserts are distinct lines they all miss, and the L3 state they leave is
-// written in closed form (FillDistinct); otherwise they are replayed one
-// set at a time (AccessBatch). Both leave exactly the state of inserting
-// the lines one by one.
-func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) {
-	if prof.RPKI > 0 {
-		order, line, distinct := streamInserts(h, gen, prof)
-		if distinct {
-			h.L3().FillDistinct(order, line)
-		} else {
-			h.L3().AccessBatch(len(order), func(i int) (uint64, bool) { return line(order[i]) })
-		}
+// inserts are distinct lines they all miss, and the L3 builds the state
+// they leave from its closed form, set by set as sets are first read
+// (cache.NewFilled); otherwise they are replayed one set at a time
+// (AccessBatch). Both leave exactly the state of inserting the lines one by
+// one.
+func prefill(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
+	var h *cache.Hierarchy
+	if prof.RPKI <= 0 {
+		h = cache.NewHierarchy(cfg)
+	} else if streams, rng, laps, distinct := streamInserts(cfg, gen, prof); distinct {
+		pos := make([]int32, streams[0].N+streams[1].N)
+		rng.InvPerm(pos)
+		h = cache.NewFilledHierarchy(cfg, pos, streams[:]...)
+	} else {
+		order := make([]int, streams[0].N+streams[1].N)
+		rng.Perm(order)
+		h = cache.NewHierarchy(cfg)
+		replay(h.L3(), streams, order, laps)
 	}
 	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
 	hotStart, hotSpan := gen.HotRegion()
@@ -240,14 +256,17 @@ func prefill(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProf
 		h.Access(addr, false)
 	}
 	h.ResetStats()
+	return h
 }
 
-// streamInserts returns prefill's L3 inserts for a core with RPKI > 0:
-// insert i is line(order[i]). distinct reports that no line repeats, which
-// holds when neither stream laps its region and the two regions are
-// disjoint.
-func streamInserts(h *cache.Hierarchy, gen *workload.Generator, prof workload.CoreProfile) (order []int, line func(k int) (addr uint64, write bool), distinct bool) {
-	lineB := uint64(h.L3().LineBytes())
+// streamInserts describes prefill's L3 inserts for a core with RPKI > 0:
+// the nR load-region lines just behind the read cursor, then the nW
+// store-region lines just behind the write cursor, as cache.Streams, in an
+// order rng shuffles. laps reports that a stream is longer than its region;
+// distinct, that no line repeats, which holds when neither stream laps and
+// the two regions are disjoint.
+func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (streams [2]cache.Stream, rng *sim.RNG, laps, distinct bool) {
+	lineB := uint64(cfg.L3LineB)
 	rStart, rBytes := gen.StreamReadRegion()
 	wStart, wBytes := gen.StreamWriteRegion()
 	span := gen.SpanLines()
@@ -256,7 +275,7 @@ func streamInserts(h *cache.Hierarchy, gen *workload.Generator, prof workload.Co
 	// binomial spread of inserts per set, every set ends completely full
 	// (an underfilled set would absorb its first few fills without
 	// evicting, suppressing early writebacks).
-	total := uint64(h.L3CapacityLines()) * 2
+	total := uint64(cfg.L3SizeMB*1024*1024/cfg.L3LineB) * 2
 	nW := uint64(float64(total) * wFrac)
 	nR := total - nW
 	// The resident set is the lines just behind each stream cursor, dirty
@@ -264,28 +283,34 @@ func streamInserts(h *cache.Hierarchy, gen *workload.Generator, prof workload.Co
 	// ages are independent of the cursors' relative phase: early-eviction
 	// victims are then dirty with the true steady-state probability
 	// (wFrac) for every seed, instead of whatever the arbitrary phase
-	// alignment would dictate. Line k of the first nR is the k-th
-	// load-region line behind the read cursor, line nR+k the k-th
-	// store-region line behind the write cursor.
+	// alignment would dictate.
 	rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
-	rng := sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
-	order = make([]int, nR+nW)
-	rng.Perm(order)
+	streams = [2]cache.Stream{
+		{Base: rStart / lineB, Cur: rCur, Span: span, N: nR},
+		{Base: wStart / lineB, Cur: wCur, Span: span, N: nW, Dirty: true},
+	}
 	// A stream laps its region when the L3 holds more than the region (a
 	// 128 MB L3 and a fixed-footprint app).
-	laps := nR > span || nW > span
-	line = func(k int) (uint64, bool) {
-		if k := uint64(k); k < nR {
-			return rStart + behind(rCur, span, k, laps)*lineB, false
-		}
-		return wStart + behind(wCur, span, uint64(k)-nR, laps)*lineB, true
-	}
+	laps = nR > span || nW > span
 	// The regions are disjoint under Validate's L3SizeMB and L3LineB
 	// bounds, which keep each region (twice the L3, at least 4096 lines)
 	// within the 1 GB between their bases; the check below keeps prefill
 	// correct for a config that skipped Validate.
 	disjoint := rStart+rBytes <= wStart || wStart+wBytes <= rStart
-	return order, line, !laps && disjoint
+	return streams, sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE), laps, !laps && disjoint
+}
+
+// replay inserts the streams' lines into l3 in the given order, line
+// order[i] as insert i, one set at a time (AccessBatch).
+func replay(l3 *cache.Cache, streams [2]cache.Stream, order []int, laps bool) {
+	lineB := uint64(l3.LineBytes())
+	l3.AccessBatch(len(order), func(i int) (uint64, bool) {
+		st, k := streams[0], uint64(order[i])
+		if k >= st.N {
+			st, k = streams[1], k-st.N
+		}
+		return (st.Base + behind(st.Cur, st.Span, k, laps)) * lineB, st.Dirty
+	})
 }
 
 // behind returns the line k steps behind line cur-1 of a stream region

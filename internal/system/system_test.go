@@ -208,22 +208,41 @@ func TestWCWPIntegration(t *testing.T) {
 	}
 }
 
-// TestPrefillSnapshotBound checks the snapshot cache's byte bound against
-// the default geometry: it must hold at least 128 snapshots, so a
-// default-geometry figure sweep (Fig. 18 prefills 86 distinct cores) never
-// evicts.
+// TestPrefillSnapshotBound checks the snapshot cache's byte bound against a
+// real default-geometry snapshot, the largest of Fig. 18's (mcf_m core 0,
+// whose fixed-footprint streams fill the L3 like every other app's): the
+// bound must hold at least 128 of them, so a default-geometry figure sweep
+// (Fig. 18 prefills 86 distinct cores) never evicts. A snapshot must also
+// hold no more than a plain hierarchy, the size of the deep copy each
+// simulation used to take.
 func TestPrefillSnapshotBound(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	h := cache.NewHierarchy(&cfg)
-	defer h.Release()
-	if n := maxPrefillSnapshotBytes / h.MetaBytes(); n < 128 {
-		t.Errorf("the bound holds %d default-geometry snapshots, want at least 128", n)
+	wl, err := workload.ByName("mcf_m", cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(wl.Cores[0], &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+	snap := prefill(&cfg, gen, wl.Cores[0])
+	plain := cache.NewHierarchy(&cfg)
+	defer plain.Release()
+	if n := maxPrefillSnapshotBytes / snap.MetaBytes(); n < 128 {
+		t.Errorf("the bound holds %d default-geometry snapshots of %d bytes, want at least 128", n, snap.MetaBytes())
+	}
+	t.Logf("a snapshot holds %d bytes, a plain hierarchy %d", snap.MetaBytes(), plain.MetaBytes())
+	if snap.MetaBytes() > plain.MetaBytes() {
+		t.Errorf("a snapshot holds %d bytes, a plain hierarchy %d", snap.MetaBytes(), plain.MetaBytes())
 	}
 }
 
 // TestPrefilledHierarchyConcurrent has several goroutines miss the snapshot
-// cache on the same key at once. Each must get the identical hierarchy, and
-// the cache's byte count must still equal the sum over its entries.
+// cache on the same key at once, then several children of the published
+// snapshot run at once, each on its own access stream. Every goroutine must
+// start from the identical hierarchy, a child must end exactly where a
+// hierarchy of its own from prefill ends after the same stream, the
+// snapshot must be
+// unchanged by its children, and the cache's byte count must still equal
+// the sum over its entries. Under -race this also checks that children
+// read their shared parent without racing.
 func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.L3SizeMB = 8
@@ -233,22 +252,54 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := wl.Cores[0]
-	digests := make([][sha256.Size]byte, 4)
-	var wg sync.WaitGroup
-	for g := range digests {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen := workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
-			h := prefilledHierarchy(&cfg, gen, prof)
-			digests[g] = h.Digest()
-			h.Release()
-		}()
+	newGen := func() *workload.Generator {
+		return workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
 	}
-	wg.Wait()
-	for g, d := range digests[1:] {
-		if d != digests[0] {
-			t.Errorf("goroutine %d got a different hierarchy", g+1)
+	want := prefill(&cfg, newGen(), prof).Digest()
+	// stream has goroutine g access the hot region and the stream lines
+	// around the cursors, which the snapshot holds partly built.
+	stream := func(g int, h *cache.Hierarchy) {
+		gen := newGen()
+		hot, hotSpan := gen.HotRegion()
+		rStart, _ := gen.StreamReadRegion()
+		wStart, _ := gen.StreamWriteRegion()
+		r := sim.NewRNG(uint64(g))
+		for i := 0; i < 20_000; i++ {
+			switch r.Intn(3) {
+			case 0:
+				h.Access(hot+r.Uint64n(hotSpan), r.Intn(4) == 0)
+			case 1:
+				h.Access(rStart+(gen.ReadCursor()+r.Uint64n(4096))*uint64(cfg.L3LineB), false)
+			default:
+				h.Access(wStart+(gen.WriteCursor()+r.Uint64n(4096))*uint64(cfg.L3LineB), true)
+			}
+		}
+	}
+	for phase, what := range []string{"missing the snapshot cache", "reusing the snapshot"} {
+		start := make([][sha256.Size]byte, 4)
+		end := make([][sha256.Size]byte, 4)
+		var wg sync.WaitGroup
+		for g := range start {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := prefilledHierarchy(&cfg, newGen(), prof)
+				start[g] = h.Digest()
+				stream(phase*len(start)+g, h)
+				end[g] = h.Digest()
+				h.Release()
+			}()
+		}
+		wg.Wait()
+		for g := range start {
+			ref := prefill(&cfg, newGen(), prof)
+			stream(phase*len(start)+g, ref)
+			if start[g] != want {
+				t.Errorf("%s: goroutine %d got a different hierarchy", what, g)
+			}
+			if end[g] != ref.Digest() {
+				t.Errorf("%s: goroutine %d's child ended in a different state from its own prefill", what, g)
+			}
 		}
 	}
 	c := &prefillSnapshots
@@ -260,6 +311,9 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	}
 	if sum != c.bytes {
 		t.Errorf("snapshot cache counts %d bytes, its entries hold %d", c.bytes, sum)
+	}
+	if e := c.m[newPrefillKey(&cfg, newGen(), prof)]; e == nil || e.hier.Digest() != want {
+		t.Error("the snapshot is gone or changed under its children")
 	}
 }
 

@@ -1,24 +1,39 @@
 #!/bin/sh
 # Perf-regression harness: run the repo's benchmarks and write a
 # deterministic JSON snapshot (sorted keys, normalized names) named after
-# the current revision. Optionally compare against a baseline snapshot.
+# the current revision. Optionally compare against a baseline snapshot, or
+# measure a base revision side by side with the working tree.
 #
 # Usage:
-#   scripts/bench.sh [-quick] [-out FILE] [-baseline FILE]
+#   scripts/bench.sh [-quick] [-out FILE] [-baseline FILE | -against REV]
 #
 #   -quick      microbenchmark subset only (seconds, for CI smoke); the
 #               default also runs the Fig. 18 end-to-end benchmark.
 #   -out FILE   snapshot path (default BENCH_<rev>.json in the repo root)
 #   -baseline FILE
-#               after measuring, run `fpbbench -compare` against FILE.
-#               Regressions are reported but do not fail the script
-#               (CI treats them as warnings; pass judgement in review).
+#               after measuring, run `fpbbench -compare` against FILE, a
+#               snapshot taken earlier (for local use: host load on either
+#               day reads as a change).
+#   -against REV
+#               measure REV and the working tree on this host in one run:
+#               build both sides' benchmark binaries (REV from a temporary
+#               git worktree), run them in alternating rounds, each round
+#               flipping which side goes first, so host load falls on both
+#               alike. Writes REV's snapshot to FILE with .base before
+#               .json, the working tree's to FILE, and compares them.
+# Regressions are reported but do not fail the script (CI treats them as
+# warnings; pass judgement in review). Temporary files go under $TMPDIR.
 set -eu
 cd "$(dirname "$0")/.."
 
 QUICK=0
 OUT=""
 BASELINE=""
+AGAINST=""
+usage() {
+    echo "usage: $0 [-quick] [-out FILE] [-baseline FILE | -against REV]" >&2
+    exit 2
+}
 while [ $# -gt 0 ]; do
     case "$1" in
     -quick) QUICK=1 ;;
@@ -30,13 +45,17 @@ while [ $# -gt 0 ]; do
         BASELINE="$2"
         shift
         ;;
-    *)
-        echo "usage: $0 [-quick] [-out FILE] [-baseline FILE]" >&2
-        exit 2
+    -against)
+        AGAINST="$2"
+        shift
         ;;
+    *) usage ;;
     esac
     shift
 done
+if [ -n "$BASELINE" ] && [ -n "$AGAINST" ]; then
+    usage
+fi
 
 # Staleness check: warn when the committed bench/ snapshots predate the
 # newest commit touching a perf-relevant tree — baselines go stale silently
@@ -64,23 +83,77 @@ fi
 # (one core's warm-up, the bulk of building a system), dispatch guards.
 # Five runs each: the snapshot records their median and range.
 MICRO='BenchmarkEngineScheduleAndRun|BenchmarkEngineReschedule|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
-RAW=$(mktemp)
-trap 'rm -f "$RAW"' EXIT
+PKGS="./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/system/ ./internal/obs/"
+RUNS=5
+TMP=$(mktemp -d)
+WORKTREE=""
+cleanup() {
+    if [ -n "$WORKTREE" ]; then
+        git worktree remove --force "$WORKTREE" >/dev/null 2>&1 || true
+    fi
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
 
-go test -run '^$' -bench "$MICRO" -count 5 -benchmem \
-    ./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/system/ ./internal/obs/ |
-    tee "$RAW"
-
-if [ "$QUICK" -eq 0 ]; then
-    # End-to-end throughput benchmark (the tentpole target). One iteration
-    # is enough: the simulation itself is deterministic and long.
-    go test -run '^$' -bench 'BenchmarkFig18Throughput' -benchtime 1x -benchmem . |
-        tee -a "$RAW"
+if [ -z "$AGAINST" ]; then
+    # shellcheck disable=SC2086 # PKGS is a deliberate word list
+    go test -run '^$' -bench "$MICRO" -count "$RUNS" -benchmem $PKGS |
+        tee "$TMP/raw"
+    if [ "$QUICK" -eq 0 ]; then
+        # End-to-end throughput benchmark (the tentpole target). One
+        # iteration is enough: the simulation itself is deterministic and
+        # long.
+        go test -run '^$' -bench 'BenchmarkFig18Throughput' -benchtime 1x -benchmem . |
+            tee -a "$TMP/raw"
+    fi
+    go run ./cmd/fpbbench -out "$OUT" <"$TMP/raw"
+    echo "wrote $OUT"
+    if [ -n "$BASELINE" ]; then
+        go run ./cmd/fpbbench -compare -threshold 0.20 "$BASELINE" "$OUT"
+    fi
+    exit 0
 fi
 
-go run ./cmd/fpbbench -out "$OUT" <"$RAW"
-echo "wrote $OUT"
-
-if [ -n "$BASELINE" ]; then
-    go run ./cmd/fpbbench -compare -threshold 0.20 "$BASELINE" "$OUT"
-fi
+# -against: one test binary per package and side, so both sides run the
+# same way and nothing is rebuilt between rounds.
+BASE_REV=$(git rev-parse --verify "$AGAINST^{commit}")
+WORKTREE="$TMP/base"
+git worktree add --detach "$WORKTREE" "$BASE_REV" >/dev/null
+build() { # side, checkout
+    mkdir -p "$TMP/$1"
+    for pkg in $PKGS; do
+        (cd "$2" && go test -c -o "$TMP/$1/$(basename "$pkg").test" "$pkg")
+    done
+    if [ "$QUICK" -eq 0 ]; then
+        (cd "$2" && go test -c -o "$TMP/$1/fpb.test" .)
+    fi
+}
+run() { # side, checkout: one run of every benchmark, appended to side.raw
+    echo "bench.sh: $1 ($(if [ "$1" = base ]; then echo "$BASE_REV"; else echo "$REV"; fi))" >&2
+    for pkg in $PKGS; do
+        (cd "$2/$pkg" && "$TMP/$1/$(basename "$pkg").test" -test.run '^$' \
+            -test.bench "$MICRO" -test.count 1 -test.benchmem) | tee -a "$TMP/$1.raw"
+    done
+    if [ "$QUICK" -eq 0 ]; then
+        (cd "$2" && "$TMP/$1/fpb.test" -test.run '^$' -test.bench 'BenchmarkFig18Throughput' \
+            -test.benchtime 1x -test.benchmem) | tee -a "$TMP/$1.raw"
+    fi
+}
+build base "$WORKTREE"
+build head "$PWD"
+round=1
+while [ "$round" -le "$RUNS" ]; do
+    if [ $((round % 2)) -eq 1 ]; then
+        run base "$WORKTREE"
+        run head "$PWD"
+    else
+        run head "$PWD"
+        run base "$WORKTREE"
+    fi
+    round=$((round + 1))
+done
+BASE_OUT="${OUT%.json}.base.json"
+go run ./cmd/fpbbench -out "$BASE_OUT" <"$TMP/base.raw"
+go run ./cmd/fpbbench -out "$OUT" <"$TMP/head.raw"
+echo "wrote $BASE_OUT ($BASE_REV) and $OUT ($REV)"
+go run ./cmd/fpbbench -compare -threshold 0.20 "$BASE_OUT" "$OUT"
