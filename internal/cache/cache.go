@@ -41,8 +41,8 @@ const (
 // Two kinds hold some sets elsewhere until an access first touches them:
 //   - a child (Child) reads each set through to its frozen parent, then
 //     copies it into its own ways and marks it owned;
-//   - a filled cache (NewFilled) builds each set from the closed form of its
-//     inserts, keeping the sets its own accesses built in a compact store.
+//   - a filled cache (NewFilled) builds each set from its inserts, keeping
+//     the sets its own accesses built in a compact store.
 type Cache struct {
 	lineB     int
 	lineShift uint // log2(lineB) when lineB is a power of two
@@ -61,25 +61,26 @@ type Cache struct {
 	// zero in a filled cache.
 	owned  []uint64
 	parent *Cache      // a child's parent
-	fill   *streamFill // a filled cache's closed form
+	fill   *streamFill // a filled cache's inserts
 }
 
-// Stream is a walk of N distinct lines backwards through a region of Span
-// lines whose first line has index Base: its k-th line is
-// Base + (Cur-1-k) mod Span, for k < N <= Span and Cur < Span, so it
-// starts just behind line Cur and wraps from the region's first line to
-// its last. Dirty marks every line of the walk dirty.
+// Stream is a walk of N lines backwards through a region of Span lines
+// whose first line has index Base: its k-th line is
+// Base + (Cur-1-k) mod Span, for Cur < Span, so it starts just behind line
+// Cur, wraps from the region's first line to its last, and laps the region
+// when N > Span. Dirty marks every line of the walk dirty.
 type Stream struct {
 	Base, Cur, Span, N uint64
 	Dirty              bool
 }
 
-// streamFill is a filled cache's closed form: its inserts, and where in
-// meta the sets it has built sit.
+// streamFill is a filled cache's inserts, and where in meta the sets it
+// has built sit.
 type streamFill struct {
-	pos     []int32 // pos[k] is the insert index of stream line k
-	streams []Stream
-	slot    []int32 // slot[s] is 1 + set s's index in meta, 0 if unbuilt
+	pos      []int32 // pos[k] is the insert index of stream line k
+	streams  []Stream
+	slot     []int32 // slot[s] is 1 + set s's index in meta, 0 if unbuilt
+	distinct bool    // no line repeats: no stream laps, no regions overlap
 }
 
 // metaPools recycles way arrays by length. A full figure sweep builds
@@ -133,37 +134,45 @@ func newGeometry(sizeBytes, lineB, ways int) *Cache {
 // NewFilled returns a cache in exactly the state New(sizeBytes, lineB,
 // ways) reaches after n = len(pos) calls Access, where insert i is the
 // stream line k with pos[k] = i — tags, dirty bits, LRU ticks, way
-// positions, tick and counters alike. The streams' lines are numbered in
-// order, so line k of streams[1] is line k + streams[0].N. pos must be a
-// permutation of 0..n-1 and the streams' lines distinct.
+// positions and tick alike — except that its hit and miss counters start
+// at zero. The streams' lines are numbered in order, so line k of
+// streams[1] is line k + streams[0].N. pos must be a permutation of
+// 0..n-1.
 //
-// Such inserts all miss: Access fills an empty set's ways from W-1 down to
-// 0 and then evicts them in the same rotation, so a set's j-th insert lands
-// in way W-1-(j mod W) and the set ends holding its last W inserts, insert
-// i with tick i+1. NewFilled writes no set; each is built from that closed
-// form when first read. The cache keeps pos and the sets its own accesses
-// built. Once those are half its sets, which with pos take about as much
-// memory as a plain cache, it builds the rest and becomes a plain cache.
+// A set's state depends only on its own inserts, so NewFilled writes no
+// set; each is built when first read. When no stream laps its region and
+// no two regions overlap, the inserts are distinct lines and all miss:
+// Access fills an empty set's ways from W-1 down to 0 and then evicts them
+// in the same rotation, so a set's j-th insert lands in way W-1-(j mod W)
+// and the set ends holding its last W inserts, insert i with tick i+1, a
+// closed form the build writes directly. Otherwise lines repeat, and the
+// build replays the set's inserts through Access in insert order. The
+// cache keeps pos and the sets its own accesses built. Once the set it is
+// about to build would make those half its sets, which with pos take about
+// as much memory as a plain cache, it builds every set in place and
+// becomes a plain cache.
 func NewFilled(sizeBytes, lineB, ways int, pos []int32, streams ...Stream) *Cache {
 	c := newGeometry(sizeBytes, lineB, ways)
 	var n uint64
-	for _, st := range streams {
-		if st.N > st.Span || st.Cur >= st.Span {
-			panic("cache: stream needs N <= Span and Cur < Span")
+	distinct := true
+	for i, st := range streams {
+		if st.Cur >= st.Span {
+			panic("cache: stream needs Cur < Span")
 		}
 		n += st.N
+		distinct = distinct && st.N <= st.Span
+		for _, o := range streams[:i] {
+			distinct = distinct && (st.Base+st.Span <= o.Base || o.Base+o.Span <= st.Base)
+		}
 	}
 	if n != uint64(len(pos)) {
 		panic("cache: pos does not number the stream lines")
 	}
-	c.fill = &streamFill{pos: pos, streams: streams, slot: make([]int32, c.sets)}
+	c.fill = &streamFill{pos: pos, streams: streams, slot: make([]int32, c.sets), distinct: distinct}
 	c.owned = make([]uint64, (c.sets+63)/64)
-	c.tick, c.misses = n, n
+	c.tick = n
 	return c
 }
-
-// LineBytes reports the cache's line size.
-func (c *Cache) LineBytes() int { return c.lineB }
 
 // Stats reports accumulated demand hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
@@ -278,7 +287,7 @@ func (c *Cache) locate(s int) int {
 		return int(i-1) * c.ways
 	}
 	base := len(c.meta)
-	if 2*base >= c.sets*c.ways {
+	if 2*(base+c.ways) >= c.sets*c.ways {
 		c.materialize()
 		return s * c.ways
 	}
@@ -320,12 +329,17 @@ func (c *Cache) readSet(s int, dst []way) []way {
 }
 
 // build writes set s of a filled cache, as its inserts leave it, into dst
-// (len ways). The set's inserts are the stream lines in it; within a
-// stream's region they form two arithmetic progressions of step sets, one
-// on each side of the cursor's wrap. build keeps the newest W of them in
-// dst, ascending by tick after any invalid ways, then puts each in the way
-// the closed form gives it.
+// (len ways). The set's inserts are the stream lines in it. When they are
+// distinct, within a stream's region they form two arithmetic progressions
+// of step sets, one on each side of the cursor's wrap; build keeps the
+// newest W of them in dst, ascending by tick after any invalid ways, then
+// puts each in the way the closed form gives it. Otherwise replay builds
+// the set.
 func (c *Cache) build(s int, dst []way) {
+	if !c.fill.distinct {
+		c.replay(s, dst)
+		return
+	}
 	clear(dst)
 	sets := uint64(c.sets)
 	var m, k0 uint64 // the set's inserts so far; the stream's first line number
@@ -374,51 +388,44 @@ func (c *Cache) insertRun(dst []way, base, r, lo, hi, kTop, flags uint64) uint64
 	return n
 }
 
-// AccessBatch has exactly the effect of the n calls Access(at(i)) for
-// i = 0, 1, ..., n-1 in that order, with the victims discarded, but it
-// replays them one set at a time. It counting-sorts the accesses by set
-// (stably, so each set keeps its own order) and then runs each set's
-// accesses back to back through Access, each at the tick it would have had
-// in sequence. Accesses to different sets touch disjoint ways and share only
-// the tick and the hit/miss counters, so the metadata comes out
-// byte-identical to the sequential calls — way positions and LRU ticks
-// included — while the probes walk the metadata in order instead of landing
-// in a random set each. at must be a pure function of i: it is called twice
-// per index.
-func (c *Cache) AccessBatch(n int, at func(i int) (addr uint64, write bool)) {
-	if int64(n) >= 1<<31 {
-		panic("cache: batch of 2^31 or more accesses")
-	}
-	// next[s+1] counts set s's accesses; the prefix sum turns next[s] into
-	// the first slot of set s's bucket, and the scatter advances it to the
-	// bucket's end.
-	next := make([]int32, c.sets+1)
-	for i := 0; i < n; i++ {
-		addr, _ := at(i)
-		next[c.set(c.lineIndex(addr))+1]++
-	}
-	for s := 1; s <= c.sets; s++ {
-		next[s] += next[s-1]
-	}
-	addrs := make([]uint64, n)
-	seqs := make([]uint32, n) // i<<1 | write
-	for i := 0; i < n; i++ {
-		addr, write := at(i)
-		s := c.set(c.lineIndex(addr))
-		j := next[s]
-		next[s]++
-		addrs[j] = addr
-		seqs[j] = uint32(i) << 1
-		if write {
-			seqs[j] |= 1
+// replay writes set s of a filled cache whose lines repeat into dst (len
+// ways): it gathers the set's inserts, sorts them by tick and sends them
+// through Access on a one-set view of dst, each at its own tick. Region
+// line l = r (mod sets) holds the stream lines (Cur-1-l) mod Span + j*Span
+// below N. A key holds an insert's tick (pos+1) in its high half, and its
+// index in tags and its dirty bit in the low half. The buffers live in
+// replay's frame, so that build, which runs the closed form, keeps a small
+// one.
+func (c *Cache) replay(s int, dst []way) {
+	var keyBuf, tagBuf [64]uint64
+	keys, tags := keyBuf[:0], tagBuf[:0]
+	sets := uint64(c.sets)
+	var k0 uint64 // the stream's first line number
+	for _, st := range c.fill.streams {
+		var dirty uint64
+		if st.Dirty {
+			dirty = 1
 		}
+		for l := (uint64(s) + sets - st.Base%sets) % sets; l < st.Span; l += sets {
+			k := st.Cur + st.Span - 1 - l
+			if k >= st.Span {
+				k -= st.Span
+			}
+			for ; k < st.N; k += st.Span {
+				keys = append(keys, (uint64(c.fill.pos[k0+k])+1)<<32|uint64(len(tags))<<1|dirty)
+				tags = append(tags, st.Base+l)
+			}
+		}
+		k0 += st.N
 	}
-	tick0 := c.tick
-	for j, q := range seqs {
-		c.tick = tick0 + uint64(q>>1) // Access advances it to tick0+i+1
-		c.Access(addrs[j], q&1 != 0)
+	slices.Sort(keys)
+	clear(dst)
+	// With one-byte lines and one set, an address is its line's tag.
+	view := Cache{lineB: 1, linePow2: true, ways: c.ways, sets: 1, setPow2: true, meta: dst}
+	for _, key := range keys {
+		view.tick = key>>32 - 1 // Access advances it to the insert's tick
+		view.Access(tags[uint32(key)>>1], key&1 != 0)
 	}
-	c.tick = tick0 + uint64(n)
 }
 
 // Contains reports whether the line holding addr is cached (no LRU update).

@@ -135,52 +135,6 @@ func TestCacheStreamingEvictsEverything(t *testing.T) {
 	}
 }
 
-// TestAccessBatchMatchesAccess checks AccessBatch against the same accesses
-// sent one by one through Access: the whole cache — metadata, tick, hit and
-// miss counters — must come out identical. Sequences draw from a pool of
-// lines smaller or larger than the cache, so lines repeat (hits, and
-// re-inserts after eviction) or not, with mixed dirty bits and in-line
-// offsets. Geometries cover power-of-two and other set counts and line sizes,
-// and every other trial starts from a cache already partly used.
-func TestAccessBatchMatchesAccess(t *testing.T) {
-	geoms := []struct{ sets, lineB, ways int }{
-		{16, 64, 4},
-		{10, 64, 3},
-		{7, 96, 2},
-		{64, 256, 8},
-		{1, 64, 4},
-	}
-	rng := sim.NewRNG(1)
-	for _, g := range geoms {
-		lines := g.sets * g.ways
-		for trial := 0; trial < 40; trial++ {
-			want := New(g.sets*g.lineB*g.ways, g.lineB, g.ways)
-			base := rng.Uint64n(1<<40) * uint64(g.lineB)
-			pool := 1 + rng.Intn(3*lines)
-			draw := func() (uint64, bool) {
-				return base + rng.Uint64n(uint64(pool*g.lineB)), rng.Intn(2) == 0
-			}
-			if trial%2 == 1 {
-				for k := rng.Intn(2 * lines); k > 0; k-- {
-					want.Access(draw())
-				}
-			}
-			got := deepCopy(want)
-			n := rng.Intn(4*lines + 1)
-			addrs, writes := make([]uint64, n), make([]bool, n)
-			for i := range addrs {
-				addrs[i], writes[i] = draw()
-				want.Access(addrs[i], writes[i])
-			}
-			got.AccessBatch(n, func(i int) (uint64, bool) { return addrs[i], writes[i] })
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d sets x %d ways, %d B lines, trial %d (%d accesses over %d lines): batch state differs from sequential Access",
-					g.sets, g.ways, g.lineB, trial, n, pool)
-			}
-		}
-	}
-}
-
 // TestFillDistinctMatchesAccess checks fillDistinct, the eager reference
 // for NewFilled, against the same inserts sent one by one through Access on
 // a fresh cache: the whole cache

@@ -17,8 +17,8 @@ func deepCopy(c *Cache) *Cache {
 	return &cp
 }
 
-// fillDistinct is the eager reference for NewFilled: it leaves a fresh
-// plain cache in the state of the n = len(order) calls
+// fillDistinct is the eager reference for NewFilled's closed form: it
+// leaves a fresh plain cache in the state of the n = len(order) calls
 // Access(line(order[i])), i = 0..n-1, provided order is a permutation of
 // 0..n-1 and line maps distinct k to distinct cache lines. It counts each
 // set's inserts in line order, then walks order backwards and writes each
@@ -67,15 +67,18 @@ func fillDistinct(c *Cache, order []int, line func(k int) (addr uint64, write bo
 
 // TestNewFilledMatchesReference checks the on-demand fill on random
 // geometries — power-of-two and other set counts, 64, 96, 192 and 256 B
-// lines, cursors at, near and far from the wrap, and each stream's length
-// from 0 to its span. Every set of a NewFilled cache must equal both the
-// shuffled inserts sent one by one through Access and fillDistinct. Then,
-// after the accesses a prefill's hot pass makes before publishing a parent,
-// children of the filled cache and of the eager one must answer a random
-// access sequence exactly like a deep copy of the eager cache and end in
-// its state, while both parents stay unchanged.
+// lines, cursors at, near and far from the wrap, each stream's length from
+// 0 to three times its span (so it may lap its region), and regions apart
+// or overlapping. Every set of a NewFilled cache must equal the shuffled
+// inserts sent one by one through Access, counters zeroed, and, when no
+// line repeats, fillDistinct. Then, after the accesses a prefill's hot
+// pass makes before publishing a parent, children of the filled cache and
+// of the eager one must answer a random access sequence exactly like a
+// deep copy of the eager cache and end in its state, while both parents
+// stay unchanged.
 func TestNewFilledMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(3)
+	var distinct, laps, overlaps int // trials of each kind
 	for trial := 0; trial < 400; trial++ {
 		sets := []int{1, 2, 7, 10, 16, 37, 64, 100}[rng.Intn(8)]
 		ways := 1 + rng.Intn(8)
@@ -83,11 +86,13 @@ func TestNewFilledMatchesReference(t *testing.T) {
 		lines := sets * ways
 		span := 1 + rng.Uint64n(uint64(3*lines))
 		length := func() uint64 {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				return 0
 			case 1:
 				return span
+			case 2: // the walk laps its region
+				return span + 1 + rng.Uint64n(2*span)
 			}
 			return rng.Uint64n(span + 1)
 		}
@@ -103,9 +108,14 @@ func TestNewFilledMatchesReference(t *testing.T) {
 			return rng.Uint64n(span)
 		}
 		rBase := 1<<40 + rng.Uint64n(1<<40)
-		wBase := rBase + span + rng.Uint64n(uint64(2*sets))
-		if rng.Intn(2) == 0 {
+		var wBase uint64
+		switch rng.Intn(3) {
+		case 0:
+			wBase = rBase + span + rng.Uint64n(uint64(2*sets))
+		case 1:
 			wBase = rBase - span - rng.Uint64n(uint64(2*sets))
+		default: // the regions share at least one line
+			wBase = rBase - span + 1 + rng.Uint64n(2*span-1)
 		}
 		nR, nW := length(), length()
 		streams := []Stream{
@@ -123,7 +133,7 @@ func TestNewFilledMatchesReference(t *testing.T) {
 			if kk >= st.N {
 				st, kk = streams[1], kk-st.N
 			}
-			l := (st.Cur + st.Span - 1 - kk) % st.Span
+			l := (st.Cur + st.Span - 1 - kk%st.Span) % st.Span
 			return (st.Base+l)*uint64(lineB) + uint64(k*7)%uint64(lineB), st.Dirty
 		}
 		size := lines * lineB
@@ -131,18 +141,33 @@ func TestNewFilledMatchesReference(t *testing.T) {
 		for _, k := range order {
 			seq.Access(line(k))
 		}
-		ref := New(size, lineB, ways)
-		fillDistinct(ref, order, line)
+		seq.hits, seq.misses = 0, 0
 		got := NewFilled(size, lineB, ways, pos, streams...)
 		geom := func() string {
 			return fmt.Sprintf("trial %d: %d sets x %d ways, %d B lines, span %d, streams %+v", trial, sets, ways, lineB, span, streams)
 		}
 		want := seq.appendState(nil)
-		if !bytes.Equal(ref.appendState(nil), want) {
-			t.Fatalf("%s: fillDistinct differs from sequential Access", geom())
-		}
 		if !bytes.Equal(got.appendState(nil), want) {
 			t.Fatalf("%s: NewFilled differs from sequential Access", geom())
+		}
+		seen := make(map[uint64]bool, n)
+		for k := 0; k < n; k++ {
+			addr, _ := line(k)
+			seen[addr/uint64(lineB)] = true
+		}
+		switch {
+		case len(seen) == n:
+			distinct++
+			ref := New(size, lineB, ways)
+			fillDistinct(ref, order, line)
+			ref.hits, ref.misses = 0, 0
+			if !bytes.Equal(ref.appendState(nil), want) {
+				t.Fatalf("%s: fillDistinct differs from sequential Access", geom())
+			}
+		case nR > span || nW > span:
+			laps++
+		default:
+			overlaps++
 		}
 
 		draw := func() (uint64, bool) {
@@ -164,28 +189,33 @@ func TestNewFilledMatchesReference(t *testing.T) {
 				t.Fatalf("%s: %s ends in a different state from the reference", geom(), what)
 			}
 		}
-		same("the filled parent", got, ref, rng.Intn(2*lines))
-		parent := ref.appendState(nil)
-		for _, p := range []*Cache{got, ref} {
+		same("the filled parent", got, seq, rng.Intn(2*lines))
+		parent := seq.appendState(nil)
+		for _, p := range []*Cache{got, seq} {
 			for c := 0; c < 2; c++ {
-				same("a child", p.Child(), deepCopy(ref), rng.Intn(4*lines))
+				same("a child", p.Child(), deepCopy(seq), rng.Intn(4*lines))
 			}
 			if !bytes.Equal(p.appendState(nil), parent) {
 				t.Fatalf("%s: a parent changed under its children", geom())
 			}
 		}
 	}
+	// Each kind of trial must stay well represented: distinct lines (the
+	// closed form), a lapping stream, and overlapping regions whose
+	// streams share a line.
+	if distinct < 100 || laps < 100 || overlaps < 20 {
+		t.Errorf("%d distinct, %d lapping and %d overlapping trials", distinct, laps, overlaps)
+	}
 }
 
-// TestNewFilledRejectsBadStreams: the closed form holds only for streams of
-// distinct lines that pos numbers exactly, so a stream longer than its
-// region, a cursor outside it, or a pos of the wrong length is refused.
+// TestNewFilledRejectsBadStreams: a stream's cursor must lie in its region
+// and pos must number the streams' lines exactly, so a cursor outside the
+// region or a pos of the wrong length is refused.
 func TestNewFilledRejectsBadStreams(t *testing.T) {
 	for _, tc := range []struct {
 		pos []int32
 		st  Stream
 	}{
-		{make([]int32, 5), Stream{Span: 4, N: 5}},
 		{make([]int32, 2), Stream{Cur: 4, Span: 4, N: 2}},
 		{make([]int32, 3), Stream{Span: 4, N: 2}},
 	} {

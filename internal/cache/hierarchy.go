@@ -53,7 +53,7 @@ func NewHierarchy(cfg *sim.Config) *Hierarchy {
 
 // NewFilledHierarchy is NewHierarchy with the L3 that
 // NewFilled(pos, streams...) returns: one that holds what the streams'
-// distinct inserts leave and builds each set when first read.
+// inserts leave and builds each set when first read.
 func NewFilledHierarchy(cfg *sim.Config, pos []int32, streams ...Stream) *Hierarchy {
 	return newHierarchy(cfg, NewFilled(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways, pos, streams...))
 }

@@ -111,7 +111,9 @@ func TestHierarchyPrefillEnablesImmediateWritebacks(t *testing.T) {
 	h := NewHierarchy(&cfg)
 	span := uint64(cfg.L3SizeMB) * 1024 * 1024 * 2
 	lineB := uint64(cfg.L3LineB)
-	h.L3().AccessBatch(int(span/lineB), func(i int) (uint64, bool) { return uint64(i) * lineB, true })
+	for addr := uint64(0); addr < span; addr += lineB {
+		h.L3().Access(addr, true)
+	}
 	// First streaming store after prefill should evict a dirty line
 	// almost immediately.
 	sawWB := false

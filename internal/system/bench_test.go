@@ -32,15 +32,16 @@ func BenchmarkSimulation(b *testing.B) {
 
 // BenchmarkPrefill measures the cache warm-up of one mcf_m core at the
 // default geometry, on a fresh hierarchy per op (the snapshot cache is
-// bypassed). Its stream inserts are distinct lines, so the L3 is written in
-// closed form.
+// bypassed). Its stream inserts are distinct lines, so the hot pass builds
+// its L3 sets from the closed form.
 func BenchmarkPrefill(b *testing.B) {
 	benchPrefill(b, sim.DefaultConfig())
 }
 
-// BenchmarkPrefillReplay is BenchmarkPrefill at a 128 MB L3, where mcf_m's
-// streams lap their regions and the L3 inserts are replayed set by set.
-func BenchmarkPrefillReplay(b *testing.B) {
+// BenchmarkPrefillLapping is BenchmarkPrefill at a 128 MB L3, where mcf_m's
+// streams lap their regions, so lines repeat and the hot pass builds its L3
+// sets by replaying each set's inserts.
+func BenchmarkPrefillLapping(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	cfg.L3SizeMB = 128
 	benchPrefill(b, cfg)

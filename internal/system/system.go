@@ -119,9 +119,10 @@ func Build(cfg sim.Config, wl workload.Workload) (*System, error) {
 // layout and cursors (which the insert set and the shuffle seed are pure
 // functions of), the profile's access-mix rates, and the full cache
 // geometry. Two cores with equal keys get byte-identical prefilled
-// hierarchies, so the result can be snapshotted and cloned instead of
-// re-running the multi-hundred-thousand-access warm-up — by far the
-// largest cost of building a system — once per (workload, scheme) pair.
+// hierarchies, so the result can be published once as a snapshot and
+// handed to every simulation as a copy-on-write child, instead of drawing
+// the insert shuffle and running the hot pass again once per (workload,
+// scheme) pair.
 type prefillKey struct {
 	rStart, wStart, span uint64
 	rCur, wCur           uint64
@@ -150,10 +151,10 @@ func newPrefillKey(cfg *sim.Config, gen *workload.Generator, prof workload.CoreP
 // maxPrefillSnapshotBytes bounds the snapshot cache by the summed MetaBytes
 // of its snapshots. A snapshot is one core's prefilled hierarchy, the
 // parent of every simulation's copy-on-write child. At the default geometry
-// it is about 2.1 MiB (L1 and L2, the L3's insert positions and the L3 sets
-// the hot pass built), so ~240 fit, more than the distinct (profile,
+// it is about 2.2 MiB (L1 and L2, the L3's insert positions and the L3 sets
+// the hot pass built), so ~230 fit, more than the distinct (profile,
 // core-slot) pairs of a full figure sweep (Fig. 18 has 86); at Fig. 20's
-// 128 MB L3 a replayed snapshot is 8.5 MiB and ~60 fit.
+// 128 MB L3 a snapshot is 5.4 MiB and ~90 fit.
 const maxPrefillSnapshotBytes = 512 << 20
 
 var prefillSnapshots struct {
@@ -230,25 +231,18 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 // ratio, inserted oldest-first ending right behind each stream cursor —
 // and the hot region is resident in L2/L3. Capacity writebacks and
 // streaming misses then behave from instruction 0 exactly as they would
-// after a multi-hundred-million-instruction cold phase. When the stream
-// inserts are distinct lines they all miss, and the L3 builds the state
-// they leave from its closed form, set by set as sets are first read
-// (cache.NewFilled); otherwise they are replayed one set at a time
-// (AccessBatch). Both leave exactly the state of inserting the lines one by
-// one.
+// after a multi-hundred-million-instruction cold phase. The L3 builds the
+// state the stream inserts leave set by set, as sets are first read
+// (cache.NewFilled): exactly the state of inserting the lines one by one.
 func prefill(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
 	var h *cache.Hierarchy
 	if prof.RPKI <= 0 {
 		h = cache.NewHierarchy(cfg)
-	} else if streams, rng, laps, distinct := streamInserts(cfg, gen, prof); distinct {
+	} else {
+		streams, rng := streamInserts(cfg, gen, prof)
 		pos := make([]int32, streams[0].N+streams[1].N)
 		rng.InvPerm(pos)
 		h = cache.NewFilledHierarchy(cfg, pos, streams[:]...)
-	} else {
-		order := make([]int, streams[0].N+streams[1].N)
-		rng.Perm(order)
-		h = cache.NewHierarchy(cfg)
-		replay(h.L3(), streams, order, laps)
 	}
 	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
 	hotStart, hotSpan := gen.HotRegion()
@@ -262,19 +256,18 @@ func prefill(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile
 // streamInserts describes prefill's L3 inserts for a core with RPKI > 0:
 // the nR load-region lines just behind the read cursor, then the nW
 // store-region lines just behind the write cursor, as cache.Streams, in an
-// order rng shuffles. laps reports that a stream is longer than its region;
-// distinct, that no line repeats, which holds when neither stream laps and
-// the two regions are disjoint.
-func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (streams [2]cache.Stream, rng *sim.RNG, laps, distinct bool) {
+// order rng shuffles.
+func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (streams [2]cache.Stream, rng *sim.RNG) {
 	lineB := uint64(cfg.L3LineB)
-	rStart, rBytes := gen.StreamReadRegion()
-	wStart, wBytes := gen.StreamWriteRegion()
+	rStart, _ := gen.StreamReadRegion()
+	wStart, _ := gen.StreamWriteRegion()
 	span := gen.SpanLines()
 	wFrac := prof.WPKI / prof.RPKI
 	// Insert twice the capacity so that, despite the shuffled order's
 	// binomial spread of inserts per set, every set ends completely full
 	// (an underfilled set would absorb its first few fills without
-	// evicting, suppressing early writebacks).
+	// evicting, suppressing early writebacks). A stream longer than its
+	// region (a 128 MB L3 and a fixed-footprint app) laps it.
 	total := uint64(cfg.L3SizeMB*1024*1024/cfg.L3LineB) * 2
 	nW := uint64(float64(total) * wFrac)
 	nR := total - nW
@@ -289,45 +282,7 @@ func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreP
 		{Base: rStart / lineB, Cur: rCur, Span: span, N: nR},
 		{Base: wStart / lineB, Cur: wCur, Span: span, N: nW, Dirty: true},
 	}
-	// A stream laps its region when the L3 holds more than the region (a
-	// 128 MB L3 and a fixed-footprint app).
-	laps = nR > span || nW > span
-	// The regions are disjoint under Validate's L3SizeMB and L3LineB
-	// bounds, which keep each region (twice the L3, at least 4096 lines)
-	// within the 1 GB between their bases; the check below keeps prefill
-	// correct for a config that skipped Validate.
-	disjoint := rStart+rBytes <= wStart || wStart+wBytes <= rStart
-	return streams, sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE), laps, !laps && disjoint
-}
-
-// replay inserts the streams' lines into l3 in the given order, line
-// order[i] as insert i, one set at a time (AccessBatch).
-func replay(l3 *cache.Cache, streams [2]cache.Stream, order []int, laps bool) {
-	lineB := uint64(l3.LineBytes())
-	l3.AccessBatch(len(order), func(i int) (uint64, bool) {
-		st, k := streams[0], uint64(order[i])
-		if k >= st.N {
-			st, k = streams[1], k-st.N
-		}
-		return (st.Base + behind(st.Cur, st.Span, k, laps)) * lineB, st.Dirty
-	})
-}
-
-// behind returns the line k steps behind line cur-1 of a stream region
-// span lines long, wrapping at the region's start: (cur-1-k) mod span, for
-// cur < span. k may reach span only if laps is set. The flag is fixed per
-// prefill, so a stream that does not lap skips the division, and one that
-// does pays it without a branch that depends on k, which would mispredict
-// in shuffled order.
-func behind(cur, span, k uint64, laps bool) uint64 {
-	if laps {
-		k %= span
-	}
-	l := cur + span - 1 - k
-	if l >= span {
-		l -= span
-	}
-	return l
+	return streams, sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
 }
 
 // registerSystemMetrics adds machine-level series to the hub registry.

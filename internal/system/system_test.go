@@ -208,29 +208,39 @@ func TestWCWPIntegration(t *testing.T) {
 	}
 }
 
-// TestPrefillSnapshotBound checks the snapshot cache's byte bound against a
-// real default-geometry snapshot, the largest of Fig. 18's (mcf_m core 0,
-// whose fixed-footprint streams fill the L3 like every other app's): the
-// bound must hold at least 128 of them, so a default-geometry figure sweep
-// (Fig. 18 prefills 86 distinct cores) never evicts. A snapshot must also
-// hold no more than a plain hierarchy, the size of the deep copy each
-// simulation used to take.
+// TestPrefillSnapshotBound checks snapshot sizes at each of Fig. 20's L3
+// sizes, for mcf_m core 0, whose fixed-footprint streams fill the L3 like
+// every other app's and lap their regions at 128 MB, and cop_m core 0, a
+// STREAM app whose regions grow with the L3. A snapshot must hold no more
+// than a plain hierarchy, the size of the deep copy each simulation used
+// to take, and less from 32 MB up, where the hot pass builds under half
+// the L3 sets. The bound must hold at least 128 default-geometry
+// snapshots, so a default-geometry figure sweep (Fig. 18 prefills 86
+// distinct cores) never evicts.
 func TestPrefillSnapshotBound(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	wl, err := workload.ByName("mcf_m", cfg.Cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewGenerator(wl.Cores[0], &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
-	snap := prefill(&cfg, gen, wl.Cores[0])
-	plain := cache.NewHierarchy(&cfg)
-	defer plain.Release()
-	if n := maxPrefillSnapshotBytes / snap.MetaBytes(); n < 128 {
-		t.Errorf("the bound holds %d default-geometry snapshots of %d bytes, want at least 128", n, snap.MetaBytes())
-	}
-	t.Logf("a snapshot holds %d bytes, a plain hierarchy %d", snap.MetaBytes(), plain.MetaBytes())
-	if snap.MetaBytes() > plain.MetaBytes() {
-		t.Errorf("a snapshot holds %d bytes, a plain hierarchy %d", snap.MetaBytes(), plain.MetaBytes())
+	defaultMB := sim.DefaultConfig().L3SizeMB
+	for _, l3MB := range []int{8, 16, 32, 128} {
+		cfg := sim.DefaultConfig()
+		cfg.L3SizeMB = l3MB
+		plain := cache.NewHierarchy(&cfg)
+		for _, name := range []string{"mcf_m", "cop_m"} {
+			wl, err := workload.ByName(name, cfg.Cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := workload.NewGenerator(wl.Cores[0], &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+			snap := prefill(&cfg, gen, wl.Cores[0])
+			size := snap.MetaBytes()
+			t.Logf("%d MB, %s: a snapshot holds %d bytes, a plain hierarchy %d", l3MB, name, size, plain.MetaBytes())
+			if size > plain.MetaBytes() || l3MB >= 32 && size >= plain.MetaBytes() {
+				t.Errorf("%d MB, %s: a snapshot holds %d bytes, a plain hierarchy %d", l3MB, name, size, plain.MetaBytes())
+			}
+			if n := maxPrefillSnapshotBytes / size; l3MB == defaultMB && n < 128 {
+				t.Errorf("the bound holds %d default-geometry %s snapshots of %d bytes, want at least 128", n, name, size)
+			}
+			snap.Release()
+		}
+		plain.Release()
 	}
 }
 
@@ -239,14 +249,26 @@ func TestPrefillSnapshotBound(t *testing.T) {
 // snapshot run at once, each on its own access stream. Every goroutine must
 // start from the identical hierarchy, a child must end exactly where a
 // hierarchy of its own from prefill ends after the same stream, the
-// snapshot must be
-// unchanged by its children, and the cache's byte count must still equal
-// the sum over its entries. Under -race this also checks that children
-// read their shared parent without racing.
+// snapshot must be unchanged by its children, and the cache's byte count
+// must still equal the sum over its entries. It runs at three L3 sizes. At
+// 8 MB the hot pass touches every L3 set, so the snapshot's L3 becomes
+// plain. At 32 MB its L3 holds only the sets the hot pass built, and
+// children build the rest they touch from the shared parent's closed form;
+// at 128 MB lbm_m's streams lap their regions, and children build sets by
+// replaying their inserts. Under -race this also checks that children read
+// and build from their shared parent without racing.
 func TestPrefilledHierarchyConcurrent(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.L3SizeMB = 8
-	cfg.Seed = 0x5eed // a key no other test prefills
+	for _, l3MB := range []int{8, 32, 128} {
+		cfg := sim.DefaultConfig()
+		cfg.L3SizeMB = l3MB
+		cfg.Seed = 0x5eed // a key no other test prefills
+		prefilledConcurrently(t, cfg)
+	}
+}
+
+// prefilledConcurrently runs TestPrefilledHierarchyConcurrent's checks at
+// cfg's geometry.
+func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 	wl, err := workload.ByName("lbm_m", cfg.Cores)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +279,7 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	}
 	want := prefill(&cfg, newGen(), prof).Digest()
 	// stream has goroutine g access the hot region and the stream lines
-	// around the cursors, which the snapshot holds partly built.
+	// around the cursors.
 	stream := func(g int, h *cache.Hierarchy) {
 		gen := newGen()
 		hot, hotSpan := gen.HotRegion()
@@ -295,10 +317,10 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 			ref := prefill(&cfg, newGen(), prof)
 			stream(phase*len(start)+g, ref)
 			if start[g] != want {
-				t.Errorf("%s: goroutine %d got a different hierarchy", what, g)
+				t.Errorf("%d MB, %s: goroutine %d got a different hierarchy", cfg.L3SizeMB, what, g)
 			}
 			if end[g] != ref.Digest() {
-				t.Errorf("%s: goroutine %d's child ended in a different state from its own prefill", what, g)
+				t.Errorf("%d MB, %s: goroutine %d's child ended in a different state from its own prefill", cfg.L3SizeMB, what, g)
 			}
 		}
 	}
@@ -310,10 +332,10 @@ func TestPrefilledHierarchyConcurrent(t *testing.T) {
 		sum += e.hier.MetaBytes()
 	}
 	if sum != c.bytes {
-		t.Errorf("snapshot cache counts %d bytes, its entries hold %d", c.bytes, sum)
+		t.Errorf("%d MB: snapshot cache counts %d bytes, its entries hold %d", cfg.L3SizeMB, c.bytes, sum)
 	}
 	if e := c.m[newPrefillKey(&cfg, newGen(), prof)]; e == nil || e.hier.Digest() != want {
-		t.Error("the snapshot is gone or changed under its children")
+		t.Errorf("%d MB: the snapshot is gone or changed under its children", cfg.L3SizeMB)
 	}
 }
 

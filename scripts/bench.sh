@@ -1,19 +1,16 @@
 #!/bin/sh
 # Perf-regression harness: run the repo's benchmarks and write a
 # deterministic JSON snapshot (sorted keys, normalized names) named after
-# the current revision. Optionally compare against a baseline snapshot, or
-# measure a base revision side by side with the working tree.
+# the current revision. Optionally measure a base revision side by side
+# with the working tree. To compare two existing snapshots, run
+# `go run ./cmd/fpbbench -compare OLD NEW`.
 #
 # Usage:
-#   scripts/bench.sh [-quick] [-out FILE] [-baseline FILE | -against REV]
+#   scripts/bench.sh [-quick] [-out FILE] [-against REV]
 #
 #   -quick      microbenchmark subset only (seconds, for CI smoke); the
 #               default also runs the Fig. 18 end-to-end benchmark.
 #   -out FILE   snapshot path (default BENCH_<rev>.json in the repo root)
-#   -baseline FILE
-#               after measuring, run `fpbbench -compare` against FILE, a
-#               snapshot taken earlier (for local use: host load on either
-#               day reads as a change).
 #   -against REV
 #               measure REV and the working tree on this host in one run:
 #               build both sides' benchmark binaries (REV from a temporary
@@ -28,10 +25,9 @@ cd "$(dirname "$0")/.."
 
 QUICK=0
 OUT=""
-BASELINE=""
 AGAINST=""
 usage() {
-    echo "usage: $0 [-quick] [-out FILE] [-baseline FILE | -against REV]" >&2
+    echo "usage: $0 [-quick] [-out FILE] [-against REV]" >&2
     exit 2
 }
 while [ $# -gt 0 ]; do
@@ -39,10 +35,6 @@ while [ $# -gt 0 ]; do
     -quick) QUICK=1 ;;
     -out)
         OUT="$2"
-        shift
-        ;;
-    -baseline)
-        BASELINE="$2"
         shift
         ;;
     -against)
@@ -53,9 +45,6 @@ while [ $# -gt 0 ]; do
     esac
     shift
 done
-if [ -n "$BASELINE" ] && [ -n "$AGAINST" ]; then
-    usage
-fi
 
 # Staleness check: warn when the committed bench/ snapshots predate the
 # newest commit touching a perf-relevant tree — baselines go stale silently
@@ -108,9 +97,6 @@ if [ -z "$AGAINST" ]; then
     fi
     go run ./cmd/fpbbench -out "$OUT" <"$TMP/raw"
     echo "wrote $OUT"
-    if [ -n "$BASELINE" ]; then
-        go run ./cmd/fpbbench -compare -threshold 0.20 "$BASELINE" "$OUT"
-    fi
     exit 0
 fi
 
