@@ -21,7 +21,8 @@ const (
 )
 
 // Outcome describes the consequences of one demand access through the
-// hierarchy.
+// hierarchy. Its slices are the hierarchy's scratch space: they stay valid
+// only until that hierarchy's next Access.
 type Outcome struct {
 	// Level that served the access (LevelMemory = PCM demand read of
 	// FillAddr required; the core blocks on it).
@@ -43,6 +44,10 @@ type Outcome struct {
 type Hierarchy struct {
 	l1, l2, l3 *Cache
 	cfg        *sim.Config
+
+	// The last Outcome's Writebacks and FillReads; every Access reuses
+	// their backing arrays.
+	writebacks, fillReads []uint64
 }
 
 // NewHierarchy builds the per-core hierarchy from the configuration, every
@@ -145,52 +150,53 @@ func (h *Hierarchy) L2() *Cache { return h.l2 }
 func (h *Hierarchy) L3() *Cache { return h.l3 }
 
 // Access runs one demand access (write=true for stores) through the stack
-// and returns its outcome. Dirty victims cascade: an L1 victim is written
-// back into L2, an L2 victim into L3, and an L3 victim becomes a PCM
-// write.
+// and returns its outcome, whose slices the next Access overwrites. Dirty
+// victims cascade: an L1 victim is written back into L2, an L2 victim into
+// L3, and an L3 victim becomes a PCM write.
 func (h *Hierarchy) Access(addr uint64, write bool) Outcome {
-	var out Outcome
+	h.writebacks, h.fillReads = h.writebacks[:0], h.fillReads[:0]
 
 	if hit, v, ev := h.l1.Access(addr, write); hit {
-		out.Level = LevelL1
-		return out
+		return Outcome{Level: LevelL1}
 	} else if ev && v.Dirty {
-		h.writebackInto(h.l2, v.Addr, &out)
+		h.writebackInto(h.l2, v.Addr)
 	}
 
 	if hit, v, ev := h.l2.Access(addr, false); hit {
-		out.Level = LevelL2
-		return out
+		return h.outcome(LevelL2, 0)
 	} else if ev && v.Dirty {
-		h.writebackInto(h.l3, v.Addr, &out)
+		h.writebackInto(h.l3, v.Addr)
 	}
 
 	if hit, v, ev := h.l3.Access(addr, false); hit {
-		out.Level = LevelL3
-		return out
+		return h.outcome(LevelL3, 0)
 	} else if ev && v.Dirty {
-		out.Writebacks = append(out.Writebacks, v.Addr)
+		h.writebacks = append(h.writebacks, v.Addr)
 	}
 
-	out.Level = LevelMemory
-	out.FillAddr = addr / uint64(h.cfg.L3LineB) * uint64(h.cfg.L3LineB)
-	return out
+	return h.outcome(LevelMemory, addr/uint64(h.cfg.L3LineB)*uint64(h.cfg.L3LineB))
+}
+
+// outcome returns the Outcome of an access served at level l with the
+// writebacks and fill reads it gathered.
+func (h *Hierarchy) outcome(l Level, fillAddr uint64) Outcome {
+	return Outcome{Level: l, FillAddr: fillAddr, Writebacks: h.writebacks, FillReads: h.fillReads}
 }
 
 // writebackInto installs a dirty victim line into the next level,
 // cascading any dirty eviction it causes. A writeback that misses L3
 // allocates the line and records a read-for-ownership fill.
-func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64, out *Outcome) {
+func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64) {
 	hit, v, ev := next.Access(victimAddr, true)
 	if ev && v.Dirty {
 		if next == h.l2 {
-			h.writebackInto(h.l3, v.Addr, out)
+			h.writebackInto(h.l3, v.Addr)
 		} else {
-			out.Writebacks = append(out.Writebacks, v.Addr)
+			h.writebacks = append(h.writebacks, v.Addr)
 		}
 	}
 	if !hit && next == h.l3 {
-		out.FillReads = append(out.FillReads,
+		h.fillReads = append(h.fillReads,
 			victimAddr/uint64(h.cfg.L3LineB)*uint64(h.cfg.L3LineB))
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"fpb/internal/mapping"
 	"fpb/internal/pcm"
+	"fpb/internal/power"
 	"fpb/internal/sim"
 	"fpb/internal/testutil"
 )
@@ -69,5 +70,44 @@ func TestProfileBuildSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Build+Release allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// refusedWrite returns a scheduler whose power is held by a blocker write
+// and a profile it refuses under every Multi-RESET split (Fig. 6's setting:
+// 30 of 80 tokens free, and the 3-way split of 100 cells still needs 34).
+func refusedWrite() (*Scheduler, *pcm.WriteProfile) {
+	cfg := fig5Config(sim.SchemeIPMMR)
+	cfg.MultiResetSplit = 3
+	s := newSched(&cfg)
+	if _, ok := s.TryStart(wrA(cfg.Chips), new(Offer)); !ok {
+		panic("blocker not admitted")
+	}
+	return s, manualProfile(100, []int{98, 50, 20, 0}, cfg.Chips)
+}
+
+// TestRefusedTryStartZeroAlloc guards the refusal path of admission: a write
+// refused again at an unchanged epoch allocates nothing, and neither does
+// one re-asked with its offer's plans after the epoch moved.
+func TestRefusedTryStartZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	s, prof := refusedWrite()
+	var o Offer
+	if _, ok := s.TryStart(prof, &o); ok {
+		t.Fatal("write admitted; the test needs a refusal")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.TryStart(prof, &o) }); allocs != 0 {
+		t.Errorf("refused TryStart at an unchanged epoch allocated %.1f objects/op, want 0", allocs)
+	}
+	mgr := s.Manager()
+	allocs := testing.AllocsPerRun(1000, func() {
+		g, _ := mgr.TryAcquire(power.Demand{DIMM: 1})
+		mgr.Release(g) // moves the epoch
+		s.TryStart(prof, &o)
+	})
+	if allocs != 0 {
+		t.Errorf("refused TryStart at a moved epoch allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -95,42 +95,75 @@ func NewScheduler(cfg *sim.Config, mgr *power.Manager, hub *obs.Hub) *Scheduler 
 // Manager exposes the underlying power manager (for telemetry readers).
 func (s *Scheduler) Manager() *power.Manager { return s.mgr }
 
-// TryStart attempts to admit the write. Per the paper, the base plan is
-// tried first; if its first phase cannot be granted and Multi-RESET is
-// enabled, progressively larger RESET splits (2..MultiResetSplit) are tried
-// — the greedy "start a portion of the RESETs as early as possible"
-// strategy of Section 6.2. Returns (ticket, true) on admission.
-func (s *Scheduler) TryStart(prof *pcm.WriteProfile) (*Ticket, bool) {
-	if s.cfg.MultiResetAlways && s.cfg.UsesMultiReset() && prof.Changed > 0 {
-		// Ablation mode: unconditional split, no shortfall probe.
-		m := s.cfg.MultiResetSplit
-		if m > pcm.MaxMultiResetSplit {
-			m = pcm.MaxMultiResetSplit
-		}
-		plan := s.planner.PlanMR(prof, m)
-		if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
-			s.mrWrites.Inc()
-			return s.admit(prof, plan, g), true
-		}
-		s.planner.Release(plan)
+// Offer is what a queued write keeps between admission attempts: the plans
+// TryStart built for its profile and the power-manager epoch at which they
+// were last refused. Plans are a pure function of the profile and the
+// configuration, and a refusal is a pure function of the plans and the
+// pools, which only move the epoch when they change; so an offer refused at
+// the current epoch is refused again, for the same reasons, without asking.
+// The zero Offer is empty. Whoever rebuilds the write's profile must Drop
+// its offer first: a rebuilt profile may reuse the old one's pointer.
+type Offer struct {
+	plans   [pcm.MaxMultiResetSplit + 1]*WritePlan // [0]: base plan; [m]: RESET split m
+	refused uint64                                 // 1 + the epoch of the last refusal; 0: none
+	denied  [3]uint64                              // that refusal's DIMM, chip and GCP denials
+}
+
+// Drop releases the offer's plans and forgets its refusal.
+func (s *Scheduler) Drop(o *Offer) {
+	for _, p := range o.plans {
+		s.planner.Release(p)
+	}
+	*o = Offer{}
+}
+
+// TryStart attempts to admit the write whose profile is prof and whose
+// offer is o. Per the paper, the base plan is tried first; if its first
+// phase cannot be granted and Multi-RESET is enabled, progressively larger
+// RESET splits (2..MultiResetSplit) are tried — the greedy "start a portion
+// of the RESETs as early as possible" strategy of Section 6.2. Returns
+// (ticket, true) on admission; the admitted plan moves to the ticket and
+// the offer is emptied. On refusal the offer keeps its plans for the next
+// attempt, and a repeat at an unchanged epoch counts the same denials
+// without planning or asking the power manager.
+func (s *Scheduler) TryStart(prof *pcm.WriteProfile, o *Offer) (*Ticket, bool) {
+	epoch := s.mgr.Epoch()
+	if o.refused == epoch+1 {
+		s.mgr.Deny(o.denied[0], o.denied[1], o.denied[2])
 		s.admitFailure.Inc()
 		return nil, false
 	}
-	plan := s.planner.Plan(prof)
-	if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
-		return s.admit(prof, plan, g), true
-	}
-	s.planner.Release(plan)
+	// RESET splits to try, in order: unsplit (0), then 2..hi. The
+	// MultiResetAlways ablation splits unconditionally: hi alone.
+	lo, hi := 0, 0
 	if s.cfg.UsesMultiReset() && prof.Changed > 0 {
-		for m := 2; m <= s.cfg.MultiResetSplit && m <= pcm.MaxMultiResetSplit; m++ {
-			mrPlan := s.planner.PlanMR(prof, m)
-			if g, ok := s.mgr.TryAcquire(mrPlan.Phases[0].Demand); ok {
-				s.mrWrites.Inc()
-				return s.admit(prof, mrPlan, g), true
-			}
-			s.planner.Release(mrPlan)
+		hi = min(s.cfg.MultiResetSplit, pcm.MaxMultiResetSplit)
+		if s.cfg.MultiResetAlways {
+			lo = hi
 		}
 	}
+	dimm, chip, gcp := s.mgr.Denials()
+	for mr := lo; mr <= hi; mr++ {
+		if mr == 1 {
+			continue
+		}
+		plan := o.plans[mr]
+		if plan == nil {
+			plan = s.planner.plan(prof, mr)
+			o.plans[mr] = plan
+		}
+		if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
+			o.plans[mr] = nil
+			s.Drop(o)
+			if mr > 0 {
+				s.mrWrites.Inc()
+			}
+			return s.admit(prof, plan, g), true
+		}
+	}
+	dimm2, chip2, gcp2 := s.mgr.Denials()
+	o.refused = epoch + 1
+	o.denied = [3]uint64{dimm2 - dimm, chip2 - chip, gcp2 - gcp}
 	s.admitFailure.Inc()
 	return nil, false
 }

@@ -36,25 +36,25 @@ func TestFigure5Scenario(t *testing.T) {
 
 	cfgPW := fig5Config(sim.SchemeDIMMChip)
 	sPW := newSched(&cfgPW)
-	tkA, ok := sPW.TryStart(a)
+	tkA, ok := sPW.TryStart(a, new(Offer))
 	if !ok {
 		t.Fatal("per-write: WR-A not admitted")
 	}
-	if _, ok := sPW.TryStart(b); ok {
+	if _, ok := sPW.TryStart(b, new(Offer)); ok {
 		t.Fatal("per-write: WR-B admitted alongside WR-A (only 30 tokens free)")
 	}
 	runToCompletion(t, sPW, tkA)
-	if _, ok := sPW.TryStart(b); !ok {
+	if _, ok := sPW.TryStart(b, new(Offer)); !ok {
 		t.Fatal("per-write: WR-B not admitted after WR-A finished")
 	}
 
 	cfgIPM := fig5Config(sim.SchemeIPM)
 	sIPM := newSched(&cfgIPM)
-	tkA2, ok := sIPM.TryStart(a)
+	tkA2, ok := sIPM.TryStart(a, new(Offer))
 	if !ok {
 		t.Fatal("IPM: WR-A not admitted")
 	}
-	if _, ok := sIPM.TryStart(b); ok {
+	if _, ok := sIPM.TryStart(b, new(Offer)); ok {
 		t.Fatal("IPM: WR-B admitted during WR-A's RESET")
 	}
 	// WR-A finishes its RESET: allocation drops 50 → 25, freeing 25.
@@ -64,7 +64,7 @@ func TestFigure5Scenario(t *testing.T) {
 	if got := sIPM.Manager().DIMMAvailable(); got != 55 {
 		t.Fatalf("APT after WR-A RESET = %g, want 55 (Fig. 5b)", got)
 	}
-	if _, ok := sIPM.TryStart(b); !ok {
+	if _, ok := sIPM.TryStart(b, new(Offer)); !ok {
 		t.Fatal("IPM: WR-B not admitted after RESET reclamation (Fig. 5b)")
 	}
 }
@@ -77,10 +77,10 @@ func TestFigure6MultiReset(t *testing.T) {
 	s := newSched(&cfg)
 	a := wrA(8)
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	if _, ok := s.TryStart(a); !ok {
+	if _, ok := s.TryStart(a, new(Offer)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
-	tkB, ok := s.TryStart(b)
+	tkB, ok := s.TryStart(b, new(Offer))
 	if !ok {
 		t.Fatal("WR-B not admitted despite Multi-RESET")
 	}
@@ -96,11 +96,11 @@ func TestFigure6MultiReset(t *testing.T) {
 func TestMultiResetNotUsedWhenDisabled(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM) // no MR
 	s := newSched(&cfg)
-	if _, ok := s.TryStart(wrA(8)); !ok {
+	if _, ok := s.TryStart(wrA(8), new(Offer)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	if _, ok := s.TryStart(b); ok {
+	if _, ok := s.TryStart(b, new(Offer)); ok {
 		t.Fatal("WR-B admitted without MR despite 30-token APT")
 	}
 }
@@ -109,7 +109,7 @@ func TestTicketLifecycle(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
 	prof := wrA(8)
-	tk, ok := s.TryStart(prof)
+	tk, ok := s.TryStart(prof, new(Offer))
 	if !ok {
 		t.Fatal("not admitted")
 	}
@@ -141,12 +141,12 @@ func TestMultiResetDemandBumpWaits(t *testing.T) {
 	// the write must wait at the boundary.
 	cfg := fig5Config(sim.SchemeIPMMR)
 	s := newSched(&cfg)
-	blocker, ok := s.TryStart(manualProfile(55, []int{53, 28, 12, 0}, 8))
+	blocker, ok := s.TryStart(manualProfile(55, []int{53, 28, 12, 0}, 8), new(Offer))
 	if !ok {
 		t.Fatal("blocker not admitted") // holds 55, APT 25
 	}
 	b := manualProfile(60, []int{58, 30, 14, 6, 0}, 8)
-	tkB, ok := s.TryStart(b) // MR2 needs 30 > 25; MR3 groups of 20 fit
+	tkB, ok := s.TryStart(b, new(Offer)) // MR2 needs 30 > 25; MR3 groups of 20 fit
 	if !ok {
 		t.Fatal("WR-B not admitted with MR")
 	}
@@ -186,7 +186,7 @@ func TestMultiResetDemandBumpWaits(t *testing.T) {
 func TestPauseResume(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8))
+	tk, _ := s.TryStart(wrA(8), new(Offer))
 	avail := s.Manager().DIMMAvailable()
 	s.Pause(tk)
 	if !tk.Paused() {
@@ -211,9 +211,9 @@ func TestPauseResume(t *testing.T) {
 func TestResumeFailsWhenTokensTaken(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8)) // 50 tokens
+	tk, _ := s.TryStart(wrA(8), new(Offer)) // 50 tokens
 	s.Pause(tk)
-	other, ok := s.TryStart(manualProfile(60, []int{30, 0}, 8))
+	other, ok := s.TryStart(manualProfile(60, []int{30, 0}, 8), new(Offer))
 	if !ok {
 		t.Fatal("competitor not admitted into paused window")
 	}
@@ -231,7 +231,7 @@ func TestResumeFailsWhenTokensTaken(t *testing.T) {
 func TestCancelReleasesEverything(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	s := newSched(&cfg)
-	tk, _ := s.TryStart(wrA(8))
+	tk, _ := s.TryStart(wrA(8), new(Offer))
 	s.Cancel(tk)
 	if s.Manager().DIMMAvailable() != cfg.DIMMTokens {
 		t.Error("cancel leaked tokens")
@@ -251,7 +251,7 @@ func TestGCPUsedAccumulates(t *testing.T) {
 		RemainTotal:   []int{60, 0},
 		RemainPerChip: [][]int{{60, 0, 0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	if _, ok := s.TryStart(hot); !ok {
+	if _, ok := s.TryStart(hot, new(Offer)); !ok {
 		t.Fatal("first hot write not admitted")
 	}
 	hot2 := &pcm.WriteProfile{
@@ -261,7 +261,7 @@ func TestGCPUsedAccumulates(t *testing.T) {
 		RemainTotal:   []int{30, 0},
 		RemainPerChip: [][]int{{30, 0, 0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	tk2, ok := s.TryStart(hot2)
+	tk2, ok := s.TryStart(hot2, new(Offer))
 	if !ok {
 		t.Fatal("second hot write not admitted despite GCP")
 	}
@@ -294,22 +294,22 @@ func TestChipBlockingFigure3(t *testing.T) {
 		return p
 	}
 	a := mk(int(lcp)) // 66 cells on chip 1
-	if _, ok := s.TryStart(a); !ok {
+	if _, ok := s.TryStart(a, new(Offer)); !ok {
 		t.Fatal("WR-A not admitted")
 	}
 	// WR-B wants 3 more cells on chip 1: DIMM has 494 tokens free, but
 	// chip 1 has only 0.5 — blocked, the exact pathology of Fig. 3.
-	if _, ok := s.TryStart(mk(3)); ok {
+	if _, ok := s.TryStart(mk(3), new(Offer)); ok {
 		t.Fatal("WR-B admitted past chip 1's budget")
 	}
 	// The same WR-B under a GCP goes through.
 	cfgG := cfg
 	cfgG.Scheme = sim.SchemeGCP
 	sG := newSched(&cfgG)
-	if _, ok := sG.TryStart(a); !ok {
+	if _, ok := sG.TryStart(a, new(Offer)); !ok {
 		t.Fatal("GCP: WR-A not admitted")
 	}
-	if _, ok := sG.TryStart(mk(3)); !ok {
+	if _, ok := sG.TryStart(mk(3), new(Offer)); !ok {
 		t.Fatal("GCP: WR-B still blocked")
 	}
 }

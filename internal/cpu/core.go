@@ -109,7 +109,9 @@ func (c *Core) step() {
 	// Queue the side effects: fill reads are fire-and-forget; dirty
 	// writebacks must be accepted by the write queue before the core
 	// proceeds (backpressure), and a memory-level miss blocks on the
-	// demand read.
+	// demand read. out's slices are valid until this hierarchy's next
+	// Access; the controller calls below may step other cores, never this
+	// one, so both loops read them intact.
 	for _, fr := range out.FillReads {
 		c.mc.EnqueueFillRead(fr)
 	}

@@ -124,8 +124,7 @@ type Controller struct {
 	writeLatHist *obs.Histogram // bucketed by latBucketCycles for percentiles
 	cellChanges  stats.Summary
 	writeEnergy  stats.Summary // pJ per line write
-	lineWrites   map[uint64]uint64
-	maxLineWr    uint64
+	maxLineWr    uint64        // write count of the most-written line
 }
 
 // NewController wires the full memory subsystem for the configuration,
@@ -146,7 +145,6 @@ func NewController(eng *sim.Engine, cfg *sim.Config, baseline BaselineFunc) *Con
 		mapFn:        mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips),
 		baseline:     baseline,
 		banks:        make([]bankState, cfg.Banks),
-		lineWrites:   make(map[uint64]uint64),
 		writeLatHist: obs.NewHistogramBuckets(latBounds),
 	}
 	c.mapTab = mapping.NewTable(c.mapFn, cfg.CellsPerLine(), cfg.Chips)
@@ -456,10 +454,12 @@ func (c *Controller) issueWrites() {
 			continue
 		}
 		prof := c.profileFor(req)
-		ticket, ok := c.sched.TryStart(prof)
+		ticket, ok := c.sched.TryStart(prof, &req.offer)
 		if !ok {
-			// Not admitted: the profile stays cached on the request and
-			// is revalidated — not rebuilt — on the next attempt.
+			// Not admitted: the profile and the offer stay on the
+			// request; the profile is revalidated — not rebuilt — on the
+			// next attempt, and the offer re-asked only once the power
+			// manager's epoch has moved.
 			if !powerOOO {
 				break
 			}
@@ -553,16 +553,18 @@ func (c *Controller) startRead(bank int, req *ReadRequest, duringPause bool) {
 // read-before-write comparison against stored content — serving the
 // request's cached profile while its content-version and rotation tags
 // still match. The profile stays cached on the request until the write
-// issues, so denied issue attempts stop paying for rebuilds: a rebuild
+// completes, so denied issue attempts stop paying for rebuilds: a rebuild
 // under unchanged tags is bit-identical by construction (Build seeds its
-// draws from the content hash).
+// draws from the content hash). A rebuild drops the request's offer, whose
+// plans belong to the old profile.
 func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
-	ver := c.lineWrites[req.Addr]
+	ver := c.store.Writes(req.Addr)
 	rot := c.rot.Offset(req.Addr)
 	if req.prof != nil {
 		if req.profVer == ver && req.profRot == rot {
 			return req.prof
 		}
+		c.sched.Drop(&req.offer)
 		c.builder.Release(req.prof)
 		req.prof = nil
 	}
@@ -732,7 +734,9 @@ func (c *Controller) cancelWrite(op *writeOp) {
 
 // completeWrite commits the new content and frees the bank.
 func (c *Controller) completeWrite(op *writeOp) {
-	c.store.Update(op.req.Addr, op.req.Data)
+	if n := c.store.Update(op.req.Addr, op.req.Data); n > c.maxLineWr {
+		c.maxLineWr = n
+	}
 	c.writesDone.Inc()
 	c.recordWriteLatency(c.eng.Now() - op.req.enqueued)
 	if c.hub.Tracing() {
@@ -749,10 +753,6 @@ func (c *Controller) completeWrite(op *writeOp) {
 	c.builder.Release(op.prof)
 	op.prof = nil
 	op.req.prof = nil // same object as op.prof; already released
-	c.lineWrites[op.req.Addr]++
-	if n := c.lineWrites[op.req.Addr]; n > c.maxLineWr {
-		c.maxLineWr = n
-	}
 	b := &c.banks[op.bank]
 	b.busy = false
 	b.wr = nil
@@ -800,7 +800,7 @@ func (c *Controller) WriteEnergy() *stats.Summary { return &c.writeEnergy }
 // count of the most-written line (the hot-line figure intra-line wear
 // leveling targets).
 func (c *Controller) Endurance() (distinctLines int, maxWrites uint64) {
-	return len(c.lineWrites), c.maxLineWr
+	return c.store.Len(), c.maxLineWr
 }
 
 // Drained reports whether no work remains anywhere in the subsystem.

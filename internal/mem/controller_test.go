@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 
+	"fpb/internal/core"
 	"fpb/internal/sim"
 )
 
@@ -282,6 +284,45 @@ func TestSche48ScansPastPowerDenied(t *testing.T) {
 		t.Errorf("sche-48 did not reorder: small write at %d (ooo) vs %d (fifo)",
 			smallOOO, smallFIFO)
 	}
+}
+
+// TestRebuiltProfileGetsFreshPlans queues two writes to one line behind a
+// power-hungry write, so both are refused and keep their offers. When the
+// first of them completes, the second's profile is rebuilt against the new
+// content, and it must issue with a plan for that profile, not with the
+// plan it was refused with.
+func TestRebuiltProfileGetsFreshPlans(t *testing.T) {
+	eng, c, cfg := newCtl(t, sim.SchemeDIMMOnly, func(cfg *sim.Config) {
+		cfg.DIMMTokens = 300
+	})
+	line := uint64(cfg.L3LineB)
+	if c.amap.Bank(0) == c.amap.Bank(line) {
+		t.Fatal("test needs lines 0 and 1 on different banks")
+	}
+	c.TryEnqueueWrite(0, mkLine(cfg, 60)) // 240 cells: 60 tokens stay free
+	eng.RunUntil(10)
+	c.TryEnqueueWrite(line, mkLine(cfg, 30)) // 120 cells: refused
+	second := mkLine(cfg, 40)                // 160 cells; 40 over the first's content
+	c.TryEnqueueWrite(line, second)
+	if len(c.wrq) != 2 || c.wrq[1].offer == (core.Offer{}) {
+		t.Fatal("the writes to line 1 were not both refused")
+	}
+	for eng.Step() {
+		op := c.banks[c.amap.Bank(line)].wr
+		if op == nil || &op.req.Data[0] != &second[0] {
+			continue
+		}
+		if op.prof.Changed != 40 {
+			t.Fatalf("second write changes %d cells, want 40 (profile not rebuilt)", op.prof.Changed)
+		}
+		fresh := core.NewPlanner(cfg).Plan(op.prof)
+		if !reflect.DeepEqual(op.ticket.Plan.Phases, fresh.Phases) {
+			t.Fatalf("issued with phases %+v, want %+v for the rebuilt profile",
+				op.ticket.Plan.Phases, fresh.Phases)
+		}
+		return
+	}
+	t.Fatal("the second write to line 1 never issued")
 }
 
 func TestFillReadsAreBestEffort(t *testing.T) {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fpb/internal/core"
 	"fpb/internal/pcm"
 	"fpb/internal/sim"
 )
@@ -31,6 +32,10 @@ type WriteRequest struct {
 	// rebuild would produce an identical profile, and the cache serves it
 	// without re-diffing the line.
 	prof    *pcm.WriteProfile
-	profVer uint64 // lineWrites[Addr] the profile was built against
+	profVer uint64 // store write count of Addr the profile was built against
 	profRot int    // rotation offset the profile was built against
+
+	// offer keeps the plans prof was refused with, and the epoch of that
+	// refusal, across issue attempts; see core.Offer.
+	offer core.Offer
 }

@@ -8,15 +8,15 @@ import (
 	"fpb/internal/testutil"
 )
 
-// TestStoreUpdateSteadyStateZeroAlloc guards the paged store's write path:
-// rewriting a materialized line must not touch the allocator.
+// TestStoreUpdateSteadyStateZeroAlloc guards the store's write path:
+// rewriting a line that has a slot must not touch the allocator.
 func TestStoreUpdateSteadyStateZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	s := NewStore(64)
 	line := make([]byte, 64)
-	s.Update(0x1000, line) // materialize the page
+	s.Update(0x1000, line) // take the line's slot
 	allocs := testing.AllocsPerRun(1000, func() {
 		line[0]++
 		s.Update(0x1000, line)

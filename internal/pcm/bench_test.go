@@ -67,3 +67,17 @@ func BenchmarkIterModelDraw(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreScatteredWrites writes 256 lines 1 MiB apart into a fresh
+// store: its B/op is what sparse addresses cost the store per line written.
+func BenchmarkStoreScatteredWrites(b *testing.B) {
+	const lineBytes, n = 256, 256
+	line := make([]byte, lineBytes)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(lineBytes)
+		for j := 0; j < n; j++ {
+			s.Put(uint64(j)<<20, line)
+		}
+	}
+}

@@ -54,6 +54,11 @@ type Manager struct {
 	gcp      *Pool // capacity = max GCP output tokens
 	borrowed []float64
 
+	// epoch moves on every commit and Release, the only changes to the
+	// pools, so a demand refused at one epoch is refused again, for the
+	// same reason, until it moves.
+	epoch uint64
+
 	// Telemetry for Figures 13/14 and the energy-waste analysis. The
 	// counters live in the hub's metrics registry (registered by
 	// NewManager); the float extrema/summaries stay local and are
@@ -106,6 +111,20 @@ func NewManager(cfg *sim.Config, hub *obs.Hub) *Manager {
 		hub.Gauge(fmt.Sprintf("power.chip.%d.tokens_in_use", i), p.InUse)
 	}
 	return m
+}
+
+// Epoch reports the pool-state epoch. It moves whenever a grant commits or
+// is released; while it stands still, TryAcquire answers every demand as it
+// did before.
+func (m *Manager) Epoch() uint64 { return m.epoch }
+
+// Deny counts refusals the caller answered without asking, because it was
+// refused the same demands at the current epoch: it adds dimm, chip and gcp
+// to the denial counters as repeating those attempts would.
+func (m *Manager) Deny(dimm, chip, gcp uint64) {
+	m.deniedDIMM.Add(dimm)
+	m.deniedChip.Add(chip)
+	m.deniedGCP.Add(gcp)
 }
 
 // DIMMAvailable returns the free DIMM-level tokens.
@@ -269,6 +288,7 @@ func (m *Manager) plan(d Demand) (bool, *Grant) {
 
 // commit applies a planned grant to the pools and records telemetry.
 func (m *Manager) commit(d Demand, g *Grant) {
+	m.epoch++
 	if m.cfg.EnforcesDIMMBudget() {
 		m.dimm.Acquire(g.dimm)
 	} else {
@@ -313,6 +333,7 @@ func (m *Manager) Release(g *Grant) {
 	if g == nil || g.pooled {
 		return
 	}
+	m.epoch++
 	if g.dimm > 0 {
 		m.dimm.Release(g.dimm)
 	}

@@ -68,11 +68,12 @@ fi
 [ -n "$OUT" ] || OUT="BENCH_${REV}.json"
 
 # Hot-path microbenchmarks: sim kernel, profile build and its parts (cell
-# diff, change count, iteration draw), power manager, cache, cache prefill
-# (one core's warm-up, the bulk of building a system), dispatch guards.
+# diff, change count, iteration draw), the PCM store's bytes per scattered
+# line, power manager, refused write admission, cache, cache prefill (one
+# core's warm-up, the bulk of building a system), dispatch guards.
 # Five runs each: the snapshot records their median and range.
-MICRO='BenchmarkEngineScheduleAndRun|BenchmarkEngineReschedule|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkTryAcquireRelease|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
-PKGS="./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/cache/ ./internal/system/ ./internal/obs/"
+MICRO='BenchmarkEngineScheduleAndRun|BenchmarkEngineReschedule|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkStoreScatteredWrites|BenchmarkTryAcquireRelease|BenchmarkTryStartRefused|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
+PKGS="./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/core/ ./internal/cache/ ./internal/system/ ./internal/obs/"
 RUNS=5
 TMP=$(mktemp -d)
 WORKTREE=""
