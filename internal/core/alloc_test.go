@@ -10,9 +10,9 @@ import (
 	"fpb/internal/testutil"
 )
 
-// TestPlanSteadyStateZeroAlloc guards the plan/chunk pools: once primed,
-// Plan + Release must not touch the allocator — this is the per-write-
-// attempt hot path of the FPB scheduler.
+// TestPlanSteadyStateZeroAlloc guards planning: re-planning a kept plan
+// must not touch the allocator once its slices have grown — this is the
+// per-write-attempt hot path of the FPB scheduler.
 func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -25,31 +25,28 @@ func TestPlanSteadyStateZeroAlloc(t *testing.T) {
 	for i := range cells {
 		cells[i] = i * 3 % cfg.CellsPerLine()
 	}
-	prof := b.BuildFromCells(0x40, cells, nil, mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips), false)
+	prof := b.BuildFromCells(&pcm.WriteProfile{}, 0x40, cells, nil, mapping.New(cfg.CellMapping, cfg.CellsPerLine(), cfg.Chips), false)
 
 	pl := NewPlanner(&cfg)
-	// Prime the pools (both the unsplit and the MR shapes).
-	pl.Release(pl.Plan(prof))
-	pl.Release(pl.PlanMR(prof, 2))
-	allocs := testing.AllocsPerRun(1000, func() {
-		plan := pl.Plan(prof)
-		pl.Release(plan)
-	})
+	var plan WritePlan
+	allocs := testing.AllocsPerRun(1000, func() { pl.Plan(&plan, prof) })
 	if allocs != 0 {
-		t.Fatalf("Plan+Release allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("re-planning a kept plan allocated %.1f objects/op, want 0", allocs)
 	}
+	// The split plan has more phases than the base plan: one kept plan
+	// alternating between the two grows once, then reuses its storage.
 	allocs = testing.AllocsPerRun(1000, func() {
-		plan := pl.PlanMR(prof, 2)
-		pl.Release(plan)
+		pl.PlanMR(&plan, prof, 2)
+		pl.Plan(&plan, prof)
 	})
 	if allocs != 0 {
-		t.Fatalf("PlanMR+Release allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("alternating PlanMR and Plan into a kept plan allocated %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestProfileBuildSteadyStateZeroAlloc guards the profile pool end to end:
-// Build + Release over realistic line content must be allocation-free once
-// the pool holds a profile of sufficient shape.
+// TestProfileBuildSteadyStateZeroAlloc guards the profile build end to end:
+// rebuilding a kept profile over realistic line content must be
+// allocation-free once the profile has grown to the write's shape.
 func TestProfileBuildSteadyStateZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -64,12 +61,12 @@ func TestProfileBuildSteadyStateZeroAlloc(t *testing.T) {
 		old[i] = byte(i)
 		new[i] = byte(i * 7)
 	}
-	b.Release(b.Build(0x80, old, new, mapFn, cfg.WriteTruncation))
+	var p pcm.WriteProfile
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.Release(b.Build(0x80, old, new, mapFn, cfg.WriteTruncation))
+		b.Build(&p, 0x80, old, new, mapFn, cfg.WriteTruncation)
 	})
 	if allocs != 0 {
-		t.Fatalf("Build+Release allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("rebuilding a kept profile allocated %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -102,9 +99,10 @@ func TestRefusedTryStartZeroAlloc(t *testing.T) {
 		t.Errorf("refused TryStart at an unchanged epoch allocated %.1f objects/op, want 0", allocs)
 	}
 	mgr := s.Manager()
+	var g power.Grant
 	allocs := testing.AllocsPerRun(1000, func() {
-		g, _ := mgr.TryAcquire(power.Demand{DIMM: 1})
-		mgr.Release(g) // moves the epoch
+		mgr.TryAcquire(power.Demand{DIMM: 1}, &g)
+		mgr.Release(&g) // moves the epoch
 		s.TryStart(prof, &o)
 	})
 	if allocs != 0 {

@@ -25,10 +25,11 @@ func BenchmarkTryStartRefused(b *testing.B) {
 		s, prof := refusedWrite()
 		mgr := s.Manager()
 		var o Offer
+		var g power.Grant
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g, _ := mgr.TryAcquire(power.Demand{DIMM: 1})
-			mgr.Release(g)
+			mgr.TryAcquire(power.Demand{DIMM: 1}, &g)
+			mgr.Release(&g)
 			if _, ok := s.TryStart(prof, &o); ok {
 				b.Fatal("admitted")
 			}

@@ -47,14 +47,15 @@ func randomProfiles(cfg *sim.Config, n int, rng *sim.RNG) []*pcm.WriteProfile {
 				new[j] = byte(rng.Uint64())
 			}
 		}
-		profs[i] = b.Build(uint64(i*cfg.L3LineB), old, new, mapFn, false)
+		profs[i] = b.Build(&pcm.WriteProfile{}, uint64(i*cfg.L3LineB), old, new, mapFn, false)
 	}
 	return profs
 }
 
-// twinWrite is one write as both schedulers see it: a queued write has an
-// offer (kept by the scheduler under test only); an admitted one has a
-// ticket in each.
+// twinWrite is one write as both schedulers see it: the scheduler under
+// test keeps its offer, and with it the ticket, for the write's whole life
+// and, like a recycled write request, for the writes after it; an admitted
+// write has a ticket in each scheduler.
 type twinWrite struct {
 	prof   *pcm.WriteProfile
 	offer  Offer
@@ -62,11 +63,13 @@ type twinWrite struct {
 }
 
 // TestOfferMatchesFreshPlanning drives two schedulers through one seeded
-// sequence of TryStart, Advance, Retry, Pause, Resume, Cancel and profile
-// rebuilds. The scheduler under test keeps each queued write's offer across
-// attempts; its twin passes a fresh offer on every attempt and drops it on
-// refusal, so it plans and asks the power manager every time. Admissions,
-// plans, advances, Stats and Denials must agree at every step.
+// sequence of TryStart, Advance, Reacquire, Pause, Cancel, profile rebuilds
+// and completed writes reused for the next enqueue. The scheduler under
+// test keeps each write's offer across attempts and reuses a completed
+// write's offer, reset as the controller resets it, for the next write;
+// its twin passes a new offer on every attempt, so it plans and asks the
+// power manager every time into fresh storage. Admissions, plans,
+// advances, Stats and Denials must agree at every step.
 func TestOfferMatchesFreshPlanning(t *testing.T) {
 	for name, cfg := range offerConfigs() {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -96,7 +99,7 @@ func twinRun(t *testing.T, name string, cfg *sim.Config, seed uint64, steps int)
 		}
 		return idx[rng.Intn(len(idx))]
 	}
-	running := func(w *twinWrite) bool { return !w.ta.Waiting() && !w.ta.Paused() }
+	holds := func(w *twinWrite) bool { return w.ta.Holds() }
 	step := 0
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -111,17 +114,15 @@ func twinRun(t *testing.T, name string, cfg *sim.Config, seed uint64, steps int)
 			}
 			w := queued[i]
 			ta, okA := a.TryStart(w.prof, &w.offer)
-			var fresh Offer
-			tb, okB := b.TryStart(w.prof, &fresh)
+			tb, okB := b.TryStart(w.prof, new(Offer))
 			if okA != okB {
 				fail("TryStart admitted %v, twin %v", okA, okB)
 			}
 			if !okB {
-				b.Drop(&fresh)
 				continue
 			}
-			if w.offer != (Offer{}) {
-				fail("admitted write kept a non-empty offer")
+			if ta != &w.offer.ticket {
+				fail("admitted ticket does not live in the write's offer")
 			}
 			if !reflect.DeepEqual(ta.Plan, tb.Plan) {
 				fail("admitted plans differ: %+v vs %+v", ta.Plan, tb.Plan)
@@ -130,7 +131,7 @@ func twinRun(t *testing.T, name string, cfg *sim.Config, seed uint64, steps int)
 			queued = append(queued[:i], queued[i+1:]...)
 			active = append(active, w)
 		case op < 70: // Advance
-			i := pick(active, running)
+			i := pick(active, holds)
 			if i < 0 {
 				continue
 			}
@@ -140,32 +141,30 @@ func twinRun(t *testing.T, name string, cfg *sim.Config, seed uint64, steps int)
 				fail("Advance = %v, twin %v", ra, rb)
 			}
 			if ra == AdvanceDone {
+				// The completed write's storage takes the next write,
+				// as a recycled request does: a new profile, for
+				// which the offer is reset.
 				active = append(active[:i], active[i+1:]...)
-				enqueue()
+				w.prof = profs[rng.Intn(len(profs))]
+				w.offer.Reset()
+				w.ta, w.tb = nil, nil
+				queued = append(queued, w)
 			}
-		case op < 78: // Retry
-			i := pick(active, func(w *twinWrite) bool { return w.ta.Waiting() })
+		case op < 84: // Reacquire a stalled or paused write's tokens
+			i := pick(active, func(w *twinWrite) bool { return !w.ta.Holds() })
 			if i < 0 {
 				continue
 			}
-			if ra, rb := a.Retry(active[i].ta), b.Retry(active[i].tb); ra != rb {
-				fail("Retry = %v, twin %v", ra, rb)
+			if ra, rb := a.Reacquire(active[i].ta), b.Reacquire(active[i].tb); ra != rb {
+				fail("Reacquire = %v, twin %v", ra, rb)
 			}
-		case op < 84: // Pause
-			if i := pick(active, running); i >= 0 {
+		case op < 90: // Pause
+			if i := pick(active, holds); i >= 0 {
 				a.Pause(active[i].ta)
 				b.Pause(active[i].tb)
 			}
-		case op < 90: // Resume
-			i := pick(active, func(w *twinWrite) bool { return w.ta.Paused() })
-			if i < 0 {
-				continue
-			}
-			if ra, rb := a.Resume(active[i].ta), b.Resume(active[i].tb); ra != rb {
-				fail("Resume = %v, twin %v", ra, rb)
-			}
 		case op < 95: // Cancel: the write re-queues for a full re-issue
-			i := pick(active, func(w *twinWrite) bool { return !w.ta.Paused() })
+			i := pick(active, func(*twinWrite) bool { return true })
 			if i < 0 {
 				continue
 			}
@@ -180,7 +179,7 @@ func twinRun(t *testing.T, name string, cfg *sim.Config, seed uint64, steps int)
 			if i < 0 {
 				continue
 			}
-			a.Drop(&queued[i].offer)
+			queued[i].offer.Reset()
 			queued[i].prof = profs[rng.Intn(len(profs))]
 		}
 		if sa, sb := statsOf(a), statsOf(b); sa != sb {

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fpb/internal/pcm"
 	"fpb/internal/power"
@@ -48,9 +49,10 @@ type WritePlan struct {
 	// contains every round, over cell subsets scaled by 1/Rounds.
 	Rounds int
 
-	// pooled marks a plan returned to its Planner's pool; it must not be
-	// used until the Planner hands it out again.
-	pooled bool
+	// demand backs the phases' per-chip demands, one cfg.Chips-long
+	// sub-slice each. It is sized before the first phase is appended, so
+	// appending never moves the vectors earlier phases point into.
+	demand []float64
 }
 
 // TotalDuration sums the phase durations.
@@ -77,59 +79,17 @@ func (p *WritePlan) PeakDIMMDemand() float64 {
 
 // Planner builds WritePlans for a fixed configuration.
 //
-// Plans are pooled: Release returns one (with its per-chip demand vectors)
-// to the planner for reuse, making steady-state planning allocation-free.
-// A Planner must not be shared across goroutines.
+// The caller owns each plan: planning overwrites the plan it is given and
+// reuses its slices, so re-planning a kept plan is allocation-free once
+// they have grown. A Planner must not be shared across goroutines.
 type Planner struct {
-	cfg       *sim.Config
-	free      []*WritePlan
-	chunkFree [][]float64 // pooled per-chip demand vectors, each len cfg.Chips
-	counts    []int       // scratch for the Multi-RESET sub-iteration branch
+	cfg    *sim.Config
+	counts []int // scratch for the Multi-RESET sub-iteration branch
 }
 
 // NewPlanner returns a planner for the configuration.
 func NewPlanner(cfg *sim.Config) *Planner {
 	return &Planner{cfg: cfg}
-}
-
-// Release returns a plan (and the per-chip demand vectors inside its
-// phases) to the planner's pool. The plan must not be used afterwards;
-// releasing nil or an already pooled plan is a no-op.
-func (pl *Planner) Release(plan *WritePlan) {
-	if plan == nil || plan.pooled {
-		return
-	}
-	plan.pooled = true
-	for i := range plan.Phases {
-		if per := plan.Phases[i].Demand.PerChip; per != nil {
-			pl.chunkFree = append(pl.chunkFree, per)
-			plan.Phases[i].Demand.PerChip = nil
-		}
-	}
-	plan.Phases = plan.Phases[:0]
-	pl.free = append(pl.free, plan)
-}
-
-// newPlan pops the pool or allocates a fresh plan.
-func (pl *Planner) newPlan() *WritePlan {
-	if n := len(pl.free); n > 0 {
-		p := pl.free[n-1]
-		pl.free = pl.free[:n-1]
-		p.pooled = false
-		return p
-	}
-	return &WritePlan{}
-}
-
-// newChunk pops a pooled per-chip vector or allocates one. Callers
-// overwrite every element, so chunks are not zeroed.
-func (pl *Planner) newChunk() []float64 {
-	if n := len(pl.chunkFree); n > 0 {
-		c := pl.chunkFree[n-1]
-		pl.chunkFree = pl.chunkFree[:n-1]
-		return c
-	}
-	return make([]float64, pl.cfg.Chips)
 }
 
 // resizeInts returns s resized to n elements, zeroed, reusing its backing
@@ -143,41 +103,54 @@ func resizeInts(s []int, n int) []int {
 	return s
 }
 
-// chipDemand fills a pooled per-chip vector with counts×factor×scale, or
-// returns nil when chip budgets are not enforced.
-func (pl *Planner) chipDemand(counts []int, factor, scale float64) []float64 {
+// chipDemand fills the plan's next per-chip vector with
+// counts×factor×scale, or returns nil when chip budgets are not enforced.
+func (pl *Planner) chipDemand(plan *WritePlan, counts []int, factor, scale float64) []float64 {
 	if !pl.cfg.EnforcesChipBudget() || counts == nil {
 		return nil
 	}
-	per := pl.newChunk()
-	for c, n := range counts {
-		per[c] = float64(n) * factor * scale
+	n := len(plan.demand)
+	plan.demand = plan.demand[:n+pl.cfg.Chips]
+	per := plan.demand[n:len(plan.demand):len(plan.demand)]
+	for c, k := range counts {
+		per[c] = float64(k) * factor * scale
 	}
 	return per
 }
 
-// Plan builds the write plan for the profile under the configured scheme,
-// without Multi-RESET (callers apply MR separately when the base plan
-// cannot be admitted). Multi-round scaling is applied automatically when
-// the demand exceeds budget capacities.
-func (pl *Planner) Plan(prof *pcm.WriteProfile) *WritePlan {
-	return pl.plan(prof, 0)
+// Plan overwrites p with the write plan for the profile under the
+// configured scheme, without Multi-RESET (callers apply MR separately when
+// the base plan cannot be admitted), and returns p. Multi-round scaling is
+// applied automatically when the demand exceeds budget capacities.
+func (pl *Planner) Plan(p *WritePlan, prof *pcm.WriteProfile) *WritePlan {
+	return pl.plan(p, prof, 0)
 }
 
-// PlanMR builds the plan with the RESET split into m sub-iterations.
-// It panics if m is out of the precomputed range.
-func (pl *Planner) PlanMR(prof *pcm.WriteProfile, m int) *WritePlan {
+// PlanMR overwrites p with the plan whose RESET is split into m
+// sub-iterations, and returns p. It panics if m is out of the precomputed
+// range.
+func (pl *Planner) PlanMR(p *WritePlan, prof *pcm.WriteProfile, m int) *WritePlan {
 	if m < 2 || m > pcm.MaxMultiResetSplit {
 		panic(fmt.Sprintf("core: Multi-RESET split %d out of range [2,%d]", m, pcm.MaxMultiResetSplit))
 	}
-	return pl.plan(prof, m)
+	return pl.plan(p, prof, m)
 }
 
-func (pl *Planner) plan(prof *pcm.WriteProfile, mr int) *WritePlan {
-	plan := pl.newPlan()
+func (pl *Planner) plan(plan *WritePlan, prof *pcm.WriteProfile, mr int) *WritePlan {
 	plan.MRSplit = mr
 	rounds := pl.requiredRounds(prof, mr)
 	plan.Rounds = rounds
+	plan.Phases = plan.Phases[:0]
+	plan.demand = plan.demand[:0]
+	if pl.cfg.EnforcesChipBudget() {
+		// One per-chip vector per phase: a round is one phase, or, under
+		// IPM, its (sub-)RESETs and its TotalIters-1 SETs.
+		vecs := rounds
+		if pl.cfg.UsesIPM() {
+			vecs *= max(mr, 1) + max(prof.TotalIters-1, 0)
+		}
+		plan.demand = slices.Grow(plan.demand, vecs*pl.cfg.Chips)
+	}
 	scale := 1.0 / float64(rounds)
 	for r := 0; r < rounds; r++ {
 		pl.roundPhases(plan, prof, mr, scale)
@@ -206,7 +179,7 @@ func (pl *Planner) roundPhases(plan *WritePlan, prof *pcm.WriteProfile, mr int, 
 			Duration: prof.Duration(cfg, mr),
 			Demand: power.Demand{
 				DIMM:    float64(prof.Changed) * scale,
-				PerChip: pl.chipDemand(prof.PerChip, 1, scale),
+				PerChip: pl.chipDemand(plan, prof.PerChip, 1, scale),
 			},
 			Reset: true,
 		})
@@ -228,7 +201,7 @@ func (pl *Planner) roundPhases(plan *WritePlan, prof *pcm.WriteProfile, mr int, 
 					Duration: cfg.ResetCycles,
 					Demand: power.Demand{
 						DIMM:    float64(total) * scale,
-						PerChip: pl.chipDemand(pl.counts, 1, scale),
+						PerChip: pl.chipDemand(plan, pl.counts, 1, scale),
 					},
 					Reset: true,
 				})
@@ -238,7 +211,7 @@ func (pl *Planner) roundPhases(plan *WritePlan, prof *pcm.WriteProfile, mr int, 
 				Duration: cfg.ResetCycles,
 				Demand: power.Demand{
 					DIMM:    float64(prof.Changed) * scale,
-					PerChip: pl.chipDemand(prof.PerChip, 1, scale),
+					PerChip: pl.chipDemand(plan, prof.PerChip, 1, scale),
 				},
 				Reset: true,
 			})
@@ -260,7 +233,7 @@ func (pl *Planner) roundPhases(plan *WritePlan, prof *pcm.WriteProfile, mr int, 
 				Duration: cfg.SetCycles,
 				Demand: power.Demand{
 					DIMM:    float64(basis) * ratio * scale,
-					PerChip: pl.chipDemand(basisPer, ratio, scale),
+					PerChip: pl.chipDemand(plan, basisPer, ratio, scale),
 				},
 			})
 		}

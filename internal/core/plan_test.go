@@ -67,7 +67,7 @@ func wrA(chips int) *pcm.WriteProfile {
 func TestIPMAllocationsMatchFigure5(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPM)
 	pl := NewPlanner(&cfg)
-	plan := pl.Plan(wrA(cfg.Chips))
+	plan := pl.Plan(&WritePlan{}, wrA(cfg.Chips))
 	if plan.Rounds != 1 {
 		t.Fatalf("Rounds = %d, want 1", plan.Rounds)
 	}
@@ -90,7 +90,7 @@ func TestPerWritePlanHoldsPeakForWholeWrite(t *testing.T) {
 	cfg := fig5Config(sim.SchemeDIMMOnly)
 	pl := NewPlanner(&cfg)
 	prof := wrA(cfg.Chips)
-	plan := pl.Plan(prof)
+	plan := pl.Plan(&WritePlan{}, prof)
 	if len(plan.Phases) != 1 {
 		t.Fatalf("per-write plan has %d phases, want 1", len(plan.Phases))
 	}
@@ -109,12 +109,12 @@ func TestPerWritePlanHoldsPeakForWholeWrite(t *testing.T) {
 func TestDIMMOnlyPlanHasNoChipDemand(t *testing.T) {
 	cfg := fig5Config(sim.SchemeDIMMOnly)
 	pl := NewPlanner(&cfg)
-	plan := pl.Plan(wrA(cfg.Chips))
+	plan := pl.Plan(&WritePlan{}, wrA(cfg.Chips))
 	if plan.Phases[0].Demand.PerChip != nil {
 		t.Error("DIMM-only plan carries per-chip demand")
 	}
 	cfgChip := fig5Config(sim.SchemeDIMMChip)
-	plan2 := NewPlanner(&cfgChip).Plan(wrA(cfgChip.Chips))
+	plan2 := NewPlanner(&cfgChip).Plan(&WritePlan{}, wrA(cfgChip.Chips))
 	if plan2.Phases[0].Demand.PerChip == nil {
 		t.Error("DIMM+chip plan missing per-chip demand")
 	}
@@ -123,7 +123,7 @@ func TestDIMMOnlyPlanHasNoChipDemand(t *testing.T) {
 func TestIdealPlanHasZeroDemand(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIdeal)
 	pl := NewPlanner(&cfg)
-	plan := pl.Plan(wrA(cfg.Chips))
+	plan := pl.Plan(&WritePlan{}, wrA(cfg.Chips))
 	if len(plan.Phases) != 1 || plan.Phases[0].Demand.DIMM != 0 {
 		t.Error("Ideal plan must be a single zero-demand phase")
 	}
@@ -138,8 +138,8 @@ func TestMultiResetLowersPeakDemand(t *testing.T) {
 	cfg := fig5Config(sim.SchemeIPMMR)
 	pl := NewPlanner(&cfg)
 	wrB := manualProfile(60, []int{58, 30, 14, 6, 0}, cfg.Chips)
-	base := pl.Plan(wrB)
-	mr := pl.PlanMR(wrB, 2)
+	base := pl.Plan(&WritePlan{}, wrB)
+	mr := pl.PlanMR(&WritePlan{}, wrB, 2)
 	if base.PeakDIMMDemand() != 60 {
 		t.Errorf("base peak = %g, want 60", base.PeakDIMMDemand())
 	}
@@ -174,7 +174,7 @@ func TestPlanMRRangePanics(t *testing.T) {
 			t.Error("PlanMR(1) did not panic")
 		}
 	}()
-	pl.PlanMR(wrA(cfg.Chips), 1)
+	pl.PlanMR(&WritePlan{}, wrA(cfg.Chips), 1)
 }
 
 func TestIPMDemandNonIncreasing(t *testing.T) {
@@ -188,8 +188,8 @@ func TestIPMDemandNonIncreasing(t *testing.T) {
 		for i := 0; i < n && i < cfg.CellsPerLine(); i++ {
 			cells = append(cells, i)
 		}
-		prof := b.BuildFromCells(0, cells, nil, func(c int) int { return c % cfg.Chips }, false)
-		plan := pl.Plan(prof)
+		prof := b.BuildFromCells(&pcm.WriteProfile{}, 0, cells, nil, func(c int) int { return c % cfg.Chips }, false)
+		plan := pl.Plan(&WritePlan{}, prof)
 		for i := 1; i < len(plan.Phases); i++ {
 			if plan.Phases[i].Demand.DIMM > plan.Phases[i-1].Demand.DIMM+1e-9 {
 				t.Fatalf("trial %d: IPM demand increased at phase %d", trial, i)
@@ -204,8 +204,8 @@ func TestIPMTokenHoldingNeverExceedsPerWrite(t *testing.T) {
 	cfgIPM := fig5Config(sim.SchemeIPM)
 	cfgPW := fig5Config(sim.SchemeDIMMChip)
 	prof := wrA(8)
-	ipm := NewPlanner(&cfgIPM).Plan(prof)
-	pw := NewPlanner(&cfgPW).Plan(prof)
+	ipm := NewPlanner(&cfgIPM).Plan(&WritePlan{}, prof)
+	pw := NewPlanner(&cfgPW).Plan(&WritePlan{}, prof)
 	hold := func(p *WritePlan) float64 {
 		total := 0.0
 		for _, ph := range p.Phases {
@@ -231,7 +231,7 @@ func TestMultiRoundTriggeredByHotChip(t *testing.T) {
 		RemainTotal:   []int{128, 100, 0},
 		RemainPerChip: [][]int{{128, 0, 0, 0, 0, 0, 0, 0}, {100, 0, 0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	plan := NewPlanner(&cfg).Plan(prof)
+	plan := NewPlanner(&cfg).Plan(&WritePlan{}, prof)
 	if plan.Rounds != 2 {
 		t.Fatalf("Rounds = %d, want 2 for a 128-cell single-chip write", plan.Rounds)
 	}
@@ -244,7 +244,7 @@ func TestMultiRoundTriggeredByHotChip(t *testing.T) {
 	// tokens) cannot cover 128 either, so still two rounds — but halving
 	// to 64 fits the LCP directly.
 	cfg.Scheme = sim.SchemeGCP
-	plan2 := NewPlanner(&cfg).Plan(prof)
+	plan2 := NewPlanner(&cfg).Plan(&WritePlan{}, prof)
 	if plan2.Rounds != 2 {
 		t.Errorf("GCP Rounds = %d, want 2 (64-token halves fit the LCP)", plan2.Rounds)
 	}
@@ -256,7 +256,7 @@ func TestMultiRoundDIMMOnly(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Scheme = sim.SchemeDIMMOnly
 	prof := manualProfile(1024, []int{900, 400, 0}, cfg.Chips)
-	plan := NewPlanner(&cfg).Plan(prof)
+	plan := NewPlanner(&cfg).Plan(&WritePlan{}, prof)
 	if plan.Rounds != 2 {
 		t.Fatalf("Rounds = %d, want 2", plan.Rounds)
 	}
@@ -275,7 +275,7 @@ func TestZeroChangeWritePlan(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Scheme = sim.SchemeDIMMChip
 	prof := manualProfile(0, []int{0}, cfg.Chips)
-	plan := NewPlanner(&cfg).Plan(prof)
+	plan := NewPlanner(&cfg).Plan(&WritePlan{}, prof)
 	if plan.Rounds != 1 || plan.PeakDIMMDemand() != 0 {
 		t.Error("zero-change write should be a free single round")
 	}

@@ -8,15 +8,13 @@ import (
 )
 
 // Ticket is the live state of an admitted write: which phase of its plan it
-// is in and what tokens it currently holds.
+// is in and what tokens it currently holds. It lives in the write's Offer.
 type Ticket struct {
 	Profile *pcm.WriteProfile
 	Plan    *WritePlan
 
 	phase   int
-	grant   *power.Grant
-	paused  bool
-	waiting bool
+	grant   power.Grant
 	gcpUsed float64
 }
 
@@ -34,12 +32,10 @@ func (t *Ticket) Progress() float64 {
 	return float64(t.phase) / float64(len(t.Plan.Phases))
 }
 
-// Waiting reports whether the write is stalled at a phase boundary for
-// tokens.
-func (t *Ticket) Waiting() bool { return t.waiting }
-
-// Paused reports whether the write is paused (write pausing).
-func (t *Ticket) Paused() bool { return t.paused }
+// Holds reports whether the write holds its current phase's tokens. A
+// write stalled at a phase boundary or paused holds none until Reacquire
+// succeeds.
+func (t *Ticket) Holds() bool { return t.grant.Held() }
 
 // GCPUsed reports accumulated GCP output tokens across the write's phases.
 func (t *Ticket) GCPUsed() float64 { return t.gcpUsed }
@@ -53,8 +49,8 @@ const (
 	// AdvanceNext: the next phase's tokens are held; schedule its end.
 	AdvanceNext
 	// AdvanceWait: the next phase's tokens are unavailable; the write
-	// holds nothing and must Retry when tokens free up. Only Multi-RESET
-	// plans can hit this (demand is otherwise non-increasing).
+	// holds nothing and must Reacquire when tokens free up. Only
+	// Multi-RESET plans can hit this (demand is otherwise non-increasing).
 	AdvanceWait
 )
 
@@ -95,37 +91,40 @@ func NewScheduler(cfg *sim.Config, mgr *power.Manager, hub *obs.Hub) *Scheduler 
 // Manager exposes the underlying power manager (for telemetry readers).
 func (s *Scheduler) Manager() *power.Manager { return s.mgr }
 
-// Offer is what a queued write keeps between admission attempts: the plans
-// TryStart built for its profile and the power-manager epoch at which they
-// were last refused. Plans are a pure function of the profile and the
-// configuration, and a refusal is a pure function of the plans and the
-// pools, which only move the epoch when they change; so an offer refused at
-// the current epoch is refused again, for the same reasons, without asking.
-// The zero Offer is empty. Whoever rebuilds the write's profile must Drop
-// its offer first: a rebuilt profile may reuse the old one's pointer.
+// Offer is the storage a write keeps from enqueue to completion: the plans
+// TryStart built for its profile, the power-manager epoch at which they
+// were last refused, and the ticket of its admission. Plans are a pure
+// function of the profile and the configuration, and a refusal is a pure
+// function of the plans and the pools, which only move the epoch when they
+// change; so an offer refused at the current epoch is refused again, for
+// the same reasons, without asking, and a cancelled write re-issues with
+// the plans it was admitted with. The zero Offer is empty.
+//
+// Whoever rebuilds the write's profile must Reset the offer. An offer must
+// outlive its ticket, and must not be Reset or passed to TryStart while
+// that ticket runs: the ticket's plan lives in the offer.
 type Offer struct {
-	plans   [pcm.MaxMultiResetSplit + 1]*WritePlan // [0]: base plan; [m]: RESET split m
-	refused uint64                                 // 1 + the epoch of the last refusal; 0: none
-	denied  [3]uint64                              // that refusal's DIMM, chip and GCP denials
+	plans   [pcm.MaxMultiResetSplit + 1]WritePlan // [0]: base plan; [m]: RESET split m
+	built   uint8                                 // bit m set: plans[m] is built for the current profile
+	refused uint64                                // 1 + the epoch of the last refusal; 0: none
+	denied  [3]uint64                             // that refusal's DIMM, chip and GCP denials
+	ticket  Ticket
 }
 
-// Drop releases the offer's plans and forgets its refusal.
-func (s *Scheduler) Drop(o *Offer) {
-	for _, p := range o.plans {
-		s.planner.Release(p)
-	}
-	*o = Offer{}
-}
+// Reset forgets the offer's plans and refusal, keeping their storage. It
+// releases nothing: a running ticket's tokens go back through Cancel or
+// the write's last Advance.
+func (o *Offer) Reset() { o.built, o.refused = 0, 0 }
 
 // TryStart attempts to admit the write whose profile is prof and whose
 // offer is o. Per the paper, the base plan is tried first; if its first
 // phase cannot be granted and Multi-RESET is enabled, progressively larger
 // RESET splits (2..MultiResetSplit) are tried — the greedy "start a portion
-// of the RESETs as early as possible" strategy of Section 6.2. Returns
-// (ticket, true) on admission; the admitted plan moves to the ticket and
-// the offer is emptied. On refusal the offer keeps its plans for the next
-// attempt, and a repeat at an unchanged epoch counts the same denials
-// without planning or asking the power manager.
+// of the RESETs as early as possible" strategy of Section 6.2. Returns the
+// offer's ticket, running the admitted plan, and true on admission, which
+// forgets the offer's refusal but keeps its plans. On refusal the offer
+// keeps its plans for the next attempt, and a repeat at an unchanged epoch
+// counts the same denials without planning or asking the power manager.
 func (s *Scheduler) TryStart(prof *pcm.WriteProfile, o *Offer) (*Ticket, bool) {
 	epoch := s.mgr.Epoch()
 	if o.refused == epoch+1 {
@@ -147,18 +146,18 @@ func (s *Scheduler) TryStart(prof *pcm.WriteProfile, o *Offer) (*Ticket, bool) {
 		if mr == 1 {
 			continue
 		}
-		plan := o.plans[mr]
-		if plan == nil {
-			plan = s.planner.plan(prof, mr)
-			o.plans[mr] = plan
+		plan := &o.plans[mr]
+		if o.built&(1<<mr) == 0 {
+			s.planner.plan(plan, prof, mr)
+			o.built |= 1 << mr
 		}
-		if g, ok := s.mgr.TryAcquire(plan.Phases[0].Demand); ok {
-			o.plans[mr] = nil
-			s.Drop(o)
+		if s.mgr.TryAcquire(plan.Phases[0].Demand, &o.ticket.grant) {
+			o.refused = 0
 			if mr > 0 {
 				s.mrWrites.Inc()
 			}
-			return s.admit(prof, plan, g), true
+			s.admit(&o.ticket, prof, plan)
+			return &o.ticket, true
 		}
 	}
 	dimm2, chip2, gcp2 := s.mgr.Denials()
@@ -168,7 +167,8 @@ func (s *Scheduler) TryStart(prof *pcm.WriteProfile, o *Offer) (*Ticket, bool) {
 	return nil, false
 }
 
-func (s *Scheduler) admit(prof *pcm.WriteProfile, plan *WritePlan, g *power.Grant) *Ticket {
+// admit starts t, whose grant holds the first phase's tokens, on plan.
+func (s *Scheduler) admit(t *Ticket, prof *pcm.WriteProfile, plan *WritePlan) {
 	s.started.Inc()
 	if plan.Rounds > 1 {
 		s.multiRound.Inc()
@@ -178,99 +178,66 @@ func (s *Scheduler) admit(prof *pcm.WriteProfile, plan *WritePlan, g *power.Gran
 		s.hub.Emit(obs.Event{Kind: obs.Instant, Cat: "core", Name: "write.admit",
 			ID: -1, V: float64(plan.MRSplit)})
 	}
-	return &Ticket{
-		Profile: prof,
-		Plan:    plan,
-		grant:   g,
-		gcpUsed: g.GCPTokens(),
-	}
+	t.Profile, t.Plan, t.phase = prof, plan, 0
+	t.gcpUsed = t.grant.GCPTokens()
 }
 
-// Advance moves the ticket past the end of its current phase. On
-// AdvanceNext the grant now covers the new phase; on AdvanceWait the write
-// holds no tokens and the controller must call Retry when power frees up;
-// on AdvanceDone everything is released and telemetry recorded.
+// Advance moves the ticket past the end of its current phase: it releases
+// the phase's tokens, then acquires the next phase's. On AdvanceNext the
+// grant covers the new phase; on AdvanceWait the write holds no tokens and
+// the controller must call Reacquire when power frees up; on AdvanceDone
+// everything is released and telemetry recorded. Releasing first is safe
+// for FPB-IPM because per-iteration demand never increases within a write;
+// only Multi-RESET's RESET→SET transition can fail, which models the short
+// boundary stall.
 func (s *Scheduler) Advance(t *Ticket) AdvanceResult {
 	t.phase++
 	if t.phase >= len(t.Plan.Phases) {
 		s.finish(t)
 		return AdvanceDone
 	}
-	g, ok := s.mgr.Resize(t.grant, t.Plan.Phases[t.phase].Demand)
-	if !ok {
-		t.grant = nil
-		t.waiting = true
+	s.mgr.Release(&t.grant)
+	if !s.Reacquire(t) {
 		s.waitStalls.Inc()
 		return AdvanceWait
 	}
-	t.grant = g
-	t.gcpUsed += g.GCPTokens()
 	return AdvanceNext
 }
 
-// Retry attempts to acquire the tokens for the phase a waiting write is
-// stalled on. It reports whether the write may proceed.
-func (s *Scheduler) Retry(t *Ticket) bool {
-	if !t.waiting {
+// Reacquire acquires the current phase's tokens for a write that holds
+// none, stalled at a phase boundary or paused, and reports whether the
+// write may proceed (false: it holds nothing; try again later). A write
+// that holds its tokens proceeds at once.
+func (s *Scheduler) Reacquire(t *Ticket) bool {
+	if t.grant.Held() {
 		return true
 	}
-	g, ok := s.mgr.TryAcquire(t.Plan.Phases[t.phase].Demand)
-	if !ok {
+	if !s.mgr.TryAcquire(t.Plan.Phases[t.phase].Demand, &t.grant) {
 		return false
 	}
-	t.grant = g
-	t.gcpUsed += g.GCPTokens()
-	t.waiting = false
+	t.gcpUsed += t.grant.GCPTokens()
 	return true
 }
 
 // Pause releases the write's tokens at an iteration boundary (write
-// pausing, Qureshi et al. HPCA'10). The bank can then serve reads.
+// pausing, Qureshi et al. HPCA'10). The bank can then serve reads; the
+// write continues once Reacquire succeeds.
 func (s *Scheduler) Pause(t *Ticket) {
-	if t.paused {
-		return
-	}
-	s.mgr.Release(t.grant)
-	t.grant = nil
-	t.paused = true
-}
-
-// Resume re-acquires the paused phase's tokens; it reports whether the
-// write resumed (false: stay paused and retry later).
-func (s *Scheduler) Resume(t *Ticket) bool {
-	if !t.paused {
-		return true
-	}
-	g, ok := s.mgr.TryAcquire(t.Plan.Phases[t.phase].Demand)
-	if !ok {
-		return false
-	}
-	t.grant = g
-	t.gcpUsed += g.GCPTokens()
-	t.paused = false
-	return true
+	s.mgr.Release(&t.grant)
 }
 
 // Cancel abandons the write (write cancellation): all tokens are released
 // and the ticket becomes dead. The controller re-issues the write from
-// scratch later. The plan is recycled, so the ticket's phase accessors
-// must not be used afterwards.
+// scratch later.
 func (s *Scheduler) Cancel(t *Ticket) {
-	s.mgr.Release(t.grant)
-	t.grant = nil
-	t.phase = len(t.Plan.Phases)
-	s.planner.Release(t.Plan)
-	t.Plan = nil
+	s.mgr.Release(&t.grant)
 }
 
-// finish completes the write and recycles its plan.
+// finish completes the write.
 func (s *Scheduler) finish(t *Ticket) {
-	s.mgr.Release(t.grant)
-	t.grant = nil
+	s.mgr.Release(&t.grant)
 	s.mgr.RecordWriteGCPUsage(t.gcpUsed)
 	s.completed.Inc()
-	s.planner.Release(t.Plan)
-	t.Plan = nil
 }
 
 // Stats reports scheduler telemetry: admitted writes, completions,

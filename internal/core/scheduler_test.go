@@ -19,7 +19,7 @@ func runToCompletion(t *testing.T, s *Scheduler, tk *Ticket) {
 		case AdvanceDone:
 			return
 		case AdvanceWait:
-			if !s.Retry(tk) {
+			if !s.Reacquire(tk) {
 				t.Fatal("write stalled with no competitor holding tokens")
 			}
 		}
@@ -164,18 +164,18 @@ func TestMultiResetDemandBumpWaits(t *testing.T) {
 	if res := s.Advance(tkB); res != AdvanceWait {
 		t.Fatalf("SET advance = %v, want AdvanceWait", res)
 	}
-	if !tkB.Waiting() {
-		t.Error("ticket not marked waiting")
+	if tkB.Holds() {
+		t.Error("stalled ticket still holds tokens")
 	}
-	if s.Retry(tkB) {
-		t.Error("retry succeeded with no tokens freed")
+	if s.Reacquire(tkB) {
+		t.Error("reacquire succeeded with no tokens freed")
 	}
 	// Blocker finishes its RESET: allocation 55 → 27.5, freeing 27.5;
 	// APT = 52.5 ≥ 30 → WR-B resumes.
 	if res := s.Advance(blocker); res != AdvanceNext {
 		t.Fatal("blocker advance failed")
 	}
-	if !s.Retry(tkB) {
+	if !s.Reacquire(tkB) {
 		t.Fatal("WR-B did not resume after tokens freed")
 	}
 	runToCompletion(t, s, tkB)
@@ -189,21 +189,27 @@ func TestPauseResume(t *testing.T) {
 	tk, _ := s.TryStart(wrA(8), new(Offer))
 	avail := s.Manager().DIMMAvailable()
 	s.Pause(tk)
-	if !tk.Paused() {
-		t.Error("not paused")
+	if tk.Holds() {
+		t.Error("paused ticket still holds tokens")
 	}
 	if got := s.Manager().DIMMAvailable(); got != avail+50 {
 		t.Errorf("pause freed %g tokens, want 50", got-avail)
 	}
 	s.Pause(tk) // idempotent
-	if !s.Resume(tk) {
+	if s.Manager().DIMMAvailable() != avail+50 {
+		t.Error("second pause changed the free tokens")
+	}
+	if !s.Reacquire(tk) {
 		t.Fatal("resume failed with free tokens")
 	}
 	if s.Manager().DIMMAvailable() != avail {
 		t.Error("resume did not retake tokens")
 	}
-	if !s.Resume(tk) {
-		t.Error("resume of running ticket must be true")
+	if !s.Reacquire(tk) {
+		t.Error("reacquire of running ticket must be true")
+	}
+	if s.Manager().DIMMAvailable() != avail {
+		t.Error("reacquire of running ticket took tokens")
 	}
 	runToCompletion(t, s, tk)
 }
@@ -217,11 +223,11 @@ func TestResumeFailsWhenTokensTaken(t *testing.T) {
 	if !ok {
 		t.Fatal("competitor not admitted into paused window")
 	}
-	if s.Resume(tk) {
+	if s.Reacquire(tk) {
 		t.Error("resume succeeded with only 20 tokens free")
 	}
 	runToCompletion(t, s, other)
-	if !s.Resume(tk) {
+	if !s.Reacquire(tk) {
 		t.Error("resume failed after competitor finished")
 	}
 	runToCompletion(t, s, tk)

@@ -66,7 +66,6 @@ type bankState struct {
 // writeOp is an in-flight line write at the bridge.
 type writeOp struct {
 	req      *WriteRequest
-	prof     *pcm.WriteProfile
 	ticket   *core.Ticket
 	bank     int
 	phaseEv  *sim.Event
@@ -89,10 +88,11 @@ type Controller struct {
 	rot      *mapping.Rotator
 	baseline BaselineFunc
 
-	rdq   []*ReadRequest // demand reads, capacity-limited
-	fillq []*ReadRequest // background fills, best-effort
-	wrq   []*WriteRequest
-	banks []bankState
+	rdq      []*ReadRequest // demand reads, capacity-limited
+	fillq    []*ReadRequest // background fills, best-effort
+	wrq      []*WriteRequest
+	freeReqs []*WriteRequest // completed write requests, for reuse
+	banks    []bankState
 
 	waitingOps []*writeOp // stalled at a phase boundary for tokens
 	resumeOps  []*writeOp // paused, read done, waiting for tokens
@@ -241,9 +241,17 @@ func (c *Controller) TryEnqueueWrite(addr uint64, data []byte) bool {
 		c.schedule()
 		return false
 	}
-	req := &WriteRequest{
-		Addr: c.amap.LineAddr(addr), Data: data, enqueued: c.eng.Now(),
+	var req *WriteRequest
+	if n := len(c.freeReqs); n > 0 {
+		req = c.freeReqs[n-1]
+		c.freeReqs = c.freeReqs[:n-1]
+		// The profile, plans and ticket keep their storage for this
+		// write; profileFor rebuilds the profile and resets the offer.
+		req.profValid = false
+	} else {
+		req = new(WriteRequest)
 	}
+	req.Addr, req.Data, req.enqueued, req.cancelled = c.amap.LineAddr(addr), data, c.eng.Now(), 0
 	c.wrq = append(c.wrq, req)
 	if len(c.wrq) >= c.cfg.WriteQueueEntries {
 		c.enterBurst()
@@ -330,11 +338,13 @@ func (c *Controller) schedule() {
 }
 
 // retryStalledWrites gives writes stalled at phase boundaries (Multi-RESET
-// demand bumps, failed pause-resumes) priority over new issues.
+// demand bumps, failed pause-resumes) priority over new issues. Writes
+// stalled at a boundary are asked before paused writes waiting to resume:
+// the order of the acquisitions is part of the result.
 func (c *Controller) retryStalledWrites() {
 	keep := c.waitingOps[:0]
 	for _, op := range c.waitingOps {
-		if c.sched.Retry(op.ticket) {
+		if c.sched.Reacquire(op.ticket) {
 			c.schedulePhaseEnd(op)
 		} else {
 			keep = append(keep, op)
@@ -344,7 +354,7 @@ func (c *Controller) retryStalledWrites() {
 
 	keepR := c.resumeOps[:0]
 	for _, op := range c.resumeOps {
-		if c.sched.Resume(op.ticket) {
+		if c.sched.Reacquire(op.ticket) {
 			op.paused = false
 			op.resuming = false
 			c.emitResume(op)
@@ -453,8 +463,7 @@ func (c *Controller) issueWrites() {
 			scanned++
 			continue
 		}
-		prof := c.profileFor(req)
-		ticket, ok := c.sched.TryStart(prof, &req.offer)
+		ticket, ok := c.sched.TryStart(c.profileFor(req), &req.offer)
 		if !ok {
 			// Not admitted: the profile and the offer stay on the
 			// request; the profile is revalidated — not rebuilt — on the
@@ -469,7 +478,7 @@ func (c *Controller) issueWrites() {
 		}
 		c.wrq = append(c.wrq[:i], c.wrq[i+1:]...)
 		c.notifyWriteSpace()
-		c.startWrite(bank, req, prof, ticket)
+		c.startWrite(bank, req, ticket)
 	}
 }
 
@@ -555,19 +564,15 @@ func (c *Controller) startRead(bank int, req *ReadRequest, duringPause bool) {
 // still match. The profile stays cached on the request until the write
 // completes, so denied issue attempts stop paying for rebuilds: a rebuild
 // under unchanged tags is bit-identical by construction (Build seeds its
-// draws from the content hash). A rebuild drops the request's offer, whose
+// draws from the content hash). A rebuild resets the request's offer, whose
 // plans belong to the old profile.
 func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 	ver := c.store.Writes(req.Addr)
 	rot := c.rot.Offset(req.Addr)
-	if req.prof != nil {
-		if req.profVer == ver && req.profRot == rot {
-			return req.prof
-		}
-		c.sched.Drop(&req.offer)
-		c.builder.Release(req.prof)
-		req.prof = nil
+	if req.profValid && req.profVer == ver && req.profRot == rot {
+		return &req.prof
 	}
+	req.offer.Reset()
 	old := c.store.Get(req.Addr)
 	if old == nil {
 		old = c.baseline(req.Addr, c.cfg.L3LineB)
@@ -576,22 +581,22 @@ func (c *Controller) profileFor(req *WriteRequest) *pcm.WriteProfile {
 	// precomputed table: no closure chain, no per-attempt allocations.
 	mapF := c.mapTab.Select(rot, c.cfg.Chips,
 		c.cfg.HalfStripe, c.amap.LineIndex(req.Addr)%2 == 1)
-	prof := c.builder.Build(req.Addr, old, req.Data, mapF, c.cfg.WriteTruncation)
-	req.prof, req.profVer, req.profRot = prof, ver, rot
-	return prof
+	c.builder.Build(&req.prof, req.Addr, old, req.Data, mapF, c.cfg.WriteTruncation)
+	req.profValid, req.profVer, req.profRot = true, ver, rot
+	return &req.prof
 }
 
 // startWrite occupies the bank and walks the write's power plan. The
 // programming start is delayed by the data transfer and, for FPB schemes,
 // the read-before-write on the DIMM-internal bus (Section 3.1).
-func (c *Controller) startWrite(bank int, req *WriteRequest, prof *pcm.WriteProfile, ticket *core.Ticket) {
+func (c *Controller) startWrite(bank int, req *WriteRequest, ticket *core.Ticket) {
 	b := &c.banks[bank]
 	b.busy = true
-	op := &writeOp{req: req, prof: prof, ticket: ticket, bank: bank, started: c.eng.Now()}
+	op := &writeOp{req: req, ticket: ticket, bank: bank, started: c.eng.Now()}
 	b.wr = op
 	if c.hub.Tracing() {
 		c.hub.Emit(obs.Event{Kind: obs.Instant, Cat: "mem", Name: "write.issue",
-			ID: bank, Addr: req.Addr, V: float64(prof.Changed)})
+			ID: bank, Addr: req.Addr, V: float64(req.prof.Changed)})
 		c.hub.Emit(obs.Event{Kind: obs.Meter, Cat: "mem", Name: "wrq.depth",
 			ID: -1, V: float64(len(c.wrq))})
 	}
@@ -674,7 +679,7 @@ func (c *Controller) tryResume(op *writeOp) {
 	if op == nil || !op.paused || op.resuming {
 		return
 	}
-	if c.sched.Resume(op.ticket) {
+	if c.sched.Reacquire(op.ticket) {
 		op.paused = false
 		c.emitResume(op)
 		c.schedulePhaseEnd(op)
@@ -723,36 +728,36 @@ func (c *Controller) cancelWrite(op *writeOp) {
 		c.hub.Emit(obs.Event{Kind: obs.Instant, Cat: "mem", Name: "write.cancel",
 			ID: op.bank, Addr: op.req.Addr, V: float64(op.req.cancelled)})
 	}
-	// Re-issue: the profile stays cached on the request (op.prof and
-	// req.prof are the same object, still tagged with its build-time
-	// version and offset), so if neither the line content nor its
-	// rotation changed before the retry, the rebuild is skipped — a
-	// rebuild under unchanged tags would be bit-identical anyway.
-	op.prof = nil
+	// Re-issue: the profile stays cached on the request, still tagged
+	// with its build-time version and offset, so if neither the line
+	// content nor its rotation changed before the retry, the rebuild is
+	// skipped — a rebuild under unchanged tags would be bit-identical
+	// anyway — and the offer's plans are asked again.
 	c.wrq = append([]*WriteRequest{op.req}, c.wrq...)
 }
 
-// completeWrite commits the new content and frees the bank.
+// completeWrite commits the new content, frees the bank and recycles the
+// request with its storage.
 func (c *Controller) completeWrite(op *writeOp) {
-	if n := c.store.Update(op.req.Addr, op.req.Data); n > c.maxLineWr {
+	req, prof := op.req, &op.req.prof
+	if n := c.store.Update(req.Addr, req.Data); n > c.maxLineWr {
 		c.maxLineWr = n
 	}
 	c.writesDone.Inc()
-	c.recordWriteLatency(c.eng.Now() - op.req.enqueued)
+	c.recordWriteLatency(c.eng.Now() - req.enqueued)
 	if c.hub.Tracing() {
 		c.hub.Emit(obs.Event{Kind: obs.Span, Cat: "mem", Name: "write",
-			ID: op.bank, Addr: op.req.Addr, V: float64(op.prof.Changed),
+			ID: op.bank, Addr: req.Addr, V: float64(prof.Changed),
 			Dur: uint64(c.eng.Now() - op.started)})
-		if op.prof.Truncated > 0 {
+		if prof.Truncated > 0 {
 			c.hub.Emit(obs.Event{Kind: obs.Instant, Cat: "mem", Name: "write.truncate",
-				ID: op.bank, Addr: op.req.Addr, V: float64(op.prof.Truncated)})
+				ID: op.bank, Addr: req.Addr, V: float64(prof.Truncated)})
 		}
 	}
-	c.cellChanges.Add(float64(op.prof.Changed))
-	c.writeEnergy.Add(op.prof.WriteEnergyPJ(c.cfg))
-	c.builder.Release(op.prof)
-	op.prof = nil
-	op.req.prof = nil // same object as op.prof; already released
+	c.cellChanges.Add(float64(prof.Changed))
+	c.writeEnergy.Add(prof.WriteEnergyPJ(c.cfg))
+	req.Data = nil
+	c.freeReqs = append(c.freeReqs, req)
 	b := &c.banks[op.bank]
 	b.busy = false
 	b.wr = nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpb/internal/core"
+	"fpb/internal/pcm"
 	"fpb/internal/sim"
 )
 
@@ -304,7 +305,7 @@ func TestRebuiltProfileGetsFreshPlans(t *testing.T) {
 	c.TryEnqueueWrite(line, mkLine(cfg, 30)) // 120 cells: refused
 	second := mkLine(cfg, 40)                // 160 cells; 40 over the first's content
 	c.TryEnqueueWrite(line, second)
-	if len(c.wrq) != 2 || c.wrq[1].offer == (core.Offer{}) {
+	if len(c.wrq) != 2 || !c.wrq[1].profValid {
 		t.Fatal("the writes to line 1 were not both refused")
 	}
 	for eng.Step() {
@@ -312,10 +313,10 @@ func TestRebuiltProfileGetsFreshPlans(t *testing.T) {
 		if op == nil || &op.req.Data[0] != &second[0] {
 			continue
 		}
-		if op.prof.Changed != 40 {
-			t.Fatalf("second write changes %d cells, want 40 (profile not rebuilt)", op.prof.Changed)
+		if op.req.prof.Changed != 40 {
+			t.Fatalf("second write changes %d cells, want 40 (profile not rebuilt)", op.req.prof.Changed)
 		}
-		fresh := core.NewPlanner(cfg).Plan(op.prof)
+		fresh := core.NewPlanner(cfg).Plan(&core.WritePlan{}, &op.req.prof)
 		if !reflect.DeepEqual(op.ticket.Plan.Phases, fresh.Phases) {
 			t.Fatalf("issued with phases %+v, want %+v for the rebuilt profile",
 				op.ticket.Plan.Phases, fresh.Phases)
@@ -323,6 +324,51 @@ func TestRebuiltProfileGetsFreshPlans(t *testing.T) {
 		return
 	}
 	t.Fatal("the second write to line 1 never issued")
+}
+
+// TestRecycledRequestMatchesFreshBuild: a completed write's request, with
+// the profile, plans and ticket it owns, takes the next write. A large
+// write completes; its request then carries a smaller write to another
+// line and a second write to that line, and each must issue with the
+// profile and plan that a fresh Build and Plan into new values give.
+func TestRecycledRequestMatchesFreshBuild(t *testing.T) {
+	eng, c, cfg := newCtl(t, sim.SchemeGCPIPM, nil)
+	builder := pcm.NewBuilder(cfg, sim.NewRNG(1))
+	planner := core.NewPlanner(cfg)
+	line := uint64(cfg.L3LineB)
+	var req *WriteRequest
+	for i, w := range []struct {
+		addr  uint64
+		bytes int
+	}{{0, 200}, {line, 20}, {line, 40}} {
+		old := c.store.Get(w.addr) // nil: the all-zero baseline
+		data := mkLine(cfg, w.bytes)
+		if !c.TryEnqueueWrite(w.addr, data) {
+			t.Fatalf("write %d not accepted", i)
+		}
+		op := c.banks[c.amap.Bank(w.addr)].wr
+		if op == nil || &op.req.Data[0] != &data[0] {
+			t.Fatalf("write %d did not issue at once", i)
+		}
+		if i == 0 {
+			req = op.req
+		} else if op.req != req {
+			t.Fatalf("write %d did not reuse the completed write's request", i)
+		}
+		mapF := c.mapTab.Select(c.rot.Offset(w.addr), cfg.Chips,
+			cfg.HalfStripe, c.amap.LineIndex(w.addr)%2 == 1)
+		prof := builder.Build(&pcm.WriteProfile{}, w.addr, old, data, mapF, cfg.WriteTruncation)
+		if !reflect.DeepEqual(&op.req.prof, prof) {
+			t.Fatalf("write %d issued with profile %+v, want %+v", i, op.req.prof, *prof)
+		}
+		if plan := planner.Plan(&core.WritePlan{}, prof); !reflect.DeepEqual(op.ticket.Plan, plan) {
+			t.Fatalf("write %d issued with plan %+v, want %+v", i, *op.ticket.Plan, *plan)
+		}
+		eng.Run(0)
+		if len(c.freeReqs) != 1 || c.freeReqs[0] != req {
+			t.Fatalf("write %d: free list %v, want the one request", i, c.freeReqs)
+		}
+	}
 }
 
 func TestFillReadsAreBestEffort(t *testing.T) {

@@ -29,8 +29,8 @@ func (c *Controller) DumpState() string {
 		}
 		fmt.Fprintf(&b, "\nbank %d: busy=%v read=%v", i, bk.busy, bk.readBusy)
 		if bk.wr != nil {
-			fmt.Fprintf(&b, " wr(phase=%d paused=%v waiting=%v pauseReq=%v ev=%v cancelled=%d)",
-				bk.wr.ticket.PhaseIndex(), bk.wr.paused, bk.wr.ticket.Waiting(), bk.wr.pauseReq,
+			fmt.Fprintf(&b, " wr(phase=%d paused=%v holds=%v pauseReq=%v ev=%v cancelled=%d)",
+				bk.wr.ticket.PhaseIndex(), bk.wr.paused, bk.wr.ticket.Holds(), bk.wr.pauseReq,
 				bk.wr.phaseEv.Scheduled(), bk.wr.req.cancelled)
 		}
 	}

@@ -17,6 +17,9 @@ type ReadRequest struct {
 }
 
 // WriteRequest is a dirty line writeback to PCM, carrying the new content.
+// It owns the write's storage from enqueue to completion: its profile, its
+// plans and the ticket that runs it. The controller recycles completed
+// requests, so that storage serves the writes after it.
 type WriteRequest struct {
 	Addr     uint64 // line-aligned
 	Data     []byte
@@ -28,14 +31,15 @@ type WriteRequest struct {
 	// prof caches the request's write profile across issue attempts. A
 	// profile is a pure function of (line address, stored content, new
 	// data, rotation offset), so it is validated by the stored-content
-	// version and offset it was built against: while both are unchanged a
-	// rebuild would produce an identical profile, and the cache serves it
-	// without re-diffing the line.
-	prof    *pcm.WriteProfile
-	profVer uint64 // store write count of Addr the profile was built against
-	profRot int    // rotation offset the profile was built against
+	// version and offset it was built against: while profValid is set and
+	// both are unchanged, a rebuild would produce an identical profile, and
+	// the cache serves it without re-diffing the line.
+	prof      pcm.WriteProfile
+	profValid bool   // prof was built for this write
+	profVer   uint64 // store write count of Addr the profile was built against
+	profRot   int    // rotation offset the profile was built against
 
-	// offer keeps the plans prof was refused with, and the epoch of that
-	// refusal, across issue attempts; see core.Offer.
+	// offer keeps the plans built for prof, the epoch of their last
+	// refusal and the write's ticket; see core.Offer.
 	offer core.Offer
 }

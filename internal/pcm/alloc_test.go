@@ -26,9 +26,10 @@ func TestStoreUpdateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBuildSteadyStateZeroAlloc guards the profile build path: once the
-// pool and scratch buffers have grown, Build followed by Release must not
-// touch the allocator, including when IterMax is far above any real draw.
+// TestBuildSteadyStateZeroAlloc guards the profile build path: once a kept
+// profile and the scratch buffers have grown, rebuilding the profile must
+// not touch the allocator, including when IterMax is far above any real
+// draw.
 func TestBuildSteadyStateZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -42,17 +43,18 @@ func TestBuildSteadyStateZeroAlloc(t *testing.T) {
 		old := make([]byte, cfg.L3LineB)
 		new := make([]byte, cfg.L3LineB)
 		rng := sim.NewRNG(2)
+		var p WriteProfile
 		build := func() {
 			for i := range new {
 				new[i] = byte(rng.Uint64())
 			}
-			b.Release(b.Build(0x1000, old, new, mapFn, true))
+			b.Build(&p, 0x1000, old, new, mapFn, true)
 		}
 		for i := 0; i < 100; i++ {
-			build() // grow the pool and scratch to this write mix
+			build() // grow the profile and scratch to this write mix
 		}
 		if allocs := testing.AllocsPerRun(1000, build); allocs != 0 {
-			t.Errorf("IterMax %d: Build+Release allocated %.1f objects/op, want 0", iterMax, allocs)
+			t.Errorf("IterMax %d: rebuilding a kept profile allocated %.1f objects/op, want 0", iterMax, allocs)
 		}
 	}
 }

@@ -47,14 +47,13 @@ func BenchmarkProfileBuild(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		SetCell(new, i*5, 2, CellState(1+i%3))
 	}
+	// Steady state: each write request rebuilds the profile it keeps.
+	var p WriteProfile
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := builder.Build(uint64(i)*256, old, new, mapFn, false)
-		if p.Changed == 0 {
+		if builder.Build(&p, uint64(i)*256, old, new, mapFn, false).Changed == 0 {
 			b.Fatal("empty profile")
 		}
-		// Steady state: the controller releases every profile it builds.
-		builder.Release(p)
 	}
 }
 

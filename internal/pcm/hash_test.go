@@ -20,8 +20,8 @@ func TestBuildDeterministicAcrossBuilders(t *testing.T) {
 	}
 	b1 := NewBuilder(&cfg, sim.NewRNG(111))
 	b2 := NewBuilder(&cfg, sim.NewRNG(999))
-	p1 := b1.Build(0x4000, old, new, mapFn, false)
-	p2 := b2.Build(0x4000, old, new, mapFn, false)
+	p1 := b1.Build(&WriteProfile{}, 0x4000, old, new, mapFn, false)
+	p2 := b2.Build(&WriteProfile{}, 0x4000, old, new, mapFn, false)
 	if p1.TotalIters != p2.TotalIters {
 		t.Fatalf("iteration counts differ: %d vs %d", p1.TotalIters, p2.TotalIters)
 	}
@@ -46,7 +46,7 @@ func TestBuildVariesWithContent(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			SetCell(next, i, 2, CellState((i+v)%3+1))
 		}
-		p := b.Build(0x8000, old, next, mapFn, false)
+		p := b.Build(&WriteProfile{}, 0x8000, old, next, mapFn, false)
 		if v > 0 && p.TotalIters == prev {
 			same++
 		}

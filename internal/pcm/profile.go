@@ -59,18 +59,14 @@ type WriteProfile struct {
 	// Truncated is the number of slow cells cut off by write truncation
 	// (they are left to ECC; see Jiang et al. HPCA'12).
 	Truncated int
-
-	// pooled marks a profile that has been returned to its Builder's pool
-	// and must not be used until newProfile hands it out again.
-	pooled bool
 }
 
 // Builder constructs WriteProfiles. It owns the iteration model RNG stream
 // and scratch buffers, so one Builder must not be shared across goroutines.
 //
-// Profiles are pooled: Release returns one to the builder for reuse, which
-// makes steady-state profile construction allocation-free. A caller that
-// never releases simply pays the allocations the pool would have avoided.
+// The caller owns each profile: Build and BuildFromCells overwrite the one
+// they are given and reuse its slices, so rebuilding a kept profile is
+// allocation-free once its slices have grown to the write mix.
 type Builder struct {
 	cfg      *sim.Config
 	iters    *IterModel
@@ -79,7 +75,6 @@ type Builder struct {
 	writeRNG *sim.RNG    // reseeded per Build from the write's content hash
 	targets  []CellState // scratch for Build's target states
 	hist     []int       // scratch: per-(iteration, chip) cell counts
-	free     []*WriteProfile
 }
 
 // NewBuilder returns a profile builder for the configuration.
@@ -90,27 +85,6 @@ func NewBuilder(cfg *sim.Config, rng *sim.RNG) *Builder {
 		seed:     rng.Uint64(),
 		writeRNG: sim.NewRNG(0),
 	}
-}
-
-// Release returns a profile to the builder's pool. The profile must not be
-// used afterwards; releasing nil or an already pooled profile is a no-op.
-func (b *Builder) Release(p *WriteProfile) {
-	if p == nil || p.pooled {
-		return
-	}
-	p.pooled = true
-	b.free = append(b.free, p)
-}
-
-// newProfile pops the pool or allocates a fresh profile.
-func (b *Builder) newProfile() *WriteProfile {
-	if n := len(b.free); n > 0 {
-		p := b.free[n-1]
-		b.free = b.free[:n-1]
-		p.pooled = false
-		return p
-	}
-	return &WriteProfile{}
 }
 
 // resizeInts returns s resized to n elements, zeroed, reusing its backing
@@ -124,16 +98,16 @@ func resizeInts(s []int, n int) []int {
 	return s
 }
 
-// Build computes the profile for writing new over old (old nil = all-zero
-// line) with the given cell-to-chip mapping. truncate enables write
-// truncation with the configured tail threshold.
+// Build overwrites p with the profile for writing new over old (old nil =
+// all-zero line) with the given cell-to-chip mapping, and returns p.
+// truncate enables write truncation with the configured tail threshold.
 //
 // The per-cell iteration draws are seeded from (lineAddr, old, new): the
 // same physical write is equally hard under every scheme and on every
 // issue attempt, exactly as a shared trace would make it. Without this,
 // cross-scheme comparisons would carry draw-sequence noise and, e.g., IPM
 // could spuriously beat Ideal.
-func (b *Builder) Build(lineAddr uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
+func (b *Builder) Build(p *WriteProfile, lineAddr uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
 	cells := DiffCells(b.scratch[:0], old, new, b.cfg.BitsPerCell)
 	targets := slices.Grow(b.targets[:0], len(cells))[:len(cells)]
 	for i, cell := range cells {
@@ -143,7 +117,7 @@ func (b *Builder) Build(lineAddr uint64, old, new []byte, mapFn mapping.Func, tr
 	b.writeRNG.Reseed(contentHash(lineAddr, old, new))
 	saved := b.iters.rng
 	b.iters.rng = b.writeRNG
-	p := b.BuildFromCells(lineAddr, cells, targets, mapFn, truncate)
+	b.BuildFromCells(p, lineAddr, cells, targets, mapFn, truncate)
 	b.iters.rng = saved
 	return p
 }
@@ -167,17 +141,16 @@ func contentHash(lineAddr uint64, old, new []byte) uint64 {
 	return h
 }
 
-// BuildFromCells computes the profile when the changed cell set is already
-// known. targets supplies the new cell states (indexed by cell); it may be
-// nil, in which case states are drawn uniformly (used by synthetic
-// stress tests).
+// BuildFromCells overwrites p with the profile when the changed cell set
+// is already known, and returns p. targets supplies the new cell states
+// (indexed by cell); it may be nil, in which case states are drawn
+// uniformly (used by synthetic stress tests).
 //
 // One pass over the cells draws each cell's iterations in order and tallies
 // the per-chip counts, a per-(iteration, chip) histogram and the
 // Multi-RESET groups; the remaining counts are the histogram's suffix sums.
-func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+func (b *Builder) BuildFromCells(p *WriteProfile, lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
 	chips := b.cfg.Chips
-	p := b.newProfile()
 	p.LineAddr = lineAddr
 	p.Changed = len(cells)
 	p.Truncated = 0
@@ -242,10 +215,9 @@ func (b *Builder) BuildFromCells(lineAddr uint64, cells []int, targets []CellSta
 }
 
 // resetMRGroups zeroes the Multi-RESET group tables, allocating the
-// [m][chip][group] shape on first use: the chip count is fixed per Builder,
-// so pooled profiles keep it.
+// [m][chip][group] shape when the profile has none for this chip count.
 func (p *WriteProfile) resetMRGroups(chips int) {
-	if p.MRGroups == nil {
+	if p.MRGroups == nil || len(p.MRGroups[2]) != chips {
 		p.MRGroups = make([][][]int, MaxMultiResetSplit+1)
 		for m := 2; m <= MaxMultiResetSplit; m++ {
 			g := make([][]int, chips)

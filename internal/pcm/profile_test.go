@@ -22,7 +22,7 @@ func buildProfile(t *testing.T, cfg sim.Config, nChanged int, mapType sim.Mappin
 		cells[i] = (i * stride) % cfg.CellsPerLine()
 		states[i] = CellState(i % 4)
 	}
-	return b.BuildFromCells(0x1000, cells, states, mapFn, truncate)
+	return b.BuildFromCells(&WriteProfile{}, 0x1000, cells, states, mapFn, truncate)
 }
 
 func TestProfileInvariants(t *testing.T) {
@@ -163,7 +163,7 @@ func TestProfileBuildFromData(t *testing.T) {
 	SetCell(new, 0, 2, State01)
 	SetCell(new, 100, 2, State10)
 	SetCell(new, 1023, 2, State11)
-	p := b.Build(0x2000, old, new, mapFn, false)
+	p := b.Build(&WriteProfile{}, 0x2000, old, new, mapFn, false)
 	if p.Changed != 3 {
 		t.Fatalf("Changed = %d, want 3", p.Changed)
 	}
@@ -188,7 +188,7 @@ func TestProfileRemainMonotoneProperty(t *testing.T) {
 				cells = append(cells, c)
 			}
 		}
-		p := b.BuildFromCells(0, cells, nil, mapFn, false)
+		p := b.BuildFromCells(&WriteProfile{}, 0, cells, nil, mapFn, false)
 		for k := 1; k <= p.TotalIters; k++ {
 			for c := range p.RemainPerChip[k] {
 				if p.RemainPerChip[k][c] > p.RemainPerChip[k-1][c] {

@@ -149,11 +149,13 @@ func randomLine(rng *sim.RNG, base []byte, n int) []byte {
 }
 
 // TestBuildMatchesReference drives one Builder per case through several
-// back-to-back builds, releasing each profile before the next so pooled
-// rows and group tables are reused, and compares every exported field
-// against the reference on a fresh profile.
+// back-to-back builds and compares every exported field against the
+// reference on a fresh profile. Every build, across all cases, rebuilds one
+// profile in place, so rows and group tables left by a larger write, or by
+// another chip count, show as stale state.
 func TestBuildMatchesReference(t *testing.T) {
 	const cases, buildsPerCase = 1024, 4
+	var got WriteProfile
 	for c := 0; c < cases; c++ {
 		rng := sim.NewRNG(uint64(c))
 		cfg := sim.DefaultConfig()
@@ -182,7 +184,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 			truncate := rng.Intn(2) == 1
 			addr := rng.Uint64() &^ 0xFF
-			var got, want *WriteProfile
+			var want *WriteProfile
 			var what string
 			switch rng.Intn(4) {
 			case 0, 1, 2:
@@ -197,7 +199,7 @@ func TestBuildMatchesReference(t *testing.T) {
 					copy(new, old)
 				}
 				what = fmt.Sprintf("Build(old nil=%v, new==old %v)", old == nil, equal)
-				got = b.Build(addr, old, new, mapFn, truncate)
+				b.Build(&got, addr, old, new, mapFn, truncate)
 				want = refBuild(&cfg, addr, old, new, mapFn, truncate)
 			default:
 				n := rng.Intn(cells + 1)
@@ -215,14 +217,13 @@ func TestBuildMatchesReference(t *testing.T) {
 					}
 				}
 				what = fmt.Sprintf("BuildFromCells(%d cells, targets nil=%v)", len(changed), targets == nil)
-				got = b.BuildFromCells(addr, changed, targets, mapFn, truncate)
+				b.BuildFromCells(&got, addr, changed, targets, mapFn, truncate)
 				want = refBuildFromCells(&cfg, refIters, addr, changed, targets, mapFn, truncate)
 			}
-			if d := profileMismatch(got, want); d != "" {
+			if d := profileMismatch(&got, want); d != "" {
 				t.Fatalf("case %d build %d: %s (bits %d, line %dB, chips %d, IterMax %d, tail %d, truncate %v): %s",
 					c, i, what, cfg.BitsPerCell, cfg.L3LineB, cfg.Chips, cfg.IterMax, cfg.TruncateTailCells, truncate, d)
 			}
-			b.Release(got)
 		}
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // TestManagerRandomWorkloadInvariants drives the manager with a random
-// acquire/release/resize sequence and checks that (a) accounting never goes
+// acquire/release/resize sequence (a resize is a Release, then a TryAcquire
+// into the same grant) and checks that (a) accounting never goes
 // negative, (b) Eq. 6 holds at all times (total raw input power within the
 // DIMM budget), and (c) everything returns to fully free at the end.
 func TestManagerRandomWorkloadInvariants(t *testing.T) {
@@ -29,15 +30,13 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 					// Resize a random grant to a smaller demand.
 					i := rng.Intn(len(live))
 					d := randomDemand(rng, cfg.Chips, 20)
-					g, ok := m.Resize(live[i], d)
-					if ok {
-						live[i] = g
-					} else {
+					m.Release(live[i])
+					if !m.TryAcquire(d, live[i]) {
 						live = append(live[:i], live[i+1:]...)
 					}
 				default:
 					d := randomDemand(rng, cfg.Chips, 60)
-					if g, ok := m.TryAcquire(d); ok {
+					if g := new(Grant); m.TryAcquire(d, g) {
 						live = append(live, g)
 					}
 				}

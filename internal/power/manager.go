@@ -1,8 +1,9 @@
 package power
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fpb/internal/obs"
 	"fpb/internal/sim"
@@ -27,20 +28,32 @@ func (d *Demand) Total() float64 {
 	return t
 }
 
-// Grant records a satisfied Demand so it can be released or resized later.
-// Grants are pooled inside the Manager: Release recycles them, so a grant
-// must not be used after it is released.
+// Grant records a satisfied Demand so it can be released later. The caller
+// owns it: TryAcquire fills an empty grant and Release empties it, and its
+// per-chip vectors stay with it for the next acquisition. The zero Grant is
+// empty.
 type Grant struct {
 	dimm       float64
 	lcp        []float64 // tokens taken from each chip's LCP
 	gcpOut     float64   // GCP output tokens supplied
 	borrowed   []float64 // LCP tokens borrowed per chip to fund the GCP
 	maxSegment float64   // largest single GCP-powered chip segment
-	pooled     bool      // in the manager's free list; guards double release
+	held       bool      // committed: its tokens are out of the pools
 }
 
 // GCPTokens reports the GCP output tokens this grant is consuming.
 func (g *Grant) GCPTokens() float64 { return g.gcpOut }
+
+// Held reports whether the grant holds tokens: it was filled by TryAcquire
+// and not released since.
+func (g *Grant) Held() bool { return g.held }
+
+// empty zeroes the grant, keeping its per-chip vectors.
+func (g *Grant) empty() {
+	clear(g.lcp)
+	clear(g.borrowed)
+	g.dimm, g.gcpOut, g.maxSegment, g.held = 0, 0, 0, false
+}
 
 // Manager owns every pool and implements the acquisition policy, including
 // the GCP segment rule of the paper: a chip segment is powered entirely by
@@ -49,10 +62,9 @@ type Manager struct {
 	cfg *sim.Config
 	hub *obs.Hub
 
-	dimm     *Pool
-	chips    []*Pool
-	gcp      *Pool // capacity = max GCP output tokens
-	borrowed []float64
+	dimm  *Pool
+	chips []*Pool
+	gcp   *Pool // capacity = max GCP output tokens
 
 	// epoch moves on every commit and Release, the only changes to the
 	// pools, so a demand refused at one epoch is refused again, for the
@@ -75,8 +87,6 @@ type Manager struct {
 	scratchOrder  []int
 	scratchShort  []int
 	scratchNeeded []float64
-	grantFree     []*Grant
-	vecFree       [][]float64 // pooled per-chip vectors, each len(chips), zeroed
 }
 
 // NewManager builds pools from the configuration and registers the
@@ -93,7 +103,6 @@ func NewManager(cfg *sim.Config, hub *obs.Hub) *Manager {
 		gcpCap = cfg.GCPTokens()
 	}
 	m.gcp = NewPool(gcpCap)
-	m.borrowed = make([]float64, cfg.Chips)
 
 	m.deniedDIMM = hub.Counter("power.denied.dimm")
 	m.deniedChip = hub.Counter("power.denied.chip")
@@ -136,84 +145,39 @@ func (m *Manager) ChipAvailable(c int) float64 { return m.chips[c].Available() }
 // GCPInUse returns the GCP output tokens currently supplying segments.
 func (m *Manager) GCPInUse() float64 { return m.gcp.InUse() }
 
-// CanAcquire reports whether the demand could be granted right now without
-// mutating any state.
-func (m *Manager) CanAcquire(d Demand) bool {
-	ok, g := m.plan(d)
-	m.recycle(g) // planned but never committed: no tokens to return
-	return ok
+// TryAcquire attempts to grant the demand into g, which must be empty. It
+// reports whether every budget had room; on refusal g stays empty.
+func (m *Manager) TryAcquire(d Demand, g *Grant) bool {
+	if g.held {
+		panic("power: TryAcquire into a held grant")
+	}
+	if !m.plan(d, g) {
+		return false
+	}
+	m.commit(g)
+	return true
 }
 
-// newGrant pops the grant pool or allocates.
-func (m *Manager) newGrant() *Grant {
-	if n := len(m.grantFree); n > 0 {
-		g := m.grantFree[n-1]
-		m.grantFree = m.grantFree[:n-1]
-		g.pooled = false
-		return g
-	}
-	return &Grant{}
-}
-
-// newVec pops a zeroed per-chip vector or allocates one.
-func (m *Manager) newVec() []float64 {
-	if n := len(m.vecFree); n > 0 {
-		v := m.vecFree[n-1]
-		m.vecFree = m.vecFree[:n-1]
-		return v
-	}
-	return make([]float64, len(m.chips))
-}
-
-// recycle returns a grant and its vectors to the pools without touching
-// token accounting (callers return tokens first if the grant was
-// committed). Recycling nil or an already pooled grant is a no-op.
-func (m *Manager) recycle(g *Grant) {
-	if g == nil || g.pooled {
-		return
-	}
-	g.pooled = true
-	if g.lcp != nil {
-		clear(g.lcp)
-		m.vecFree = append(m.vecFree, g.lcp)
-		g.lcp = nil
-	}
-	if g.borrowed != nil {
-		clear(g.borrowed)
-		m.vecFree = append(m.vecFree, g.borrowed)
-		g.borrowed = nil
-	}
-	g.dimm, g.gcpOut, g.maxSegment = 0, 0, 0
-	m.grantFree = append(m.grantFree, g)
-}
-
-// TryAcquire attempts to grant the demand; it returns (grant, true) on
-// success and (nil, false) if any budget would be violated.
-func (m *Manager) TryAcquire(d Demand) (*Grant, bool) {
-	ok, g := m.plan(d)
-	if !ok {
-		return nil, false
-	}
-	m.commit(d, g)
-	return g, true
-}
-
-// plan computes how the demand would be satisfied. It mutates only scratch
-// space; commit applies the plan.
-func (m *Manager) plan(d Demand) (bool, *Grant) {
+// plan computes into the empty grant g how the demand would be satisfied,
+// allocating g's per-chip vectors the first time it plans for chip budgets.
+// It touches no pool; commit applies the plan. On refusal g is left empty.
+func (m *Manager) plan(d Demand, g *Grant) bool {
 	if m.cfg.EnforcesDIMMBudget() && !m.dimm.CanAcquire(d.DIMM) {
 		m.deniedDIMM.Inc()
-		return false, nil
+		return false
 	}
-	g := m.newGrant()
 	g.dimm = d.DIMM
 	if !m.cfg.EnforcesChipBudget() || d.PerChip == nil {
-		return true, g
+		return true
 	}
-	if len(d.PerChip) != len(m.chips) {
-		panic(fmt.Sprintf("power: demand for %d chips, manager has %d", len(d.PerChip), len(m.chips)))
+	n := len(m.chips)
+	if len(d.PerChip) != n {
+		panic(fmt.Sprintf("power: demand for %d chips, manager has %d", len(d.PerChip), n))
 	}
-	g.lcp = m.newVec()
+	if g.lcp == nil {
+		v := make([]float64, 2*n)
+		g.lcp, g.borrowed = v[:n:n], v[n:]
+	}
 	// Pass 1: segments the LCPs can power directly.
 	m.scratchShort = m.scratchShort[:0]
 	gcpOutNeeded := 0.0
@@ -234,7 +198,7 @@ func (m *Manager) plan(d Demand) (bool, *Grant) {
 	}
 	g.maxSegment = maxSegment
 	if len(m.scratchShort) == 0 {
-		return true, g
+		return true
 	}
 	// Pass 2: the GCP powers every short segment in full (segment rule).
 	if !m.cfg.UsesGCP() || !m.gcp.CanAcquire(gcpOutNeeded) {
@@ -243,25 +207,24 @@ func (m *Manager) plan(d Demand) (bool, *Grant) {
 		} else {
 			m.deniedChip.Inc()
 		}
-		m.recycle(g)
-		return false, nil
+		g.empty()
+		return false
 	}
 	// Fund the GCP: borrow gcpOutNeeded * E_LCP / E_GCP raw LCP tokens
 	// from chips with spare capacity (Eq. 5), greedily from the chips
 	// with the most headroom after their own LCP allocations.
 	borrowNeed := gcpOutNeeded * m.cfg.LCPEff / m.cfg.GCPEff
-	g.borrowed = m.newVec()
-	if cap(m.scratchOrder) < len(m.chips) {
-		m.scratchOrder = make([]int, len(m.chips))
-		m.scratchNeeded = make([]float64, len(m.chips))
+	if cap(m.scratchOrder) < n {
+		m.scratchOrder = make([]int, n)
+		m.scratchNeeded = make([]float64, n)
 	}
-	order := m.scratchOrder[:len(m.chips)]
-	headroom := m.scratchNeeded[:len(m.chips)]
+	order := m.scratchOrder[:n]
+	headroom := m.scratchNeeded[:n]
 	for c := range order {
 		order[c] = c
 		headroom[c] = m.chips[c].Available() - g.lcp[c]
 	}
-	sort.Slice(order, func(i, j int) bool { return headroom[order[i]] > headroom[order[j]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(headroom[b], headroom[a]) })
 	remaining := borrowNeed
 	for _, c := range order {
 		if remaining <= epsilon {
@@ -279,16 +242,17 @@ func (m *Manager) plan(d Demand) (bool, *Grant) {
 	}
 	if remaining > epsilon {
 		m.deniedGCP.Inc()
-		m.recycle(g)
-		return false, nil
+		g.empty()
+		return false
 	}
 	g.gcpOut = gcpOutNeeded
-	return true, g
+	return true
 }
 
 // commit applies a planned grant to the pools and records telemetry.
-func (m *Manager) commit(d Demand, g *Grant) {
+func (m *Manager) commit(g *Grant) {
 	m.epoch++
+	g.held = true
 	if m.cfg.EnforcesDIMMBudget() {
 		m.dimm.Acquire(g.dimm)
 	} else {
@@ -326,11 +290,10 @@ func (m *Manager) commit(d Demand, g *Grant) {
 	m.grantsIssued.Inc()
 }
 
-// Release returns every token held by the grant and recycles it; the grant
-// must not be used afterwards. Releasing nil or an already released grant
-// is a no-op.
+// Release returns every token the grant holds and empties it for the next
+// TryAcquire. Releasing an empty grant is a no-op.
 func (m *Manager) Release(g *Grant) {
-	if g == nil || g.pooled {
+	if !g.held {
 		return
 	}
 	m.epoch++
@@ -354,17 +317,7 @@ func (m *Manager) Release(g *Grant) {
 			m.hub.Emit(obs.Event{Kind: obs.Meter, Cat: "power", Name: "gcp.tokens_in_use", ID: -1, V: m.gcp.InUse()})
 		}
 	}
-	m.recycle(g)
-}
-
-// Resize releases old and immediately tries to acquire next; on failure the
-// old grant is gone (the write holds nothing and must wait at the iteration
-// boundary). This release-then-acquire order is safe for FPB-IPM because
-// per-iteration demand never increases within a write; only Multi-RESET's
-// RESET→SET transition can fail, which models the short boundary stall.
-func (m *Manager) Resize(old *Grant, next Demand) (*Grant, bool) {
-	m.Release(old)
-	return m.TryAcquire(next)
+	g.empty()
 }
 
 // RecordWriteGCPUsage notes the total GCP output tokens a completed line

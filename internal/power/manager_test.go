@@ -27,7 +27,7 @@ func uniformDemand(total float64, chips int) Demand {
 func TestIdealSchemeGrantsEverything(t *testing.T) {
 	m, _ := managerFor(sim.SchemeIdeal, nil)
 	for i := 0; i < 100; i++ {
-		if _, ok := m.TryAcquire(uniformDemand(10000, 8)); !ok {
+		if !m.TryAcquire(uniformDemand(10000, 8), new(Grant)) {
 			t.Fatal("Ideal denied a grant")
 		}
 	}
@@ -38,16 +38,16 @@ func TestDIMMOnlyEnforcesOnlyDIMM(t *testing.T) {
 	// A demand concentrated on one chip passes under DIMM-only.
 	per := make([]float64, 8)
 	per[3] = 500
-	g, ok := m.TryAcquire(Demand{DIMM: 500, PerChip: per})
-	if !ok {
+	var g Grant
+	if !m.TryAcquire(Demand{DIMM: 500, PerChip: per}, &g) {
 		t.Fatal("DIMM-only denied a single-chip 500-token write")
 	}
 	// But the DIMM total binds: 100 more would exceed 560.
-	if _, ok := m.TryAcquire(Demand{DIMM: 100}); ok {
+	if m.TryAcquire(Demand{DIMM: 100}, new(Grant)) {
 		t.Error("DIMM-only granted past the 560-token budget")
 	}
-	m.Release(g)
-	if _, ok := m.TryAcquire(Demand{DIMM: 100}); !ok {
+	m.Release(&g)
+	if !m.TryAcquire(Demand{DIMM: 100}, new(Grant)) {
 		t.Error("grant not released")
 	}
 }
@@ -57,11 +57,11 @@ func TestDIMMChipEnforcesChipBudget(t *testing.T) {
 	lcp := cfg.LCPTokens() // 66.5
 	per := make([]float64, 8)
 	per[0] = lcp + 1
-	if _, ok := m.TryAcquire(Demand{DIMM: per[0], PerChip: per}); ok {
+	if m.TryAcquire(Demand{DIMM: per[0], PerChip: per}, new(Grant)) {
 		t.Error("DIMM+chip granted past one chip's LCP with no GCP")
 	}
 	per[0] = lcp
-	if _, ok := m.TryAcquire(Demand{DIMM: lcp, PerChip: per}); !ok {
+	if !m.TryAcquire(Demand{DIMM: lcp, PerChip: per}, new(Grant)) {
 		t.Error("DIMM+chip denied a demand exactly at the chip budget")
 	}
 }
@@ -72,16 +72,15 @@ func TestGCPPowersHotChip(t *testing.T) {
 	// A first write occupies most of chip 0 (the "hot chip" of Fig. 3).
 	busy := make([]float64, 8)
 	busy[0] = 50
-	g0, ok := m.TryAcquire(Demand{DIMM: 50, PerChip: busy})
-	if !ok {
+	var g0, g Grant
+	if !m.TryAcquire(Demand{DIMM: 50, PerChip: busy}, &g0) {
 		t.Fatal("setup grant denied")
 	}
 	// The second write needs 30 tokens on chip 0; its LCP has only 16.5
 	// left, so the GCP must power the whole segment.
 	per := make([]float64, 8)
 	per[0] = 30
-	g, ok := m.TryAcquire(Demand{DIMM: 30, PerChip: per})
-	if !ok {
+	if !m.TryAcquire(Demand{DIMM: 30, PerChip: per}, &g) {
 		t.Fatal("GCP failed to power a hot chip within its output limit")
 	}
 	if math.Abs(g.GCPTokens()-30) > 1e-9 {
@@ -102,8 +101,8 @@ func TestGCPPowersHotChip(t *testing.T) {
 	if math.Abs(borrowed-borrowWant) > 1e-6 {
 		t.Errorf("borrowed %.3f LCP tokens, want %.3f (Eq. 5)", borrowed, borrowWant)
 	}
-	m.Release(g0)
-	m.Release(g)
+	m.Release(&g0)
+	m.Release(&g)
 	m.CheckInvariants(true)
 }
 
@@ -111,7 +110,7 @@ func TestGCPOutputLimit(t *testing.T) {
 	m, cfg := managerFor(sim.SchemeGCP, nil)
 	per := make([]float64, 8)
 	per[0] = cfg.GCPTokens() + 1 // beyond the pump's max output
-	if _, ok := m.TryAcquire(Demand{DIMM: per[0], PerChip: per}); ok {
+	if m.TryAcquire(Demand{DIMM: per[0], PerChip: per}, new(Grant)) {
 		t.Error("GCP exceeded its maximum output rating")
 	}
 }
@@ -124,17 +123,17 @@ func TestGCPCannotBorrowFromBusyChips(t *testing.T) {
 	for i := range full {
 		full[i] = lcp
 	}
-	g, ok := m.TryAcquire(Demand{DIMM: 8 * lcp, PerChip: full})
-	if !ok {
+	var g Grant
+	if !m.TryAcquire(Demand{DIMM: 8 * lcp, PerChip: full}, &g) {
 		t.Fatal("saturating grant denied")
 	}
 	// Now a hot segment has nothing to borrow.
 	per := make([]float64, 8)
 	per[2] = 10
-	if _, ok := m.TryAcquire(Demand{DIMM: 10, PerChip: per}); ok {
+	if m.TryAcquire(Demand{DIMM: 10, PerChip: per}, new(Grant)) {
 		t.Error("GCP granted with zero borrowable headroom (violates Eq. 6)")
 	}
-	m.Release(g)
+	m.Release(&g)
 	m.CheckInvariants(true)
 }
 
@@ -144,14 +143,13 @@ func TestGCPEfficiencyScalesBorrowing(t *testing.T) {
 		// Exhaust chip 0 so the next demand must go through the GCP.
 		busy := make([]float64, 8)
 		busy[0] = cfg.LCPTokens()
-		g0, ok := m.TryAcquire(Demand{DIMM: busy[0], PerChip: busy})
-		if !ok {
+		var g0, g Grant
+		if !m.TryAcquire(Demand{DIMM: busy[0], PerChip: busy}, &g0) {
 			t.Fatalf("eff %.2f: setup grant denied", eff)
 		}
 		per := make([]float64, 8)
 		per[0] = 20
-		g, ok := m.TryAcquire(Demand{DIMM: 20, PerChip: per})
-		if !ok {
+		if !m.TryAcquire(Demand{DIMM: 20, PerChip: per}, &g) {
 			t.Fatalf("eff %.2f: grant denied", eff)
 		}
 		var borrowed float64
@@ -162,36 +160,44 @@ func TestGCPEfficiencyScalesBorrowing(t *testing.T) {
 		if math.Abs(borrowed-want) > 1e-6 {
 			t.Errorf("eff %.2f: borrowed %.3f, want %.3f", eff, borrowed, want)
 		}
-		m.Release(g0)
-		m.Release(g)
+		m.Release(&g0)
+		m.Release(&g)
 	}
 }
 
+// TestResizeShrinksAllocation resizes a grant as a write's iteration
+// boundary does: Release, then TryAcquire of the smaller demand into the
+// same grant.
 func TestResizeShrinksAllocation(t *testing.T) {
 	m, cfg := managerFor(sim.SchemeDIMMChip, nil)
-	d1 := uniformDemand(400, cfg.Chips)
-	g, ok := m.TryAcquire(d1)
-	if !ok {
+	var g Grant
+	if !m.TryAcquire(uniformDemand(400, cfg.Chips), &g) {
 		t.Fatal("initial acquire denied")
 	}
 	before := m.DIMMAvailable()
-	g2, ok := m.Resize(g, uniformDemand(200, cfg.Chips))
-	if !ok {
+	m.Release(&g)
+	if !m.TryAcquire(uniformDemand(200, cfg.Chips), &g) {
 		t.Fatal("shrinking resize denied")
 	}
 	if m.DIMMAvailable() != before+200 {
 		t.Errorf("resize freed %.1f tokens, want 200", m.DIMMAvailable()-before)
 	}
-	m.Release(g2)
+	m.Release(&g)
 	m.CheckInvariants(true)
 }
 
 func TestResizeFailureLeavesNothingHeld(t *testing.T) {
 	m, cfg := managerFor(sim.SchemeDIMMChip, nil)
-	g, _ := m.TryAcquire(uniformDemand(100, cfg.Chips))
-	// Demand more than the whole DIMM: must fail, old grant released.
-	if _, ok := m.Resize(g, uniformDemand(6000, cfg.Chips)); ok {
+	var g Grant
+	m.TryAcquire(uniformDemand(100, cfg.Chips), &g)
+	m.Release(&g)
+	// Demand more than the whole DIMM: must fail with the old tokens
+	// returned and the grant left empty.
+	if m.TryAcquire(uniformDemand(6000, cfg.Chips), &g) {
 		t.Fatal("impossible resize granted")
+	}
+	if g.Held() || g.GCPTokens() != 0 {
+		t.Errorf("refused grant not empty: %+v", g)
 	}
 	m.CheckInvariants(true)
 }
@@ -201,14 +207,14 @@ func TestTelemetry(t *testing.T) {
 	// Exhaust chip 0 so the 30-token segment is GCP-powered.
 	busy := make([]float64, 8)
 	busy[0] = cfg.LCPTokens()
-	gBusy, ok := m.TryAcquire(Demand{DIMM: busy[0], PerChip: busy})
-	if !ok {
+	var gBusy, g Grant
+	if !m.TryAcquire(Demand{DIMM: busy[0], PerChip: busy}, &gBusy) {
 		t.Fatal("setup grant denied")
 	}
-	defer m.Release(gBusy)
+	defer m.Release(&gBusy)
 	per := make([]float64, 8)
 	per[0] = 30
-	g, _ := m.TryAcquire(Demand{DIMM: 30, PerChip: per})
+	m.TryAcquire(Demand{DIMM: 30, PerChip: per}, &g)
 	if m.MaxGCPOut() != 30 {
 		t.Errorf("MaxGCPOut = %g, want 30", m.MaxGCPOut())
 	}
@@ -224,8 +230,8 @@ func TestTelemetry(t *testing.T) {
 	if m.Grants() != 2 { // setup grant + GCP grant
 		t.Errorf("Grants = %d, want 2", m.Grants())
 	}
-	m.Release(g)
-	if _, ok := m.TryAcquire(Demand{DIMM: 9999}); ok {
+	m.Release(&g)
+	if m.TryAcquire(Demand{DIMM: 9999}, &g) {
 		t.Fatal("should deny")
 	}
 	d, _, _ := m.Denials()
@@ -241,16 +247,22 @@ func TestDemandTotal(t *testing.T) {
 	}
 }
 
-func TestReleaseNilGrant(t *testing.T) {
+func TestReleaseEmptyGrant(t *testing.T) {
 	m, _ := managerFor(sim.SchemeDIMMChip, nil)
-	m.Release(nil) // must not panic
+	epoch := m.Epoch()
+	m.Release(new(Grant))
+	if m.Epoch() != epoch {
+		t.Error("releasing an empty grant moved the epoch")
+	}
+	m.CheckInvariants(true)
 }
 
 func TestDoubleReleaseIsSafe(t *testing.T) {
 	m, cfg := managerFor(sim.SchemeDIMMChip, nil)
-	g, _ := m.TryAcquire(uniformDemand(80, cfg.Chips))
-	m.Release(g)
-	m.Release(g) // grant zeroed on first release; second is a no-op
+	var g Grant
+	m.TryAcquire(uniformDemand(80, cfg.Chips), &g)
+	m.Release(&g)
+	m.Release(&g) // grant emptied on first release; second is a no-op
 	m.CheckInvariants(true)
 }
 
@@ -258,7 +270,7 @@ func TestLocalScaleRaisesChipBudget(t *testing.T) {
 	m, cfg := managerFor(sim.SchemeDIMMChip, func(c *sim.Config) { c.LocalScale = 2 })
 	per := make([]float64, 8)
 	per[0] = cfg.DIMMTokens * cfg.LCPEff / 8 * 1.5 // above 1x LCP, below 2x
-	if _, ok := m.TryAcquire(Demand{DIMM: per[0], PerChip: per}); !ok {
+	if !m.TryAcquire(Demand{DIMM: per[0], PerChip: per}, new(Grant)) {
 		t.Error("2xlocal denied a demand within the doubled chip budget")
 	}
 }
