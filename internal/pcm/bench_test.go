@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"slices"
 	"testing"
 
 	"fpb/internal/mapping"
@@ -38,6 +39,8 @@ func BenchmarkCountChangedCells(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileBuild builds a new write each time: every build misses
+// the draw memo and publishes its draws.
 func BenchmarkProfileBuild(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	builder := NewBuilder(&cfg, sim.NewRNG(1))
@@ -57,11 +60,59 @@ func BenchmarkProfileBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileBuildRepeat rebuilds writes as a Fig. 18 sweep does. 512
+// writes shaped like the sweep's traffic (256 B lines, 200 changed cells,
+// about 100 of them '01' or '10') are each built by five builders, one
+// column at a time: two on an NE mapping table (DIMM+chip and Ideal) and
+// three on a BIM one (the GCP columns). Each round of 5 x 512 builds moves
+// the writes to new addresses, so the first column draws and publishes and
+// the other four read the memo: 80% hits, as in a sweep.
+func BenchmarkProfileBuildRepeat(b *testing.B) {
+	const writes, columns, changed = 512, 5, 200
+	cfg := sim.DefaultConfig()
+	cells := cfg.CellsPerLine()
+	rng := sim.NewRNG(3)
+	olds, news := make([][]byte, writes), make([][]byte, writes)
+	perm := make([]int, cells)
+	for w := range olds {
+		olds[w] = make([]byte, cfg.L3LineB)
+		for i := range olds[w] {
+			olds[w][i] = byte(rng.Uint64())
+		}
+		news[w] = slices.Clone(olds[w])
+		rng.Perm(perm)
+		for _, cell := range perm[:changed] {
+			// One of the three other states, uniformly: half of the
+			// changed cells land on '01' or '10'.
+			s := Cell(olds[w], cell, 2) + CellState(1+rng.Intn(3))
+			SetCell(news[w], cell, 2, s%4)
+		}
+	}
+	ne := mapping.NewTable(mapping.New(sim.MapNaive, cells, cfg.Chips), cells, cfg.Chips)
+	bim := mapping.NewTable(mapping.New(sim.MapBIM, cells, cfg.Chips), cells, cfg.Chips)
+	tabs := [columns]*mapping.Table{ne, ne, bim, bim, bim}
+	var builders [columns]*Builder
+	for c := range builders {
+		builders[c] = NewBuilder(&cfg, sim.NewRNG(uint64(c)))
+	}
+	var p WriteProfile
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, c, round := i%writes, i/writes%columns, i/(writes*columns)
+		addr := uint64(round*writes+w) * 256
+		mapFn := tabs[c].Select(int(addr>>8)%cells, cfg.Chips, false, false)
+		if builders[c].Build(&p, addr, olds[w], news[w], mapFn, false).Changed != changed {
+			b.Fatal("wrong changed count")
+		}
+	}
+}
+
 func BenchmarkIterModelDraw(b *testing.B) {
 	cfg := sim.DefaultConfig()
-	m := NewIterModel(&cfg, sim.NewRNG(2))
+	m, rng := NewIterModel(&cfg), sim.NewRNG(2)
 	for i := 0; i < b.N; i++ {
-		if m.Draw(State01) < 2 {
+		if m.Draw(rng, State01) < 2 {
 			b.Fatal("bad draw")
 		}
 	}

@@ -34,7 +34,7 @@ type IterModel struct {
 	iterMax     int
 	mix01       phaseMix
 	mix10       phaseMix
-	rng         *sim.RNG
+	fixed       [4]int // fixedIters by state
 }
 
 // phaseMix holds one state's mixture parameters.
@@ -54,16 +54,19 @@ const (
 	minIters = 2
 )
 
-// NewIterModel builds an iteration model from the configuration, drawing
-// from the provided RNG stream.
-func NewIterModel(cfg *sim.Config, rng *sim.RNG) *IterModel {
-	return &IterModel{
+// NewIterModel builds an iteration model from the configuration.
+func NewIterModel(cfg *sim.Config) *IterModel {
+	m := &IterModel{
 		bitsPerCell: cfg.BitsPerCell,
 		iterMax:     cfg.IterMax,
 		mix01:       solveMix(cfg.Iter01Mean, cfg.Iter01F1),
 		mix10:       solveMix(cfg.Iter10Mean, cfg.Iter10F1),
-		rng:         rng,
+		fixed:       [4]int{1, 0, 0, 2},
 	}
+	if cfg.BitsPerCell == 1 {
+		m.fixed = [4]int{1, 1, 1, 1}
+	}
+	return m
 }
 
 // solveMix places the two phases so the mixture mean equals mean:
@@ -82,27 +85,36 @@ func solveMix(mean, f1 float64) phaseMix {
 }
 
 // Draw returns the total iterations (including the leading RESET) for one
-// cell write targeting the given state. For SLC (bitsPerCell 1) every write
-// is a single pulse.
-func (m *IterModel) Draw(target CellState) int {
-	if m.bitsPerCell == 1 {
-		return 1
+// cell write targeting the given state, drawing from rng. For SLC
+// (bitsPerCell 1) every write is a single pulse.
+func (m *IterModel) Draw(rng *sim.RNG, target CellState) int {
+	if t := m.fixedIters(target); t > 0 {
+		return t
 	}
-	switch target {
-	case State00:
-		return 1
-	case State11:
-		return 2
-	}
+	return m.draw(rng, target)
+}
+
+// fixedIters returns the iterations of a cell write that draws nothing: 1
+// for '00' and for every SLC cell, 2 for '11'. It returns 0 for '01' and
+// '10', whose count draw takes from the stream.
+func (m *IterModel) fixedIters(target CellState) int {
+	return m.fixed[target&3]
+}
+
+// draw draws the iterations of a '01' or '10' cell. It consumes exactly 13
+// outputs of rng whichever phase it picks (one Bernoulli, then a normal
+// from 12 uniforms), so the k-th such cell of a write reads the same
+// outputs of the write's stream whatever the other cells are.
+func (m *IterModel) draw(rng *sim.RNG, target CellState) int {
 	mix := m.mix01
 	if target == State10 {
 		mix = m.mix10
 	}
 	var v float64
-	if m.rng.Bernoulli(mix.f1) {
-		v = m.rng.Normal(mix.fastMean, fastSigma)
+	if rng.Bernoulli(mix.f1) {
+		v = rng.Normal(mix.fastMean, fastSigma)
 	} else {
-		v = m.rng.Normal(mix.slowMean, slowSigma)
+		v = rng.Normal(mix.slowMean, slowSigma)
 	}
 	t := int(math.Round(v))
 	if t < minIters {

@@ -7,31 +7,31 @@ import (
 	"fpb/internal/sim"
 )
 
-func newTestModel(t *testing.T) *IterModel {
+func newTestModel(t *testing.T) (*IterModel, *sim.RNG) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
-	return NewIterModel(&cfg, sim.NewRNG(1))
+	return NewIterModel(&cfg), sim.NewRNG(1)
 }
 
 func TestIterModelFixedStates(t *testing.T) {
-	m := newTestModel(t)
+	m, rng := newTestModel(t)
 	for i := 0; i < 100; i++ {
-		if got := m.Draw(State00); got != 1 {
+		if got := m.Draw(rng, State00); got != 1 {
 			t.Fatalf("'00' draw = %d, want fixed 1", got)
 		}
-		if got := m.Draw(State11); got != 2 {
+		if got := m.Draw(rng, State11); got != 2 {
 			t.Fatalf("'11' draw = %d, want fixed 2", got)
 		}
 	}
 }
 
 func TestIterModelMeans(t *testing.T) {
-	m := newTestModel(t)
+	m, rng := newTestModel(t)
 	const draws = 200000
 	sum01, sum10 := 0, 0
 	for i := 0; i < draws; i++ {
-		sum01 += m.Draw(State01)
-		sum10 += m.Draw(State10)
+		sum01 += m.Draw(rng, State01)
+		sum10 += m.Draw(rng, State10)
 	}
 	mean01 := float64(sum01) / draws
 	mean10 := float64(sum10) / draws
@@ -50,10 +50,10 @@ func TestIterModelMeans(t *testing.T) {
 
 func TestIterModelBounds(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	m := NewIterModel(&cfg, sim.NewRNG(2))
+	m, rng := NewIterModel(&cfg), sim.NewRNG(2)
 	for i := 0; i < 50000; i++ {
 		for _, s := range []CellState{State00, State01, State10, State11} {
-			d := m.Draw(s)
+			d := m.Draw(rng, s)
 			if d < 1 || d > cfg.IterMax {
 				t.Fatalf("draw for state %d = %d, out of [1,%d]", s, d, cfg.IterMax)
 			}
@@ -65,12 +65,12 @@ func TestIterModelBounds(t *testing.T) {
 }
 
 func TestIterModelIntermediateStatesNeedSET(t *testing.T) {
-	m := newTestModel(t)
+	m, rng := newTestModel(t)
 	for i := 0; i < 1000; i++ {
-		if d := m.Draw(State01); d < 2 {
+		if d := m.Draw(rng, State01); d < 2 {
 			t.Fatalf("'01' draw = %d, must be >= 2 (RESET + >=1 SET)", d)
 		}
-		if d := m.Draw(State10); d < 2 {
+		if d := m.Draw(rng, State10); d < 2 {
 			t.Fatalf("'10' draw = %d, must be >= 2", d)
 		}
 	}
@@ -79,9 +79,9 @@ func TestIterModelIntermediateStatesNeedSET(t *testing.T) {
 func TestIterModelSLCAlwaysOne(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.BitsPerCell = 1
-	m := NewIterModel(&cfg, sim.NewRNG(3))
+	m, rng := NewIterModel(&cfg), sim.NewRNG(3)
 	for i := 0; i < 100; i++ {
-		if d := m.Draw(CellState(i % 4)); d != 1 {
+		if d := m.Draw(rng, CellState(i%4)); d != 1 {
 			t.Fatalf("SLC draw = %d, want 1", d)
 		}
 	}
@@ -89,11 +89,11 @@ func TestIterModelSLCAlwaysOne(t *testing.T) {
 
 func TestIterModelDeterministicForSeed(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	a := NewIterModel(&cfg, sim.NewRNG(9))
-	b := NewIterModel(&cfg, sim.NewRNG(9))
+	a, ra := NewIterModel(&cfg), sim.NewRNG(9)
+	b, rb := NewIterModel(&cfg), sim.NewRNG(9)
 	for i := 0; i < 1000; i++ {
 		s := CellState(i % 4)
-		if a.Draw(s) != b.Draw(s) {
+		if a.Draw(ra, s) != b.Draw(rb, s) {
 			t.Fatal("same-seed models diverged")
 		}
 	}
@@ -121,11 +121,11 @@ func TestIterModelThinTail(t *testing.T) {
 	// The property write truncation depends on: only a few cells of a
 	// line write straggle far past the mean. For state '01' (mean 8),
 	// fewer than 5% of draws may exceed 13 iterations.
-	m := newTestModel(t)
+	m, rng := newTestModel(t)
 	const draws = 100000
 	far := 0
 	for i := 0; i < draws; i++ {
-		if m.Draw(State01) > 13 {
+		if m.Draw(rng, State01) > 13 {
 			far++
 		}
 	}

@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"math"
 	"slices"
 
 	"fpb/internal/mapping"
@@ -61,30 +62,39 @@ type WriteProfile struct {
 	Truncated int
 }
 
-// Builder constructs WriteProfiles. It owns the iteration model RNG stream
-// and scratch buffers, so one Builder must not be shared across goroutines.
+// Builder constructs WriteProfiles. It owns scratch buffers and the
+// per-write RNG stream, so one Builder must not be shared across
+// goroutines; builders of one iteration law share the process's draw memo.
 //
 // The caller owns each profile: Build and BuildFromCells overwrite the one
 // they are given and reuse its slices, so rebuilding a kept profile is
 // allocation-free once its slices have grown to the write mix.
 type Builder struct {
 	cfg      *sim.Config
-	iters    *IterModel
-	scratch  []int
-	seed     uint64
-	writeRNG *sim.RNG    // reseeded per Build from the write's content hash
-	targets  []CellState // scratch for Build's target states
-	hist     []int       // scratch: per-(iteration, chip) cell counts
+	model    *IterModel
+	rng      *sim.RNG  // BuildFromCells' stream
+	writeRNG *sim.RNG  // reseeded per Build from the write's content hash
+	memo     *drawMemo // the law's draw memo; nil when a draw may not fit a byte
+	cells    []int     // scratch: Build's changed cells
+	iters    []int     // scratch: each changed cell's iterations
+	mid      []int     // scratch: the indices into cells of '01'/'10' cells
+	kinds    []byte    // scratch: one bit per mid cell, set when it targets '10'
+	hist     []int     // scratch: per-(iteration, chip) cell counts
 }
 
-// NewBuilder returns a profile builder for the configuration.
+// NewBuilder returns a profile builder for the configuration. rng is the
+// stream BuildFromCells draws from; Build draws from each write's own.
 func NewBuilder(cfg *sim.Config, rng *sim.RNG) *Builder {
-	return &Builder{
+	b := &Builder{
 		cfg:      cfg,
-		iters:    NewIterModel(cfg, rng),
-		seed:     rng.Uint64(),
+		model:    NewIterModel(cfg),
+		rng:      rng,
 		writeRNG: sim.NewRNG(0),
 	}
+	if cfg.IterMax <= math.MaxUint8 {
+		b.memo = drawMemoFor(b.model.law())
+	}
+	return b
 }
 
 // resizeInts returns s resized to n elements, zeroed, reusing its backing
@@ -106,19 +116,50 @@ func resizeInts(s []int, n int) []int {
 // same physical write is equally hard under every scheme and on every
 // issue attempt, exactly as a shared trace would make it. Without this,
 // cross-scheme comparisons would carry draw-sequence noise and, e.g., IPM
-// could spuriously beat Ideal.
+// could spuriously beat Ideal. The draws of a write already built under
+// the same law come from the draw memo.
 func (b *Builder) Build(p *WriteProfile, lineAddr uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
-	cells := DiffCells(b.scratch[:0], old, new, b.cfg.BitsPerCell)
-	targets := slices.Grow(b.targets[:0], len(cells))[:len(cells)]
+	return b.build(p, lineAddr, contentHash(lineAddr, old, new), old, new, mapFn, truncate)
+}
+
+// build is Build drawing from the stream seed names.
+func (b *Builder) build(p *WriteProfile, lineAddr, seed uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
+	bits := b.cfg.BitsPerCell
+	cells := DiffCells(b.cells[:0], old, new, bits)
+	n := len(cells)
+	iters := slices.Grow(b.iters[:0], n)[:n]
+	// Every cell is stored as the k-th '01'/'10' cell (at mid[k], its '10'
+	// flag at bit k of kinds) and k moves past it only if it is one, so
+	// the loop takes no branch on a cell's state: a write's states are
+	// random, and such a branch mispredicts on every other cell.
+	mid := slices.Grow(b.mid[:0], n)[:n]
+	kinds := slices.Grow(b.kinds[:0], (n+7)/8)[:(n+7)/8]
+	clear(kinds)
+	k := 0
 	for i, cell := range cells {
-		targets[i] = Cell(new, cell, b.cfg.BitsPerCell)
+		target := Cell(new, cell, bits)
+		t := b.model.fixedIters(target) // 0 for '01' and '10'
+		iters[i] = t
+		mid[k] = i
+		kinds[k/8] |= byte(target>>1&^target&1) << (k % 8) // 1 for '10' alone
+		var drawn int
+		if t == 0 {
+			drawn = 1
+		}
+		k += drawn
 	}
-	b.scratch, b.targets = cells, targets
-	b.writeRNG.Reseed(contentHash(lineAddr, old, new))
-	saved := b.iters.rng
-	b.iters.rng = b.writeRNG
-	b.BuildFromCells(p, lineAddr, cells, targets, mapFn, truncate)
-	b.iters.rng = saved
+	mid, kinds = mid[:k], kinds[:(k+7)/8]
+	b.cells, b.iters, b.mid, b.kinds = cells, iters, mid, kinds
+	if len(mid) == 0 || (b.memo != nil && b.memo.lookup(seed, mid, iters, kinds)) {
+		return b.tally(p, lineAddr, cells, iters, nil, mapFn, truncate)
+	}
+	// The memo did not serve the '01'/'10' cells: their iters are still 0,
+	// and tally draws them from the write's stream.
+	b.writeRNG.Reseed(seed)
+	b.tally(p, lineAddr, cells, iters, new, mapFn, truncate)
+	if b.memo != nil {
+		b.memo.publish(seed, mid, iters, kinds)
+	}
 	return p
 }
 
@@ -144,12 +185,34 @@ func contentHash(lineAddr uint64, old, new []byte) uint64 {
 // BuildFromCells overwrites p with the profile when the changed cell set
 // is already known, and returns p. targets supplies the new cell states
 // (indexed by cell); it may be nil, in which case states are drawn
-// uniformly (used by synthetic stress tests).
-//
-// One pass over the cells draws each cell's iterations in order and tallies
-// the per-chip counts, a per-(iteration, chip) histogram and the
-// Multi-RESET groups; the remaining counts are the histogram's suffix sums.
+// uniformly (used by synthetic stress tests). The states and iterations
+// are drawn from the builder's own stream, without the draw memo.
 func (b *Builder) BuildFromCells(p *WriteProfile, lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+	iters := slices.Grow(b.iters[:0], len(cells))[:len(cells)]
+	for i := range cells {
+		var target CellState
+		if targets != nil {
+			target = targets[i]
+		} else {
+			target = CellState(b.rng.Intn(4))
+		}
+		iters[i] = b.model.Draw(b.rng, target)
+	}
+	b.iters = iters
+	return b.tally(p, lineAddr, cells, iters, nil, mapFn, truncate)
+}
+
+// tally overwrites p with the profile of cells, the i-th of which needs
+// iters[i] iterations, and returns p. An iters entry of 0 is a '01'/'10'
+// cell still to draw: tally draws it from writeRNG, its target read from
+// new, and stores the draw in iters. Drawing in the same pass as the
+// tally, as the build did before the draw memo, keeps a build that misses
+// the memo as fast as it was.
+//
+// One pass over the cells tallies the per-chip counts, a per-(iteration,
+// chip) histogram and the Multi-RESET groups; the remaining counts are the
+// histogram's suffix sums.
+func (b *Builder) tally(p *WriteProfile, lineAddr uint64, cells, iters []int, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
 	chips := b.cfg.Chips
 	p.LineAddr = lineAddr
 	p.Changed = len(cells)
@@ -162,14 +225,13 @@ func (b *Builder) BuildFromCells(p *WriteProfile, lineAddr uint64, cells []int, 
 	// hist[(t-1)*chips+c] counts chip c's cells that need t iterations. It
 	// grows with the write's largest draw, never to IterMax.
 	hist := b.hist[:0]
+	iters = iters[:len(cells)]
 	for i, cell := range cells {
-		var target CellState
-		if targets != nil {
-			target = targets[i]
-		} else {
-			target = CellState(b.iters.rng.Intn(4))
+		t := iters[i]
+		if t == 0 {
+			t = b.model.draw(b.writeRNG, Cell(new, cell, b.cfg.BitsPerCell))
+			iters[i] = t
 		}
-		t := b.iters.Draw(target)
 		chip := mapFn(cell)
 		p.PerChip[chip]++
 		if n := t * chips; n > len(hist) {

@@ -45,16 +45,21 @@ func refCountChangedCells(old, new []byte, bitsPerCell int) int {
 }
 
 func refBuild(cfg *sim.Config, lineAddr uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
+	return refBuildSeeded(cfg, lineAddr, contentHash(lineAddr, old, new), old, new, mapFn, truncate)
+}
+
+// refBuildSeeded is refBuild drawing from the stream seed names.
+func refBuildSeeded(cfg *sim.Config, lineAddr, seed uint64, old, new []byte, mapFn mapping.Func, truncate bool) *WriteProfile {
 	cells := refDiffCells(nil, old, new, cfg.BitsPerCell)
 	targets := make([]CellState, len(cells))
 	for i, cell := range cells {
 		targets[i] = Cell(new, cell, cfg.BitsPerCell)
 	}
-	iters := NewIterModel(cfg, sim.NewRNG(contentHash(lineAddr, old, new)))
-	return refBuildFromCells(cfg, iters, lineAddr, cells, targets, mapFn, truncate)
+	return refBuildFromCells(cfg, sim.NewRNG(seed), lineAddr, cells, targets, mapFn, truncate)
 }
 
-func refBuildFromCells(cfg *sim.Config, iters *IterModel, lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+func refBuildFromCells(cfg *sim.Config, rng *sim.RNG, lineAddr uint64, cells []int, targets []CellState, mapFn mapping.Func, truncate bool) *WriteProfile {
+	iters := NewIterModel(cfg)
 	p := &WriteProfile{}
 	p.LineAddr = lineAddr
 	p.Changed = len(cells)
@@ -69,9 +74,9 @@ func refBuildFromCells(cfg *sim.Config, iters *IterModel, lineAddr uint64, cells
 		if targets != nil {
 			target = targets[i]
 		} else {
-			target = CellState(iters.rng.Intn(4))
+			target = CellState(rng.Intn(4))
 		}
-		t := iters.Draw(target)
+		t := iters.Draw(rng, target)
 		iterOf[i] = t
 		chip := mapFn(cell)
 		chipOf[i] = chip
@@ -148,84 +153,138 @@ func randomLine(rng *sim.RNG, base []byte, n int) []byte {
 	return line
 }
 
-// TestBuildMatchesReference drives one Builder per case through several
-// back-to-back builds and compares every exported field against the
-// reference on a fresh profile. Every build, across all cases, rebuilds one
-// profile in place, so rows and group tables left by a larger write, or by
-// another chip count, show as stale state.
-func TestBuildMatchesReference(t *testing.T) {
+// refCase is one configuration of TestBuildMatchesReference: the seed of
+// its builder's stream and the builds made through that builder, in order.
+type refCase struct {
+	cfg    sim.Config
+	seed   uint64
+	base   mapping.Func
+	tab    *mapping.Table
+	builds []refCall
+}
+
+// refCall is one build: Build(old, new), or BuildFromCells(changed,
+// targets) when fromCells. Its mapping is the case's base function (sel 0)
+// or its table at offset, whole (sel 1) or half-striped (sel 2).
+type refCall struct {
+	what            string
+	sel, offset     int
+	upper, truncate bool
+	addr            uint64
+	fromCells       bool
+	old, new        []byte
+	changed         []int
+	targets         []CellState
+}
+
+// mapFn selects the call's mapping. A table serves one selection at a
+// time, so select it right before the build that uses it.
+func (c *refCase) mapFn(k refCall) mapping.Func {
+	switch k.sel {
+	case 1:
+		return c.tab.Select(k.offset, c.cfg.Chips, false, false)
+	case 2:
+		return c.tab.Select(k.offset, c.cfg.Chips, true, k.upper)
+	}
+	return c.base
+}
+
+// forEachRefCase generates TestBuildMatchesReference's 1024 cases of 4
+// builds each, the same ones on every call, and hands them to fn in turn.
+func forEachRefCase(fn func(c *refCase)) {
 	const cases, buildsPerCase = 1024, 4
-	var got WriteProfile
-	for c := 0; c < cases; c++ {
-		rng := sim.NewRNG(uint64(c))
-		cfg := sim.DefaultConfig()
+	for n := 0; n < cases; n++ {
+		rng := sim.NewRNG(uint64(n))
+		c := refCase{cfg: sim.DefaultConfig()}
+		cfg := &c.cfg
 		cfg.BitsPerCell = pick(rng, 1, 2)
 		cfg.L3LineB = pick(rng, 64, 128, 256)
 		cfg.Chips = pick(rng, 4, 8, 16)
 		cfg.IterMax = pick(rng, 2, 16, 1<<30)
 		cfg.TruncateTailCells = pick(rng, 0, 8, 1000)
 		cells := cfg.CellsPerLine()
-		base := mapping.New(pick(rng, sim.MapNaive, sim.MapVIM, sim.MapBIM), cells, cfg.Chips)
-		tab := mapping.NewTable(base, cells, cfg.Chips)
-
-		seed := rng.Uint64()
-		b := NewBuilder(&cfg, sim.NewRNG(seed))
-		refRNG := sim.NewRNG(seed)
-		refRNG.Uint64() // NewBuilder's own draw
-		refIters := NewIterModel(&cfg, refRNG)
-
+		c.base = mapping.New(pick(rng, sim.MapNaive, sim.MapVIM, sim.MapBIM), cells, cfg.Chips)
+		c.tab = mapping.NewTable(c.base, cells, cfg.Chips)
+		c.seed = rng.Uint64()
 		for i := 0; i < buildsPerCase; i++ {
-			mapFn := base
-			switch rng.Intn(3) {
+			var k refCall
+			switch k.sel = rng.Intn(3); k.sel {
 			case 1:
-				mapFn = tab.Select(rng.Intn(cells), cfg.Chips, false, false)
+				k.offset = rng.Intn(cells)
 			case 2:
-				mapFn = tab.Select(rng.Intn(cells), cfg.Chips, true, rng.Intn(2) == 1)
+				k.offset, k.upper = rng.Intn(cells), rng.Intn(2) == 1
 			}
-			truncate := rng.Intn(2) == 1
-			addr := rng.Uint64() &^ 0xFF
-			var want *WriteProfile
-			var what string
+			k.truncate = rng.Intn(2) == 1
+			k.addr = rng.Uint64() &^ 0xFF
 			switch rng.Intn(4) {
 			case 0, 1, 2:
-				var old []byte
 				if rng.Intn(2) == 0 {
-					old = randomLine(rng, nil, cfg.L3LineB)
+					k.old = randomLine(rng, nil, cfg.L3LineB)
 				}
-				new := randomLine(rng, old, cfg.L3LineB)
+				k.new = randomLine(rng, k.old, cfg.L3LineB)
 				equal := rng.Intn(5) == 0
 				if equal {
-					new = make([]byte, cfg.L3LineB)
-					copy(new, old)
+					k.new = make([]byte, cfg.L3LineB)
+					copy(k.new, k.old)
 				}
-				what = fmt.Sprintf("Build(old nil=%v, new==old %v)", old == nil, equal)
-				b.Build(&got, addr, old, new, mapFn, truncate)
-				want = refBuild(&cfg, addr, old, new, mapFn, truncate)
+				k.what = fmt.Sprintf("Build(old nil=%v, new==old %v)", k.old == nil, equal)
 			default:
+				k.fromCells = true
 				n := rng.Intn(cells + 1)
 				perm := make([]int, cells)
 				rng.Perm(perm)
-				changed := perm[:n]
+				k.changed = perm[:n]
 				if rng.Intn(2) == 0 {
-					changed = refDiffCells(nil, nil, randomLine(rng, nil, cfg.L3LineB), cfg.BitsPerCell)
+					k.changed = refDiffCells(nil, nil, randomLine(rng, nil, cfg.L3LineB), cfg.BitsPerCell)
 				}
-				var targets []CellState
 				if rng.Intn(2) == 0 {
-					targets = make([]CellState, len(changed))
-					for j := range targets {
-						targets[j] = CellState(rng.Intn(1 << cfg.BitsPerCell))
+					k.targets = make([]CellState, len(k.changed))
+					for j := range k.targets {
+						k.targets[j] = CellState(rng.Intn(1 << cfg.BitsPerCell))
 					}
 				}
-				what = fmt.Sprintf("BuildFromCells(%d cells, targets nil=%v)", len(changed), targets == nil)
-				b.BuildFromCells(&got, addr, changed, targets, mapFn, truncate)
-				want = refBuildFromCells(&cfg, refIters, addr, changed, targets, mapFn, truncate)
+				k.what = fmt.Sprintf("BuildFromCells(%d cells, targets nil=%v)", len(k.changed), k.targets == nil)
+			}
+			c.builds = append(c.builds, k)
+		}
+		fn(&c)
+	}
+}
+
+// describe names a case's configuration for a failure message.
+func (c *refCase) describe(k refCall) string {
+	cfg := &c.cfg
+	return fmt.Sprintf("%s (bits %d, line %dB, chips %d, IterMax %d, tail %d, truncate %v)",
+		k.what, cfg.BitsPerCell, cfg.L3LineB, cfg.Chips, cfg.IterMax, cfg.TruncateTailCells, k.truncate)
+}
+
+// TestBuildMatchesReference drives one Builder per case through several
+// back-to-back builds and compares every exported field against the
+// reference on a fresh profile. Every build, across all cases, rebuilds one
+// profile in place, so rows and group tables left by a larger write, or by
+// another chip count, show as stale state.
+func TestBuildMatchesReference(t *testing.T) {
+	var got WriteProfile
+	n := 0
+	forEachRefCase(func(c *refCase) {
+		b := NewBuilder(&c.cfg, sim.NewRNG(c.seed))
+		refRNG := sim.NewRNG(c.seed)
+		for i, k := range c.builds {
+			mapFn := c.mapFn(k)
+			var want *WriteProfile
+			if k.fromCells {
+				b.BuildFromCells(&got, k.addr, k.changed, k.targets, mapFn, k.truncate)
+				want = refBuildFromCells(&c.cfg, refRNG, k.addr, k.changed, k.targets, mapFn, k.truncate)
+			} else {
+				b.Build(&got, k.addr, k.old, k.new, mapFn, k.truncate)
+				want = refBuild(&c.cfg, k.addr, k.old, k.new, mapFn, k.truncate)
 			}
 			if d := profileMismatch(&got, want); d != "" {
-				t.Fatalf("case %d build %d: %s (bits %d, line %dB, chips %d, IterMax %d, tail %d, truncate %v): %s",
-					c, i, what, cfg.BitsPerCell, cfg.L3LineB, cfg.Chips, cfg.IterMax, cfg.TruncateTailCells, truncate, d)
+				t.Fatalf("case %d build %d: %s: %s", n, i, c.describe(k), d)
 			}
 		}
-	}
+		n++
+	})
 }
 
 // TestDiffCellsMatchesReference covers line lengths that are not a whole

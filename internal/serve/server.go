@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fpb/internal/obs"
+	"fpb/internal/pcm"
 	"fpb/internal/sim"
 	"fpb/internal/system"
 )
@@ -208,6 +209,11 @@ func (s *Server) registerMetrics() {
 	s.reg.Gauge("serve.workers.busy", func() float64 { return float64(s.busy) })
 	s.reg.Gauge("serve.workers.total", func() float64 { return float64(s.cfg.Workers) })
 	s.reg.Gauge("serve.jobs.records", func() float64 { return float64(len(s.jobs)) })
+	// The process's PCM draw memo, shared by every simulation it runs.
+	s.reg.Gauge("pcm.draw_memo.entries", func() float64 { return float64(pcm.DrawMemoStats().Entries) })
+	s.reg.Gauge("pcm.draw_memo.bytes", func() float64 { return float64(pcm.DrawMemoStats().Bytes) })
+	s.reg.Gauge("pcm.draw_memo.hits", func() float64 { return float64(pcm.DrawMemoStats().Hits) })
+	s.reg.Gauge("pcm.draw_memo.misses", func() float64 { return float64(pcm.DrawMemoStats().Misses) })
 	s.hQueueWait = s.reg.Histogram("serve.job.queue_wait_ms", obs.LatencyBucketsMs)
 	s.hSim = s.reg.Histogram("serve.job.sim_ms", obs.LatencyBucketsMs)
 	s.hStore = s.reg.Histogram("serve.job.store_write_ms", obs.LatencyBucketsMs)
@@ -229,6 +235,10 @@ func (s *Server) registerMetrics() {
 		"serve.job.queue_wait_ms":  "accept-to-dequeue wait per job (ms)",
 		"serve.job.sim_ms":         "simulation runtime per job (ms)",
 		"serve.job.store_write_ms": "persistent store write latency per job (ms)",
+		"pcm.draw_memo.entries":    "writes whose iteration draws the process keeps",
+		"pcm.draw_memo.bytes":      "bytes the iteration draw memo holds",
+		"pcm.draw_memo.hits":       "write profile builds that read their draws from the memo",
+		"pcm.draw_memo.misses":     "write profile builds that drew their iterations",
 	} {
 		s.reg.SetHelp(name, help)
 	}

@@ -486,6 +486,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestUnboundedIterationLawRejected: a spec whose iteration law would make
+// every cell draw about 1e9 iterations (a histogram of tens of GB, a fatal
+// out-of-memory that panic containment cannot catch) gets the 400 of any
+// invalid spec, and nothing is simulated.
+func TestUnboundedIterationLawRejected(t *testing.T) {
+	var sims atomic.Int64
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Simulate: func(cfg sim.Config, wl string) (system.Result, error) {
+			sims.Add(1)
+			return fakeResult(cfg, wl), nil
+		},
+	})
+	cfg := sim.DefaultConfig()
+	cfg.IterMax, cfg.Iter01Mean = 1<<30, 1e9
+	code, st := postJob(t, ts.URL, JobSpec{Workload: "mcf_m", Config: &cfg}, "")
+	if code != http.StatusBadRequest || st.State != StateFailed {
+		t.Errorf("unbounded iteration law: status %d %+v, want 400", code, st)
+	}
+	if n := sims.Load(); n != 0 {
+		t.Errorf("%d simulations ran for a rejected spec", n)
+	}
+}
+
 func TestFailedSimulationReports422(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,

@@ -325,6 +325,11 @@ const (
 	MaxL3LineB = 256 << 10
 )
 
+// MaxIterMax is the largest IterMax. It bounds every iteration draw, so a
+// write's per-iteration tallies stay small and each draw fits the byte the
+// PCM model's draw memo keeps it in.
+const MaxIterMax = 255
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
@@ -351,8 +356,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: GCPEff must be in (0,1], got %g", c.GCPEff)
 	case c.SetPowerRatio <= 0 || c.SetPowerRatio > 1:
 		return fmt.Errorf("config: SetPowerRatio must be in (0,1], got %g", c.SetPowerRatio)
-	case c.IterMax < 2:
-		return fmt.Errorf("config: IterMax must be at least 2, got %d", c.IterMax)
+	case c.IterMax < 2 || c.IterMax > MaxIterMax:
+		return fmt.Errorf("config: IterMax must be in [2, %d], got %d", MaxIterMax, c.IterMax)
+	case !(c.Iter01Mean >= 2 && c.Iter01Mean <= float64(c.IterMax)):
+		return fmt.Errorf("config: Iter01Mean must be in [2, IterMax %d], got %g", c.IterMax, c.Iter01Mean)
+	case !(c.Iter10Mean >= 2 && c.Iter10Mean <= float64(c.IterMax)):
+		return fmt.Errorf("config: Iter10Mean must be in [2, IterMax %d], got %g", c.IterMax, c.Iter10Mean)
+	case !(c.Iter01F1 >= 0 && c.Iter01F1 < 1):
+		return fmt.Errorf("config: Iter01F1 must be in [0, 1), got %g", c.Iter01F1)
+	case !(c.Iter10F1 >= 0 && c.Iter10F1 < 1):
+		return fmt.Errorf("config: Iter10F1 must be in [0, 1), got %g", c.Iter10F1)
 	case c.ReadQueueEntries <= 0 || c.WriteQueueEntries <= 0:
 		return fmt.Errorf("config: queue entries must be positive")
 	case c.L3SizeMB > MaxL3SizeMB:

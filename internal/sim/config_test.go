@@ -81,6 +81,18 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero tokens", func(c *Config) { c.DIMMTokens = 0 }},
 		{"bad set ratio", func(c *Config) { c.SetPowerRatio = 0 }},
 		{"tiny iter max", func(c *Config) { c.IterMax = 1 }},
+		{"iter max above MaxIterMax", func(c *Config) { c.IterMax = MaxIterMax + 1 }},
+		{"huge iter max and mean", func(c *Config) { c.IterMax, c.Iter01Mean = 1<<30, 1e9 }},
+		{"'01' mean below 2", func(c *Config) { c.Iter01Mean = 1.5 }},
+		{"'01' mean above IterMax", func(c *Config) { c.Iter01Mean = float64(c.IterMax) + 0.5 }},
+		{"'01' mean out of range", func(c *Config) { c.Iter01Mean = 1e308 }},
+		{"'01' mean NaN", func(c *Config) { c.Iter01Mean = math.NaN() }},
+		{"'10' mean infinite", func(c *Config) { c.Iter10Mean = math.Inf(1) }},
+		{"'10' mean below 2", func(c *Config) { c.Iter10Mean = -3 }},
+		{"'01' fast weight 1", func(c *Config) { c.Iter01F1 = 1 }},
+		{"'01' fast weight negative", func(c *Config) { c.Iter01F1 = -0.1 }},
+		{"'10' fast weight NaN", func(c *Config) { c.Iter10F1 = math.NaN() }},
+		{"'10' fast weight above 1", func(c *Config) { c.Iter10F1 = 1.5 }},
 		{"zero queues", func(c *Config) { c.ReadQueueEntries = 0 }},
 		{"zero chips", func(c *Config) { c.Chips = 0 }},
 	}
@@ -89,6 +101,26 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		m.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", m.name)
+		}
+	}
+}
+
+// TestValidateAcceptsIterationLawEdges: the bounds of the iteration law
+// are themselves valid.
+func TestValidateAcceptsIterationLawEdges(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"IterMax at MaxIterMax", func(c *Config) { c.IterMax = MaxIterMax }},
+		{"IterMax 2 with means 2", func(c *Config) { c.IterMax, c.Iter01Mean, c.Iter10Mean = 2, 2, 2 }},
+		{"means at IterMax", func(c *Config) { c.Iter01Mean, c.Iter10Mean = float64(c.IterMax), float64(c.IterMax) }},
+		{"fast weights 0", func(c *Config) { c.Iter01F1, c.Iter10F1 = 0, 0 }},
+	} {
+		c := DefaultConfig()
+		m.mut(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: Validate rejected a valid config: %v", m.name, err)
 		}
 	}
 }

@@ -16,8 +16,11 @@
 #               build both sides' benchmark binaries (REV from a temporary
 #               git worktree), run them in alternating rounds, each round
 #               flipping which side goes first, so host load falls on both
-#               alike. Writes REV's snapshot to FILE with .base before
-#               .json, the working tree's to FILE, and compares them.
+#               alike. Microbenchmarks run at -test.cpu 1: on a small
+#               shared host, the default GOMAXPROCS spreads medians far
+#               more than any change under test. Writes REV's snapshot to
+#               FILE with .base before .json, the working tree's to FILE,
+#               and compares them.
 # Regressions are reported but do not fail the script (CI treats them as
 # warnings; pass judgement in review). Temporary files go under $TMPDIR.
 set -eu
@@ -67,10 +70,12 @@ if ! git diff --quiet 2>/dev/null; then
 fi
 [ -n "$OUT" ] || OUT="BENCH_${REV}.json"
 
-# Hot-path microbenchmarks: sim kernel, profile build and its parts (cell
-# diff, change count, iteration draw), the PCM store's bytes per scattered
-# line, power manager, refused write admission, cache, cache prefill (one
-# core's warm-up, the bulk of building a system), dispatch guards.
+# Hot-path microbenchmarks: sim kernel, profile build (a new write each
+# time, and, matched by the same pattern, BenchmarkProfileBuildRepeat's
+# sweep-like rebuilds through the draw memo) and its parts (cell diff,
+# change count, iteration draw), the PCM store's bytes per scattered line,
+# power manager, refused write admission, cache, cache prefill (one core's
+# warm-up, the bulk of building a system), dispatch guards.
 # Five runs each: the snapshot records their median and range.
 MICRO='BenchmarkEngineScheduleAndRun|BenchmarkEngineReschedule|BenchmarkProfileBuild|BenchmarkDiffCells256B|BenchmarkCountChangedCells|BenchmarkIterModelDraw|BenchmarkStoreScatteredWrites|BenchmarkTryAcquireRelease|BenchmarkTryStartRefused|BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkPrefill|BenchmarkDispatch'
 PKGS="./internal/sim/ ./internal/pcm/ ./internal/power/ ./internal/core/ ./internal/cache/ ./internal/system/ ./internal/obs/"
@@ -119,7 +124,7 @@ run() { # side, checkout: one run of every benchmark, appended to side.raw
     echo "bench.sh: $1 ($(if [ "$1" = base ]; then echo "$BASE_REV"; else echo "$REV"; fi))" >&2
     for pkg in $PKGS; do
         (cd "$2/$pkg" && "$TMP/$1/$(basename "$pkg").test" -test.run '^$' \
-            -test.bench "$MICRO" -test.count 1 -test.benchmem) | tee -a "$TMP/$1.raw"
+            -test.bench "$MICRO" -test.count 1 -test.cpu 1 -test.benchmem) | tee -a "$TMP/$1.raw"
     done
     if [ "$QUICK" -eq 0 ]; then
         (cd "$2" && "$TMP/$1/fpb.test" -test.run '^$' -test.bench 'BenchmarkFig18Throughput' \
