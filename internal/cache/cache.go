@@ -38,11 +38,13 @@ const (
 // Cache is one set-associative write-back, write-allocate cache level.
 //
 // A plain cache (New) holds every set in place, set s at meta[s*ways:].
-// Two kinds hold some sets elsewhere until an access first touches them:
-//   - a child (Child) reads each set through to its frozen parent, then
-//     copies it into its own ways and marks it owned;
-//   - a filled cache (NewFilled) builds each set from its inserts, keeping
-//     the sets its own accesses built in a compact store.
+// Two kinds do not:
+//   - a filled cache (NewFilledHierarchy) holds no set: it builds each
+//     from its inserts whenever it is read, and is never written, so
+//     Access on it panics;
+//   - a child (Child) reads each set through to its frozen parent until an
+//     access first touches it, then copies it into its own ways and marks
+//     it owned.
 type Cache struct {
 	lineB     int
 	lineShift uint // log2(lineB) when lineB is a power of two
@@ -51,7 +53,7 @@ type Cache struct {
 	sets      int
 	setMask   uint64 // sets-1 when sets is a power of two (the common case)
 	setPow2   bool
-	meta      []way // sets*ways, set-major; a filled cache's built sets
+	meta      []way // sets*ways, set-major; nil in a filled cache
 	tick      uint64
 	hits      uint64
 	misses    uint64
@@ -74,13 +76,34 @@ type Stream struct {
 	Dirty              bool
 }
 
-// streamFill is a filled cache's inserts, and where in meta the sets it
-// has built sit.
+// WalkStepB is the distance between a Walk's reads, the granularity of
+// the workload generator's hot accesses.
+const WalkStepB = 64
+
+// Walk is a forward walk of N reads, WalkStepB bytes apart, from byte
+// address Start, a multiple of WalkStepB. A filled cache takes it after
+// every stream insert.
+type Walk struct {
+	Start, N uint64
+}
+
+// streamFill is a filled cache's inserts: the streams', then the walk's.
+//
+// The walk reaches a level as one read per unit it starts: a line of the
+// level above (unitB bytes), or a walk step at L1, where unitB is
+// WalkStepB. Those reads touch the level's lines walkFirst, walkFirst+1,
+// ... in order, each in one burst whose first read inserts it and whose
+// last leaves it with the tick of the last unit it holds; set s holds
+// walkQ of them, one more when (s - walkFirst) mod sets < walkRem.
 type streamFill struct {
 	pos      []int32 // pos[k] is the insert index of stream line k
 	streams  []Stream
-	slot     []int32 // slot[s] is 1 + set s's index in meta, 0 if unbuilt
-	distinct bool    // no line repeats: no stream laps, no regions overlap
+	distinct bool // no line repeats: no stream laps, no regions overlap, the walk misses them
+
+	walkFirst, walkQ, walkRem uint64
+	unitB                     uint64
+	unitShift                 uint   // log2(unitB) when unitB is a power of two, else 0
+	tickOff                   uint64 // the walk's read of unit u has tick tickOff+u
 }
 
 // metaPools recycles way arrays by length. A full figure sweep builds
@@ -131,27 +154,30 @@ func newGeometry(sizeBytes, lineB, ways int) *Cache {
 	return c
 }
 
-// NewFilled returns a cache in exactly the state New(sizeBytes, lineB,
-// ways) reaches after n = len(pos) calls Access, where insert i is the
-// stream line k with pos[k] = i — tags, dirty bits, LRU ticks, way
-// positions and tick alike — except that its hit and miss counters start
-// at zero. The streams' lines are numbered in order, so line k of
-// streams[1] is line k + streams[0].N. pos must be a permutation of
-// 0..n-1.
+// newFilled returns a cache in exactly the state New(sizeBytes, lineB,
+// ways) reaches after n = len(pos) calls to Access, where insert i is the
+// stream line k with pos[k] = i, and then walk's reads as they reach this
+// level — tags, dirty bits, LRU ticks, way positions and tick alike —
+// except that its hit and miss counters start at zero. The streams' lines
+// are numbered in order, so line k of streams[1] is line k + streams[0].N.
+// pos must be a permutation of 0..n-1. The walk reaches this level in
+// units of unitB bytes, each as one read at its first walk step: the lines
+// of the level above, which must nest in this level's, or WalkStepB when
+// the walk itself reads this level. No unit is longer than a line, so the
+// walk skips no line.
 //
-// A set's state depends only on its own inserts, so NewFilled writes no
-// set; each is built when first read. When no stream laps its region and
-// no two regions overlap, the inserts are distinct lines and all miss:
-// Access fills an empty set's ways from W-1 down to 0 and then evicts them
-// in the same rotation, so a set's j-th insert lands in way W-1-(j mod W)
-// and the set ends holding its last W inserts, insert i with tick i+1, a
-// closed form the build writes directly. Otherwise lines repeat, and the
-// build replays the set's inserts through Access in insert order. The
-// cache keeps pos and the sets its own accesses built. Once the set it is
-// about to build would make those half its sets, which with pos take about
-// as much memory as a plain cache, it builds every set in place and
-// becomes a plain cache.
-func NewFilled(sizeBytes, lineB, ways int, pos []int32, streams ...Stream) *Cache {
+// A set's state depends only on its own inserts, so newFilled writes no
+// set; each is built whenever it is read. When no stream laps its region,
+// no two regions overlap and the walk's lines lie outside them, the
+// inserts are distinct lines and all miss: Access fills an empty set's
+// ways from W-1 down to 0 and then evicts them in the same rotation, so a
+// set's j-th insert lands in way W-1-(j mod W) and the set ends holding
+// its last W inserts, a closed form the build writes directly. A stream
+// insert i ends with tick i+1; a walk line's first read inserts it and its
+// later reads hit it while it is the set's newest, leaving it the tick of
+// its last read. Otherwise lines repeat, and the build replays the set's
+// inserts through Access in tick order.
+func newFilled(sizeBytes, lineB, ways int, pos []int32, walk Walk, unitB int, streams ...Stream) *Cache {
 	c := newGeometry(sizeBytes, lineB, ways)
 	var n uint64
 	distinct := true
@@ -168,9 +194,30 @@ func NewFilled(sizeBytes, lineB, ways int, pos []int32, streams ...Stream) *Cach
 	if n != uint64(len(pos)) {
 		panic("cache: pos does not number the stream lines")
 	}
-	c.fill = &streamFill{pos: pos, streams: streams, slot: make([]int32, c.sets), distinct: distinct}
-	c.owned = make([]uint64, (c.sets+63)/64)
+	f := &streamFill{pos: pos, streams: streams}
 	c.tick = n
+	if walk.N > 0 {
+		if walk.Start%WalkStepB != 0 || unitB > lineB || unitB != WalkStepB && lineB%unitB != 0 {
+			panic("cache: a walk starts on a step, and its units are steps or nest in lines")
+		}
+		f.unitB = uint64(unitB)
+		if unitB&(unitB-1) == 0 {
+			f.unitShift = uint(bits.TrailingZeros(uint(unitB)))
+		}
+		end := walk.Start + (walk.N-1)*WalkStepB // its last read
+		first, last := c.lineIndex(walk.Start), c.lineIndex(end)
+		for _, st := range streams {
+			distinct = distinct && (last < st.Base || st.Base+st.Span <= first)
+		}
+		// The walk's u-th read here, of unit unit(Start)+u, has tick n+u+1.
+		f.tickOff = n + 1 - f.unit(walk.Start)
+		c.tick = f.tickOff + f.unit(end)
+		lines := last - first + 1
+		f.walkFirst, f.walkQ, f.walkRem = first, lines/uint64(c.sets), lines%uint64(c.sets)
+	}
+	f.distinct = distinct
+	c.fill = f
+	c.owned = make([]uint64, (c.sets+63)/64)
 	return c
 }
 
@@ -193,17 +240,16 @@ func (c *Cache) Child() *Cache {
 	return &ch
 }
 
-// Release returns the cache's way array to the pool. The cache must not be
-// used afterwards; callers release only when they own the last reference
-// (e.g. a finished simulation tearing down), and never a child's parent.
+// Release returns the cache's way array to the pool; a filled cache has
+// none. The cache must not be used afterwards; callers release only when
+// they own the last reference (e.g. a finished simulation tearing down),
+// and never a child's parent.
 func (c *Cache) Release() {
 	if c.meta == nil {
 		return
 	}
-	if c.fill == nil {
-		p, _ := metaPools.LoadOrStore(len(c.meta), &sync.Pool{})
-		p.(*sync.Pool).Put(c.meta)
-	}
+	p, _ := metaPools.LoadOrStore(len(c.meta), &sync.Pool{})
+	p.(*sync.Pool).Put(c.meta)
 	c.meta = nil
 }
 
@@ -223,15 +269,16 @@ func (c *Cache) set(lineIdx uint64) int {
 
 // Access performs a demand access. On a miss the line is allocated
 // (the fill itself is the caller's concern) and the LRU victim, if any,
-// is returned. write marks the line dirty.
+// is returned. write marks the line dirty. A filled cache is read-only:
+// Access on it panics, and its children take the accesses.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicted bool) {
 	lineIdx := c.lineIndex(addr)
-	c.tick++
 	s := c.set(lineIdx)
 	base := s * c.ways
 	if c.owned != nil && c.owned[s>>6]&(1<<(s&63)) == 0 {
 		base = c.locate(s)
 	}
+	c.tick++
 	set := c.meta[base : base+c.ways]
 	var lruWay, invalidWay = -1, -1
 	var lruTick uint64 = ^uint64(0)
@@ -271,70 +318,42 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, evicte
 	return false, victim, evicted
 }
 
-// locate returns where set s's ways start in meta after making them the
-// cache's own: a child copies the set from its parent and marks it owned,
-// and a filled cache builds it into its compact store the first time.
+// locate returns where set s's ways start in a child's meta after copying
+// the set from its parent and marking it owned.
 func (c *Cache) locate(s int) int {
-	f := c.fill
-	if f == nil {
-		base := s * c.ways
-		dst := c.meta[base : base+c.ways]
-		copy(dst, c.parent.readSet(s, dst))
-		c.owned[s>>6] |= 1 << (s & 63)
-		return base
+	if c.parent == nil {
+		panic("cache: Access on a filled cache, which is read-only; access a Child of it")
 	}
-	if i := f.slot[s]; i != 0 {
-		return int(i-1) * c.ways
-	}
-	base := len(c.meta)
-	if 2*(base+c.ways) >= c.sets*c.ways {
-		c.materialize()
-		return s * c.ways
-	}
-	if base+c.ways > cap(c.meta) {
-		c.meta = slices.Grow(c.meta, max(c.ways, base)) // doubling
-	}
-	c.meta = c.meta[:base+c.ways]
-	c.build(s, c.meta[base:])
-	f.slot[s] = int32(base/c.ways + 1)
+	base := s * c.ways
+	dst := c.meta[base : base+c.ways]
+	copy(dst, c.parent.readSet(s, dst))
+	c.owned[s>>6] |= 1 << (s & 63)
 	return base
 }
 
-// materialize builds every set of a filled cache in place, making it a
-// plain cache.
-func (c *Cache) materialize() {
-	meta := newMeta(c.sets*c.ways, false)
-	for s := 0; s < c.sets; s++ {
-		dst := meta[s*c.ways : (s+1)*c.ways]
-		copy(dst, c.readSet(s, dst))
-	}
-	c.meta, c.owned, c.fill = meta, nil, nil
-}
-
 // readSet returns set s's ways without touching them: the cache's own, its
-// parent's, or, for a set a filled cache has not built, dst (len ways)
-// built from the closed form. The result must not be written through.
+// parent's, or, for a filled cache, dst (len ways) built from its inserts.
+// The result must not be written through.
 func (c *Cache) readSet(s int, dst []way) []way {
 	switch {
 	case c.owned == nil || c.owned[s>>6]&(1<<(s&63)) != 0:
 		return c.meta[s*c.ways : (s+1)*c.ways]
 	case c.parent != nil:
 		return c.parent.readSet(s, dst)
-	case c.fill.slot[s] != 0:
-		base := int(c.fill.slot[s]-1) * c.ways
-		return c.meta[base : base+c.ways]
 	}
 	c.build(s, dst)
 	return dst
 }
 
 // build writes set s of a filled cache, as its inserts leave it, into dst
-// (len ways). The set's inserts are the stream lines in it. When they are
-// distinct, within a stream's region they form two arithmetic progressions
-// of step sets, one on each side of the cursor's wrap; build keeps the
-// newest W of them in dst, ascending by tick after any invalid ways, then
-// puts each in the way the closed form gives it. Otherwise replay builds
-// the set.
+// (len ways). The set's inserts are the stream lines in it, then the
+// walk's. When they are distinct, within a stream's region they form two
+// arithmetic progressions of step sets, one on each side of the cursor's
+// wrap; build keeps the newest W of them in dst, ascending by tick after
+// any invalid ways. The walk's lines in the set are one more progression,
+// ascending by tick and newer than every stream line, so its last W
+// displace the oldest. Then build puts each insert in the way the closed
+// form gives it. Otherwise replay builds the set.
 func (c *Cache) build(s int, dst []way) {
 	if !c.fill.distinct {
 		c.replay(s, dst)
@@ -357,6 +376,14 @@ func (c *Cache) build(s int, dst []way) {
 			m += c.insertRun(dst, st.Base, r, st.Span-(st.N-st.Cur), st.Span, k0+st.Cur-1+st.Span, flags)
 		}
 		k0 += st.N
+	}
+	if x, n := c.walkLines(s); n > 0 {
+		keep := min(n, uint64(len(dst)))
+		copy(dst, dst[keep:])
+		for w, x := len(dst)-int(keep), x+(n-keep)*sets; w < len(dst); w, x = w+1, x+sets {
+			dst[w] = way{tag: x, meta: c.walkTick(x)<<tickShift | wayValid}
+		}
+		m += n
 	}
 	// Insert j of the set's m lands in way W-1-(j mod W). dst[q] holds
 	// insert m-W+q (an invalid way when that is negative), so way
@@ -389,13 +416,14 @@ func (c *Cache) insertRun(dst []way, base, r, lo, hi, kTop, flags uint64) uint64
 }
 
 // replay writes set s of a filled cache whose lines repeat into dst (len
-// ways): it gathers the set's inserts, sorts them by tick and sends them
-// through Access on a one-set view of dst, each at its own tick. Region
-// line l = r (mod sets) holds the stream lines (Cur-1-l) mod Span + j*Span
-// below N. A key holds an insert's tick (pos+1) in its high half, and its
-// index in tags and its dirty bit in the low half. The buffers live in
-// replay's frame, so that build, which runs the closed form, keeps a small
-// one.
+// ways): it gathers the set's stream inserts, sorts them by tick and sends
+// them through Access on a one-set view of dst, each at its own tick, then
+// does the same with the walk's lines, which follow them in line order.
+// Region line l = r (mod sets) holds the stream lines (Cur-1-l) mod Span +
+// j*Span below N. A key holds an insert's tick (pos+1) in its high half,
+// and its index in tags and its dirty bit in the low half. The buffers
+// live in replay's frame, so that build, which runs the closed form, keeps
+// a small one.
 func (c *Cache) replay(s int, dst []way) {
 	var keyBuf, tagBuf [64]uint64
 	keys, tags := keyBuf[:0], tagBuf[:0]
@@ -426,6 +454,41 @@ func (c *Cache) replay(s int, dst []way) {
 		view.tick = key>>32 - 1 // Access advances it to the insert's tick
 		view.Access(tags[uint32(key)>>1], key&1 != 0)
 	}
+	// A walk line's later reads hit it while it is the set's newest line,
+	// and a hit changes only its tick, so one read at the tick of the last
+	// leaves the set as the whole burst does.
+	x, n := c.walkLines(s)
+	for ; n > 0; x, n = x+sets, n-1 {
+		view.tick = c.walkTick(x) - 1
+		view.Access(x, false)
+	}
+}
+
+// walkLines returns the first of the walk's lines in set s and how many
+// there are, step sets apart.
+func (c *Cache) walkLines(s int) (first, n uint64) {
+	f, sets := c.fill, uint64(c.sets)
+	d := (uint64(s) + sets - f.walkFirst%sets) % sets
+	n = f.walkQ
+	if d < f.walkRem {
+		n++
+	}
+	return f.walkFirst + d, n
+}
+
+// walkTick returns the tick walk line x ends with, that of its last read:
+// the read of the unit holding the line's last byte, or of the walk's last
+// unit, whose tick is the filled cache's.
+func (c *Cache) walkTick(x uint64) uint64 {
+	return min(c.tick, c.fill.tickOff+c.fill.unit((x+1)*uint64(c.lineB)-1))
+}
+
+// unit returns the index of the walk unit holding byte address addr.
+func (f *streamFill) unit(addr uint64) uint64 {
+	if f.unitShift != 0 {
+		return addr >> f.unitShift
+	}
+	return addr / f.unitB
 }
 
 // Contains reports whether the line holding addr is cached (no LRU update).

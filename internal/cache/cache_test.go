@@ -136,7 +136,7 @@ func TestCacheStreamingEvictsEverything(t *testing.T) {
 }
 
 // TestFillDistinctMatchesAccess checks fillDistinct, the eager reference
-// for NewFilled, against the same inserts sent one by one through Access on
+// for newFilled, against the same inserts sent one by one through Access on
 // a fresh cache: the whole cache
 // — metadata, tick, hit and miss counters — must come out identical. Each
 // sequence inserts distinct lines drawn from a pool smaller or larger than

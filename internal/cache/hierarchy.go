@@ -53,21 +53,28 @@ type Hierarchy struct {
 // NewHierarchy builds the per-core hierarchy from the configuration, every
 // level empty.
 func NewHierarchy(cfg *sim.Config) *Hierarchy {
-	return newHierarchy(cfg, New(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways))
-}
-
-// NewFilledHierarchy is NewHierarchy with the L3 that
-// NewFilled(pos, streams...) returns: one that holds what the streams'
-// inserts leave and builds each set when first read.
-func NewFilledHierarchy(cfg *sim.Config, pos []int32, streams ...Stream) *Hierarchy {
-	return newHierarchy(cfg, NewFilled(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways, pos, streams...))
-}
-
-func newHierarchy(cfg *sim.Config, l3 *Cache) *Hierarchy {
 	return &Hierarchy{
 		l1:  New(cfg.L1SizeKB*1024, cfg.L1LineB, cfg.L1Ways),
 		l2:  New(cfg.L2SizeKB*1024, cfg.L2LineB, cfg.L2Ways),
-		l3:  l3,
+		l3:  New(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways),
+		cfg: cfg,
+	}
+}
+
+// NewFilledHierarchy returns a read-only hierarchy in the state that
+// NewHierarchy reaches after the streams' inserts into its L3 (insert i
+// is the stream line k with pos[k] = i, as the L3 alone sees them) and
+// then walk's reads through Access, hit and miss counters zeroed. Each
+// level holds no set and builds each whenever it is read, so the
+// hierarchy costs the positions and three bitsets: L1 and L2 hold the
+// walk alone, and L3 the streams and then the walk. Its lines must nest,
+// and L1's must be at least WalkStepB (sim.Config.Validate checks both).
+// Simulations access Children of it; Access on it panics.
+func NewFilledHierarchy(cfg *sim.Config, pos []int32, walk Walk, streams ...Stream) *Hierarchy {
+	return &Hierarchy{
+		l1:  newFilled(cfg.L1SizeKB*1024, cfg.L1LineB, cfg.L1Ways, nil, walk, WalkStepB),
+		l2:  newFilled(cfg.L2SizeKB*1024, cfg.L2LineB, cfg.L2Ways, nil, walk, cfg.L1LineB),
+		l3:  newFilled(cfg.L3SizeMB*1024*1024, cfg.L3LineB, cfg.L3Ways, pos, walk, cfg.L2LineB, streams...),
 		cfg: cfg,
 	}
 }
@@ -94,8 +101,8 @@ func (h *Hierarchy) Release() {
 }
 
 // MetaBytes reports the bytes of metadata the hierarchy itself holds — way
-// arrays, owned bits, and a filled L3's insert positions and set slots —
-// not counting a child's parent: what a prefill snapshot keeps resident.
+// arrays, owned bits, and a filled L3's insert positions — not counting a
+// child's parent: what a prefill snapshot keeps resident.
 func (h *Hierarchy) MetaBytes() int {
 	return h.l1.metaBytes() + h.l2.metaBytes() + h.l3.metaBytes()
 }
@@ -103,7 +110,7 @@ func (h *Hierarchy) MetaBytes() int {
 func (c *Cache) metaBytes() int {
 	n := cap(c.meta)*int(unsafe.Sizeof(way{})) + len(c.owned)*8
 	if f := c.fill; f != nil {
-		n += (len(f.pos) + len(f.slot)) * 4
+		n += len(f.pos) * 4
 	}
 	return n
 }
@@ -201,7 +208,8 @@ func (h *Hierarchy) writebackInto(next *Cache, victimAddr uint64) {
 	}
 }
 
-// ResetStats zeroes every level's hit/miss counters (after warm-up).
+// ResetStats zeroes every level's hit/miss counters, where a filled
+// hierarchy starts them.
 func (h *Hierarchy) ResetStats() {
 	h.l1.hits, h.l1.misses = 0, 0
 	h.l2.hits, h.l2.misses = 0, 0

@@ -449,6 +449,7 @@ func TestSubmitValidation(t *testing.T) {
 	noWays := config(func(c *sim.Config) { c.L1Ways = 0 })
 	hugeL3 := config(func(c *sim.Config) { c.L3SizeMB = sim.MaxL3SizeMB + 1 })
 	hugeLine := config(func(c *sim.Config) { c.L3LineB = 2 * sim.MaxL3LineB })
+	shortL1Line := config(func(c *sim.Config) { c.L1LineB = sim.MinL1LineB / 2 })
 	// A config from a release that still had the warmup phase.
 	withWarmup := strings.Replace(config(func(*sim.Config) {}), `,"Seed":`, `,"WarmupCycles":1,"Seed":`, 1)
 	cases := []struct {
@@ -463,6 +464,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"zero L1 ways", `{"workload":"mcf_m","config":` + noWays + `}`},
 		{"L3 above the stream layout", `{"workload":"mcf_m","config":` + hugeL3 + `}`},
 		{"L3 line above the stream layout", `{"workload":"mcf_m","config":` + hugeLine + `}`},
+		{"L1 line below the hot accesses' step", `{"workload":"mcf_m","config":` + shortL1Line + `}`},
 		{"warmup_cycles", `{"workload":"mcf_m","warmup_cycles":1000}`},
 		{"warmup_scheme", `{"workload":"mcf_m","warmup_scheme":"dimm+chip"}`},
 		{"config.WarmupCycles", `{"workload":"mcf_m","config":` + withWarmup + `}`},

@@ -325,6 +325,12 @@ const (
 	MaxL3LineB = 256 << 10
 )
 
+// MinL1LineB is the shortest L1 line. The workload generator's hot
+// accesses are 64 B apart, and so are the reads of prefill's walk of the
+// hot region, whose closed form needs every L1 line it spans read: a
+// shorter line would be skipped.
+const MinL1LineB = 64
+
 // MaxIterMax is the largest IterMax. It bounds every iteration draw, so a
 // write's per-iteration tallies stay small and each draw fits the byte the
 // PCM model's draw memo keeps it in.
@@ -342,6 +348,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: BitsPerCell must be 1 or 2, got %d", c.BitsPerCell)
 	case c.L1LineB <= 0 || c.L2LineB <= 0 || c.L3LineB <= 0:
 		return fmt.Errorf("config: line sizes must be positive")
+	case c.L1LineB < MinL1LineB:
+		return fmt.Errorf("config: L1LineB %d below %d: the workload's hot accesses, and prefill's walk of them, are %d B apart",
+			c.L1LineB, MinL1LineB, MinL1LineB)
 	case c.L2LineB%c.L1LineB != 0 || c.L3LineB%c.L2LineB != 0:
 		return fmt.Errorf("config: line sizes must nest (L1 %dB, L2 %dB, L3 %dB)",
 			c.L1LineB, c.L2LineB, c.L3LineB)

@@ -76,6 +76,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero cores", func(c *Config) { c.Cores = 0 }},
 		{"bad bits per cell", func(c *Config) { c.BitsPerCell = 3 }},
 		{"non-nesting lines", func(c *Config) { c.L2LineB = 48 }},
+		{"L1 lines of 32 B", func(c *Config) { c.L1LineB = 32 }},
+		{"L1 lines of 48 B", func(c *Config) { c.L1LineB, c.L2LineB, c.L3LineB = 48, 192, 768 }},
 		{"bad LCP eff", func(c *Config) { c.LCPEff = 0 }},
 		{"bad GCP eff", func(c *Config) { c.GCPEff = 1.5 }},
 		{"zero tokens", func(c *Config) { c.DIMMTokens = 0 }},

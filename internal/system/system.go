@@ -121,8 +121,7 @@ func Build(cfg sim.Config, wl workload.Workload) (*System, error) {
 // geometry. Two cores with equal keys get byte-identical prefilled
 // hierarchies, so the result can be published once as a snapshot and
 // handed to every simulation as a copy-on-write child, instead of drawing
-// the insert shuffle and running the hot pass again once per (workload,
-// scheme) pair.
+// the insert shuffle again once per (workload, scheme) pair.
 type prefillKey struct {
 	rStart, wStart, span uint64
 	rCur, wCur           uint64
@@ -150,33 +149,40 @@ func newPrefillKey(cfg *sim.Config, gen *workload.Generator, prof workload.CoreP
 
 // maxPrefillSnapshotBytes bounds the snapshot cache by the summed MetaBytes
 // of its snapshots. A snapshot is one core's prefilled hierarchy, the
-// parent of every simulation's copy-on-write child. At the default geometry
-// it is about 2.2 MiB (L1 and L2, the L3's insert positions and the L3 sets
-// the hot pass built), so ~230 fit, more than the distinct (profile,
-// core-slot) pairs of a full figure sweep (Fig. 18 has 86); at Fig. 20's
-// 128 MB L3 a snapshot is 5.4 MiB and ~90 fit.
+// parent of every simulation's copy-on-write child; it holds no way array.
+// At the default geometry it is about 1.0 MiB (the L3's insert positions
+// and each level's owned bits), so ~500 fit, more than the distinct
+// (profile, core-slot) pairs of a full figure sweep (Fig. 18 has 86); at
+// Fig. 20's 128 MB L3 a snapshot is 4.0 MiB and ~127 fit.
 const maxPrefillSnapshotBytes = 512 << 20
 
 var prefillSnapshots struct {
 	sync.Mutex
-	m     map[prefillKey]*prefillSnapshot
-	bytes int // summed MetaBytes of the snapshots in m
-	stamp uint64
+	m        map[prefillKey]*prefillSnapshot
+	bytes    int // summed MetaBytes of the published snapshots in m
+	stamp    uint64
+	prefills uint64 // prefills started
 }
 
+// prefillSnapshot is one key's entry. It enters m when its prefill starts,
+// so that a concurrent miss on the key waits for that prefill instead of
+// drawing the same shuffle again.
 type prefillSnapshot struct {
-	hier *cache.Hierarchy // never changes once published
-	used uint64
+	hier  *cache.Hierarchy // set once, before ready closes; never changes after
+	used  uint64
+	ready chan struct{} // closed once hier is set or the prefill panicked
 }
 
 // prefilledHierarchy returns a prefilled hierarchy for the core that the
 // caller owns: a copy-on-write child of the snapshot for its prefillKey,
 // prefilling and publishing that snapshot first if no identical warm-up has
 // run (the usual case is that one has: every scheme of a figure
-// re-simulates the same workloads). Prefill is a pure function of
-// prefillKey, so the child is bit-identical either way. A published
-// snapshot never changes, so children on any goroutine read it without
-// locks.
+// re-simulates the same workloads). Each key is prefilled once: a caller
+// that misses while another prefills the key waits for that snapshot, so
+// how much prefill a sweep runs does not depend on which simulations
+// happen to start together. Prefill is a pure function of prefillKey, so
+// the child is bit-identical either way. A published snapshot never
+// changes, so children on any goroutine read it without locks.
 func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
 	k := newPrefillKey(cfg, gen, prof)
 	c := &prefillSnapshots
@@ -185,9 +191,30 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 		c.stamp++
 		e.used = c.stamp
 		c.Unlock()
+		<-e.ready
+		if e.hier == nil {
+			// Its prefill panicked and left m; prefilling here brings the
+			// panic to this caller too.
+			return prefilledHierarchy(cfg, gen, prof)
+		}
 		return e.hier.Child(cfg)
 	}
+	if c.m == nil {
+		c.m = make(map[prefillKey]*prefillSnapshot)
+	}
+	c.stamp++
+	c.prefills++
+	e := &prefillSnapshot{used: c.stamp, ready: make(chan struct{})}
+	c.m[k] = e
 	c.Unlock()
+	defer close(e.ready)
+	defer func() {
+		if e.hier == nil {
+			c.Lock()
+			delete(c.m, k)
+			c.Unlock()
+		}
+	}()
 
 	// The snapshot gets its own copy of the config, so it does not keep
 	// this machine alive.
@@ -196,31 +223,24 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 
 	c.Lock()
 	defer c.Unlock()
-	c.stamp++
-	if e, ok := c.m[k]; ok {
-		// A concurrent build prefilled the same key first; its snapshot
-		// holds the identical content.
-		e.used = c.stamp
-		return e.hier.Child(cfg)
-	}
-	if c.m == nil {
-		c.m = make(map[prefillKey]*prefillSnapshot)
-	}
 	size := h.MetaBytes()
-	for len(c.m) > 0 && c.bytes+size > maxPrefillSnapshotBytes {
+	for c.bytes+size > maxPrefillSnapshotBytes {
+		// Evict the least recently used published snapshot. Children of
+		// the evicted snapshot keep it alive until they finish.
 		var oldest prefillKey
-		var oldestUsed uint64 = ^uint64(0)
-		for kk, e := range c.m {
-			if e.used < oldestUsed {
-				oldestUsed = e.used
-				oldest = kk
+		var victim *prefillSnapshot
+		for kk, o := range c.m {
+			if o.hier != nil && (victim == nil || o.used < victim.used) {
+				oldest, victim = kk, o
 			}
 		}
-		// Children of the evicted snapshot keep it alive until they finish.
-		c.bytes -= c.m[oldest].hier.MetaBytes()
+		if victim == nil {
+			break
+		}
+		c.bytes -= victim.hier.MetaBytes()
 		delete(c.m, oldest)
 	}
-	c.m[k] = &prefillSnapshot{hier: h, used: c.stamp}
+	e.hier = h
 	c.bytes += size
 	return h.Child(cfg)
 }
@@ -229,35 +249,35 @@ func prefilledHierarchy(cfg *sim.Config, gen *workload.Generator, prof workload.
 // (DESIGN.md §3): the L3 holds the lines the stream walks touched just
 // before the window — interleaved load/store-region lines in their access
 // ratio, inserted oldest-first ending right behind each stream cursor —
-// and the hot region is resident in L2/L3. Capacity writebacks and
-// streaming misses then behave from instruction 0 exactly as they would
-// after a multi-hundred-million-instruction cold phase. The L3 builds the
-// state the stream inserts leave set by set, as sets are first read
-// (cache.NewFilled): exactly the state of inserting the lines one by one.
+// and, newest, the hot region, which also fills L1 and L2 as a read of
+// every 64 B of it through the whole hierarchy would. Capacity writebacks
+// and streaming misses then behave from instruction 0 exactly as they
+// would after a multi-hundred-million-instruction cold phase. prefill
+// accesses no cache: it draws the inserts' shuffle and describes them, and
+// each level builds a set from that description whenever the set is read
+// (cache.NewFilledHierarchy), exactly as the accesses would have left it.
 func prefill(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) *cache.Hierarchy {
-	var h *cache.Hierarchy
-	if prof.RPKI <= 0 {
-		h = cache.NewHierarchy(cfg)
-	} else {
-		streams, rng := streamInserts(cfg, gen, prof)
-		pos := make([]int32, streams[0].N+streams[1].N)
-		rng.InvPerm(pos)
-		h = cache.NewFilledHierarchy(cfg, pos, streams[:]...)
+	streams, rng := streamInserts(cfg, gen, prof)
+	var n uint64
+	for _, st := range streams {
+		n += st.N
 	}
-	// Hot region last (most recent): full-path accesses warm L1/L2/L3.
+	pos := make([]int32, n)
+	rng.InvPerm(pos)
 	hotStart, hotSpan := gen.HotRegion()
-	for addr := hotStart; addr < hotStart+hotSpan; addr += 64 {
-		h.Access(addr, false)
-	}
-	h.ResetStats()
-	return h
+	return cache.NewFilledHierarchy(cfg, pos, cache.Walk{Start: hotStart, N: hotSpan / cache.WalkStepB}, streams...)
 }
 
-// streamInserts describes prefill's L3 inserts for a core with RPKI > 0:
-// the nR load-region lines just behind the read cursor, then the nW
-// store-region lines just behind the write cursor, as cache.Streams, in an
-// order rng shuffles.
-func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (streams [2]cache.Stream, rng *sim.RNG) {
+// streamInserts describes prefill's L3 inserts: the nR load-region lines
+// just behind the read cursor, then the nW store-region lines just behind
+// the write cursor, as cache.Streams, in an order rng shuffles. A core
+// with no streaming reads (RPKI <= 0) has none.
+func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreProfile) (streams []cache.Stream, rng *sim.RNG) {
+	rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
+	rng = sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
+	if prof.RPKI <= 0 {
+		return nil, rng
+	}
 	lineB := uint64(cfg.L3LineB)
 	rStart, _ := gen.StreamReadRegion()
 	wStart, _ := gen.StreamWriteRegion()
@@ -277,12 +297,10 @@ func streamInserts(cfg *sim.Config, gen *workload.Generator, prof workload.CoreP
 	// victims are then dirty with the true steady-state probability
 	// (wFrac) for every seed, instead of whatever the arbitrary phase
 	// alignment would dictate.
-	rCur, wCur := gen.ReadCursor(), gen.WriteCursor()
-	streams = [2]cache.Stream{
+	return []cache.Stream{
 		{Base: rStart / lineB, Cur: rCur, Span: span, N: nR},
 		{Base: wStart / lineB, Cur: wCur, Span: span, N: nW, Dirty: true},
-	}
-	return streams, sim.NewRNG(rCur*31 + wCur*17 + 0xC0FFEE)
+	}, rng
 }
 
 // registerSystemMetrics adds machine-level series to the hub registry.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fpb/internal/cache"
 	"fpb/internal/sim"
@@ -211,32 +212,42 @@ func TestWCWPIntegration(t *testing.T) {
 // TestPrefillSnapshotBound checks snapshot sizes at each of Fig. 20's L3
 // sizes, for mcf_m core 0, whose fixed-footprint streams fill the L3 like
 // every other app's and lap their regions at 128 MB, and cop_m core 0, a
-// STREAM app whose regions grow with the L3. A snapshot must hold no more
-// than a plain hierarchy, the size of the deep copy each simulation used
-// to take, and less from 32 MB up, where the hot pass builds under half
-// the L3 sets. The bound must hold at least 128 default-geometry
-// snapshots, so a default-geometry figure sweep (Fig. 18 prefills 86
-// distinct cores) never evicts.
+// STREAM app whose regions grow with the L3. A snapshot holds no way
+// array: its MetaBytes are the L3's insert positions, 4 bytes per insert,
+// and one owned bit per set of each level, less than a plain hierarchy,
+// the deep copy each simulation once took. The bound must hold at least
+// 400 default-geometry snapshots, so a default-geometry figure sweep
+// (Fig. 18 prefills 86 distinct cores) never evicts.
 func TestPrefillSnapshotBound(t *testing.T) {
 	defaultMB := sim.DefaultConfig().L3SizeMB
 	for _, l3MB := range []int{8, 16, 32, 128} {
 		cfg := sim.DefaultConfig()
 		cfg.L3SizeMB = l3MB
 		plain := cache.NewHierarchy(&cfg)
+		bitsets := 0
+		for _, l := range [][3]int{
+			{cfg.L1SizeKB << 10, cfg.L1LineB, cfg.L1Ways},
+			{cfg.L2SizeKB << 10, cfg.L2LineB, cfg.L2Ways},
+			{cfg.L3SizeMB << 20, cfg.L3LineB, cfg.L3Ways},
+		} {
+			bitsets += (l[0]/(l[1]*l[2]) + 63) / 64 * 8
+		}
 		for _, name := range []string{"mcf_m", "cop_m"} {
 			wl, err := workload.ByName(name, cfg.Cores)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gen := workload.NewGenerator(wl.Cores[0], &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+			streams, _ := streamInserts(&cfg, gen, wl.Cores[0])
 			snap := prefill(&cfg, gen, wl.Cores[0])
 			size := snap.MetaBytes()
 			t.Logf("%d MB, %s: a snapshot holds %d bytes, a plain hierarchy %d", l3MB, name, size, plain.MetaBytes())
-			if size > plain.MetaBytes() || l3MB >= 32 && size >= plain.MetaBytes() {
-				t.Errorf("%d MB, %s: a snapshot holds %d bytes, a plain hierarchy %d", l3MB, name, size, plain.MetaBytes())
+			if want := 4*int(streams[0].N+streams[1].N) + bitsets; size != want || size >= plain.MetaBytes() {
+				t.Errorf("%d MB, %s: a snapshot holds %d bytes, want %d (4 per insert and the owned bitsets) and under a plain hierarchy's %d",
+					l3MB, name, size, want, plain.MetaBytes())
 			}
-			if n := maxPrefillSnapshotBytes / size; l3MB == defaultMB && n < 128 {
-				t.Errorf("the bound holds %d default-geometry %s snapshots of %d bytes, want at least 128", n, name, size)
+			if n := maxPrefillSnapshotBytes / size; l3MB == defaultMB && n < 400 {
+				t.Errorf("the bound holds %d default-geometry %s snapshots of %d bytes, want at least 400", n, name, size)
 			}
 			snap.Release()
 		}
@@ -244,19 +255,22 @@ func TestPrefillSnapshotBound(t *testing.T) {
 	}
 }
 
-// TestPrefilledHierarchyConcurrent has several goroutines miss the snapshot
-// cache on the same key at once, then several children of the published
-// snapshot run at once, each on its own access stream. Every goroutine must
-// start from the identical hierarchy, a child must end exactly where a
-// hierarchy of its own from prefill ends after the same stream, the
-// snapshot must be unchanged by its children, and the cache's byte count
-// must still equal the sum over its entries. It runs at three L3 sizes. At
-// 8 MB the hot pass touches every L3 set, so the snapshot's L3 becomes
-// plain. At 32 MB its L3 holds only the sets the hot pass built, and
-// children build the rest they touch from the shared parent's closed form;
-// at 128 MB lbm_m's streams lap their regions, and children build sets by
-// replaying their inserts. Under -race this also checks that children read
-// and build from their shared parent without racing.
+// TestPrefilledHierarchyConcurrent has several goroutines ask at once for
+// a key the snapshot cache lacks, so that one prefills it and the others
+// wait for its snapshot, then several children of the published snapshot
+// run at once, each on its own access stream. Exactly one prefill must
+// run, every goroutine must start from the identical hierarchy, a child
+// must end exactly where a hierarchy of its own from prefill ends after
+// the same stream, the snapshot must be unchanged by its children, and
+// the cache's byte count must still equal the sum over its entries. The
+// test first drops the key, should an earlier run have left it, so that
+// -count=N runs check the misses too. The snapshot holds no set, so
+// children build every set they touch, at every level, from the shared
+// parent. It runs at three L3 sizes: the hot region's lines reach every L3
+// set at 8 MB and a quarter of them at 32 MB, and at 128 MB lbm_m's
+// streams lap their regions, so children build L3 sets by replaying their
+// inserts. Under -race this also checks that children read and build from
+// their shared parent without racing.
 func TestPrefilledHierarchyConcurrent(t *testing.T) {
 	for _, l3MB := range []int{8, 32, 128} {
 		cfg := sim.DefaultConfig()
@@ -278,6 +292,14 @@ func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 		return workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
 	}
 	want := prefill(&cfg, newGen(), prof).Digest()
+	k := newPrefillKey(&cfg, newGen(), prof)
+	c := &prefillSnapshots
+	c.Lock()
+	if e := c.m[k]; e != nil { // left by an earlier run of the test
+		c.bytes -= e.hier.MetaBytes()
+		delete(c.m, k)
+	}
+	c.Unlock()
 	// stream has goroutine g access the hot region and the stream lines
 	// around the cursors.
 	stream := func(g int, h *cache.Hierarchy) {
@@ -300,11 +322,14 @@ func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 	for phase, what := range []string{"missing the snapshot cache", "reusing the snapshot"} {
 		start := make([][sha256.Size]byte, 4)
 		end := make([][sha256.Size]byte, 4)
+		prefills := prefillsStarted()
+		begin := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := range start {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-begin
 				h := prefilledHierarchy(&cfg, newGen(), prof)
 				start[g] = h.Digest()
 				stream(phase*len(start)+g, h)
@@ -312,9 +337,13 @@ func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 				h.Release()
 			}()
 		}
+		close(begin)
 		wg.Wait()
+		if n, want := prefillsStarted()-prefills, uint64(1-phase); n != want {
+			t.Errorf("%d MB, %s: %d prefills ran, want %d", cfg.L3SizeMB, what, n, want)
+		}
 		for g := range start {
-			ref := prefill(&cfg, newGen(), prof)
+			ref := prefill(&cfg, newGen(), prof).Child(&cfg)
 			stream(phase*len(start)+g, ref)
 			if start[g] != want {
 				t.Errorf("%d MB, %s: goroutine %d got a different hierarchy", cfg.L3SizeMB, what, g)
@@ -324,7 +353,6 @@ func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 			}
 		}
 	}
-	c := &prefillSnapshots
 	c.Lock()
 	defer c.Unlock()
 	sum := 0
@@ -334,8 +362,72 @@ func prefilledConcurrently(t *testing.T, cfg sim.Config) {
 	if sum != c.bytes {
 		t.Errorf("%d MB: snapshot cache counts %d bytes, its entries hold %d", cfg.L3SizeMB, c.bytes, sum)
 	}
-	if e := c.m[newPrefillKey(&cfg, newGen(), prof)]; e == nil || e.hier.Digest() != want {
+	if e := c.m[k]; e == nil || e.hier.Digest() != want {
 		t.Errorf("%d MB: the snapshot is gone or changed under its children", cfg.L3SizeMB)
+	}
+}
+
+// prefillsStarted reads how many prefills the snapshot cache has started.
+func prefillsStarted() uint64 {
+	c := &prefillSnapshots
+	c.Lock()
+	defer c.Unlock()
+	return c.prefills
+}
+
+// TestPrefillPanicReleasesWaiters: callers waiting for a key whose prefill
+// panics must not wait forever. Each prefills the key itself and gets the
+// same panic, and the key leaves the snapshot cache. An L1 line below
+// sim.MinL1LineB, which Validate refuses, makes prefill panic.
+func TestPrefillPanicReleasesWaiters(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.L1LineB = 32
+	cfg.Seed = 0xbad // a key no other test prefills
+	wl, err := workload.ByName("mcf_m", cfg.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := wl.Cores[0]
+	newGen := func() *workload.Generator {
+		return workload.NewGenerator(prof, &cfg, 0, sim.NewRNG(cfg.Seed).Derive(1000).Derive(1))
+	}
+	prefills := prefillsStarted()
+	panics := make([]any, 4)
+	begin := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range panics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[g] = recover() }()
+			<-begin
+			prefilledHierarchy(&cfg, newGen(), prof)
+		}()
+	}
+	close(begin)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("callers still wait for a prefill that panicked")
+	}
+	for g, p := range panics {
+		if p == nil {
+			t.Errorf("goroutine %d did not panic", g)
+		}
+	}
+	if n := prefillsStarted() - prefills; n != uint64(len(panics)) {
+		t.Errorf("%d prefills ran, want one per caller (%d)", n, len(panics))
+	}
+	c := &prefillSnapshots
+	c.Lock()
+	defer c.Unlock()
+	if _, ok := c.m[newPrefillKey(&cfg, newGen(), prof)]; ok {
+		t.Error("the key of a panicked prefill stayed in the snapshot cache")
 	}
 }
 
